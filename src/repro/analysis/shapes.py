@@ -2225,8 +2225,9 @@ def audit_schedule_buffers(plan, label: Optional[str] = None
     """Concrete bounds audit of a compiled schedule's index buffers.
 
     Accepts a :class:`~repro.sparse.schedule.TriangularSchedule`,
-    :class:`~repro.sparse.schedule.RefactorSchedule` or
-    :class:`~repro.sparse.schedule.BlockedRefactorSchedule` and checks
+    :class:`~repro.sparse.schedule.RefactorSchedule`,
+    :class:`~repro.sparse.schedule.BlockedRefactorSchedule` or
+    :class:`~repro.sparse.schedule.BTFSolveSchedule` and checks
     every gather/scatter/segment array against the actual workspace
     extents of the plan: indices in bounds, ``ent_order`` a valid
     permutation, ``seg_starts`` strictly increasing from 0, ``seg_tgt``
@@ -2238,6 +2239,25 @@ def audit_schedule_buffers(plan, label: Optional[str] = None
         return _audit_triangular(plan, label or "tri:%s" % plan.kind)
     if hasattr(plan, "stages") and hasattr(plan, "wtotal"):
         return _audit_refactor(plan, label or "refactor")
+    if hasattr(plan, "schedule") and hasattr(plan, "x_src"):
+        lab = label or "btf-solve"
+        sched = plan.schedule
+        findings = _audit_triangular(sched, lab)
+        n = int(plan.n)
+        if sched.n != 2 * n:
+            _aud(findings, lab, "S3", "triangular system has %d columns, "
+                 "expected 2n = %d" % (sched.n, 2 * n))
+        if plan.gather.size != sched.nnz:
+            _aud(findings, lab, "S3", "gather has %d entries for %d values"
+                 % (plan.gather.size, sched.nnz))
+        _chk_index(findings, lab, "gather", plan.gather, int(plan.src_size))
+        _chk_perm(findings, lab, "row_perm", np.asarray(plan.row_perm), n)
+        for name, arr in (("y_pos", plan.y_pos), ("x_src", plan.x_src)):
+            _chk_index(findings, lab, name, arr, 2 * n)
+            if arr.size != n or np.unique(arr).size != arr.size:
+                _aud(findings, lab, "S2", "%s is not %d distinct positions"
+                     % (name, n))
+        return findings
     if hasattr(plan, "schedule") and hasattr(plan, "d_gather"):
         lab = label or "blocked"
         findings = _audit_refactor(plan.schedule, lab)

@@ -146,9 +146,19 @@ def _analysis_matrices(args):
         yield name, _load(name)
 
 
+def _btf_solve_plans(A: CSC):
+    """``(solver, plan)`` for the compiled BTF solve plans of KLU and
+    Basker on ``A`` (each compiled by one solve)."""
+    for label, solver in (("klu", KLU()), ("basker", Basker(n_threads=4))):
+        num = solver.factor(A)
+        solver.solve(num, np.zeros(A.n_rows))
+        yield label, num.solve_plan
+
+
 def _plan_audit_findings(args):
     """``analyze effects --plans``: symbolic disjointness audits of the
-    compiled triangular/refactor schedules for the selected matrices."""
+    compiled triangular/refactor schedules and of the KLU and Basker BTF
+    solve plans for the selected matrices."""
     from .analysis import audit_refactor_schedule, audit_triangular_schedule
     from .solvers.gp import ensure_refactor_schedule, gp_factor
     from .sparse.schedule import compile_triangular_schedule
@@ -162,12 +172,16 @@ def _plan_audit_findings(args):
             compile_triangular_schedule(res.U, "upper"), label=f"{name}:U"))
         findings.extend(audit_refactor_schedule(
             ensure_refactor_schedule(res, A), label=f"{name}:refactor"))
+        for solver, plan in _btf_solve_plans(A):
+            findings.extend(audit_triangular_schedule(
+                plan.schedule, label=f"{name}:{solver}-solve"))
     return findings
 
 
 def _shape_plan_findings(args):
     """``analyze shapes --plans``: concrete buffer-bounds audits of the
-    compiled triangular/refactor schedules for the selected matrices."""
+    compiled triangular/refactor schedules and of the KLU and Basker BTF
+    solve plans for the selected matrices."""
     from .analysis import audit_schedule_buffers
     from .solvers.gp import ensure_refactor_schedule, gp_factor
     from .sparse.schedule import compile_triangular_schedule
@@ -181,6 +195,9 @@ def _shape_plan_findings(args):
             compile_triangular_schedule(res.U, "upper"), label=f"{name}:U"))
         findings.extend(audit_schedule_buffers(
             ensure_refactor_schedule(res, A), label=f"{name}:refactor"))
+        for solver, plan in _btf_solve_plans(A):
+            findings.extend(audit_schedule_buffers(
+                plan, label=f"{name}:{solver}-solve"))
     return findings
 
 
@@ -891,8 +908,8 @@ def main(argv=None) -> int:
                         "tree (repeatable)")
     p.add_argument("--plans", action="store_true",
                    help="effects/shapes only: also audit compiled triangular/"
-                        "refactor schedules (E4 write disjointness, S1/S2 "
-                        "buffer bounds)")
+                        "refactor schedules and the KLU/Basker BTF solve "
+                        "plans (E4 write disjointness, S1/S2 buffer bounds)")
     p.add_argument("--baseline",
                    help="suppress findings fingerprinted in this baseline JSON; "
                         "exit nonzero only on new findings")

@@ -38,9 +38,10 @@ from ..parallel.machine import MachineModel, SANDY_BRIDGE
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..parallel.threads import parallel_map
 from ..solvers.gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor, gp_refactor
-from ..solvers.triangular import lu_solve_factors
+from ..solvers.triangular import btf_solve, drop_solve_plan
 from ..sparse.csc import CSC
 from ..sparse.schedule import (
+    BTFSolveSchedule,
     ScheduleCompileError,
     diagonal_block_gathers,
     permutation_gather,
@@ -94,6 +95,9 @@ class BaskerNumeric:
     # Value-gather maps + per-block elimination schedules reused by
     # refactor_fast across a fixed-pattern sequence (None until then).
     refactor_cache: Optional[dict] = None
+    # Compiled whole-BTF solve (None until the first solve); carried
+    # across refactor_fast like refactor_cache.
+    solve_plan: Optional[BTFSolveSchedule] = None
 
     # ------------------------------------------------------------------
     @property
@@ -154,6 +158,24 @@ class BaskerNumeric:
             return lu.L, lu.U
         nd = self.nd_numeric[b]
         return nd.L, nd.U
+
+    def invalidate_caches(self) -> int:
+        """Eviction hook: drop the refactor gathers and schedules and
+        the compiled BTF solve plan, as
+        :meth:`repro.solvers.klu.KLUNumeric.invalidate_caches` does.
+
+        Returns the number of compiled solve plans released (0 or 1).
+        The factors stay usable; the next use recompiles.
+        """
+        self.refactor_cache = None
+        return drop_solve_plan(self)
+
+
+def _blocks(numeric: BaskerNumeric) -> List[Optional[Tuple[CSC, CSC]]]:
+    """Per coarse block, its ``(L, U)``; None for an empty block."""
+    splits = numeric.symbolic.block_splits
+    return [numeric.block_factors(k) if splits[k + 1] > splits[k] else None
+            for k in range(splits.size - 1)]
 
 
 class Basker:
@@ -393,7 +415,9 @@ class Basker:
             symbolic=sym,
             fine_lu=fine_lu,
             nd_numeric=nd_numeric,
-            row_perm=numeric.row_perm.copy(),
+            # Shared, not copied (immutable by convention): the solve
+            # plan then revalidates by identity along the sequence.
+            row_perm=numeric.row_perm,
             col_perm=sym.col_perm,
             M=M,
             tasks=[],
@@ -401,32 +425,12 @@ class Basker:
             ledger=total,
             overhead_ledger=total.copy(),
             refactor_cache=cache,
+            solve_plan=numeric.solve_plan,
         )
 
     # ------------------------------------------------------------------
     @domains(b="vec[global]", returns="vec[global]")
     def solve(self, numeric: BaskerNumeric, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` via coarse-BTF block back-substitution."""
-        b = np.asarray(b, dtype=np.float64)
-        n = numeric.symbolic.n
-        if b.shape != (n,):
-            raise StructureError("right-hand side has wrong length")
-        with get_tracer().span("solve.tri"):
-            splits = numeric.symbolic.block_splits
-            c = b[numeric.row_perm].copy()
-            z = np.zeros(n, dtype=np.float64)
-            M = numeric.M
-            for k in range(numeric.symbolic.n_blocks - 1, -1, -1):
-                lo, hi = int(splits[k]), int(splits[k + 1])
-                if hi == lo:
-                    continue
-                L, U = numeric.block_factors(k)
-                z[lo:hi] = lu_solve_factors(L, U, c[lo:hi])
-                for j in range(lo, hi):
-                    rows, vals = M.col(j)
-                    cut = np.searchsorted(rows, lo)
-                    if cut:
-                        c[rows[:cut]] -= vals[:cut] * z[j]
-            x = np.empty(n, dtype=np.float64)
-            x[numeric.col_perm] = z
-        return x
+        """Solve ``A x = b`` via coarse-BTF block back-substitution;
+        ``b`` is ``(n,)`` or ``(n, k)``."""
+        return btf_solve(numeric, _blocks(numeric), b)

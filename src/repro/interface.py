@@ -15,11 +15,11 @@ from typing import Optional
 import numpy as np
 
 from .core import Basker
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, StructureError
 from .obs.tracer import get_tracer
 from .parallel.machine import MachineModel, SANDY_BRIDGE
 from .solvers import KLU, SupernodalLU, slu_mt
-from .solvers.extras import refine_solve, solve_multi, solve_transpose
+from .solvers.extras import refine_solve, solve_transpose
 from .sparse.csc import CSC
 from .sparse.verify import validate_rhs
 
@@ -45,6 +45,15 @@ _REGISTRY = {
 
 def available_solvers() -> list:
     return sorted(_REGISTRY)
+
+
+def _one_rhs(b: np.ndarray, method: str) -> np.ndarray:
+    if b.ndim != 1:
+        raise StructureError(
+            f"{method} takes one right-hand side of shape (n,), got a block "
+            f"of shape {b.shape}; call it once per column"
+        )
+    return b
 
 
 class DirectSolver:
@@ -107,13 +116,16 @@ class DirectSolver:
         return self
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``A x = b`` for one right-hand side ``(n,)`` or a block
+        ``(n, k)`` (all columns in one pass)."""
         self._require_numeric()
         b = validate_rhs(b, self._n)
-        return solve_multi(self._impl, self._numeric, b)
+        return self._impl.solve(self._numeric, b)
 
     def solve_transpose(self, b: np.ndarray) -> np.ndarray:
+        """Solve ``A.T x = b`` for one right-hand side ``(n,)``."""
         self._require_numeric()
-        b = validate_rhs(b, self._n)
+        b = _one_rhs(validate_rhs(b, self._n), "solve_transpose")
         return solve_transpose(self._numeric, b)
 
     def solve_refined(self, A: CSC, b: np.ndarray, max_steps: int = 3):
@@ -122,9 +134,11 @@ class DirectSolver:
         Returns ``(x, history)`` — the refined solution and the scaled
         residual after each refinement evaluation.  Raises
         :class:`~repro.errors.RefinementDivergedError` when the
-        residual grows instead of shrinking.
+        residual grows instead of shrinking.  ``b`` must be one
+        right-hand side ``(n,)``.
         """
         self._require_numeric()
+        b = _one_rhs(validate_rhs(b, self._n), "solve_refined")
         return refine_solve(self._impl, self._numeric, A, b, max_steps=max_steps)
 
     def solve_resilient(

@@ -2,10 +2,11 @@
 
 The reference KLU exposes more than plain solve: ``klu_tsolve``
 (transpose solves, needed by adjoint/sensitivity analysis in circuit
-simulators), multiple right-hand sides, iterative refinement, and the
-numerical-quality diagnostics ``klu_rgrowth`` / ``klu_condest``.  These
-work uniformly on this package's KLU, Basker and supernodal numeric
-objects through a tiny structural adapter.
+simulators), iterative refinement, and the numerical-quality
+diagnostics ``klu_rgrowth`` / ``klu_condest``.  These work uniformly on
+this package's KLU, Basker and supernodal numeric objects through a
+tiny structural adapter.  (Multiple right-hand sides need no helper:
+every solver's ``solve`` takes an ``(n, k)`` block.)
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from ..sparse.ops import unit_lower_solve_T, upper_solve_T
 from ..sparse.verify import validate_rhs
 
 __all__ = [
-    "solve_multi",
     "refine_solve",
     "solve_transpose",
     "rgrowth",
@@ -87,19 +87,6 @@ def solve_transpose(numeric, b: np.ndarray) -> np.ndarray:
         # Factors are of R A: (RA)^T y = b  =>  A^T (R y) = b.
         x = x * scale
     return x
-
-
-def solve_multi(solver, numeric, B: np.ndarray) -> np.ndarray:
-    """Solve ``A X = B`` for a dense block of right-hand sides."""
-    B = np.asarray(B, dtype=np.float64)
-    if B.ndim == 1:
-        return solver.solve(numeric, B)
-    if B.ndim != 2:
-        raise StructureError("B must be a vector or a 2-D block of RHS")
-    X = np.empty_like(B)
-    for j in range(B.shape[1]):
-        X[:, j] = solver.solve(numeric, B[:, j])
-    return X
 
 
 def refine_solve(

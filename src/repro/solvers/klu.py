@@ -34,14 +34,13 @@ from ..sparse.blocking import DensePlan
 from ..sparse.csc import CSC
 from ..sparse.schedule import (
     BlockedRefactorSchedule,
+    BTFSolveSchedule,
     ScheduleCompileError,
-    adopt_solve_schedules,
     diagonal_block_gathers,
-    drop_solve_schedules,
     permutation_gather,
 )
 from .gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor, gp_refactor
-from .triangular import lu_solve_factors
+from .triangular import btf_solve, drop_solve_plan
 
 __all__ = ["KLUSymbolic", "KLUNumeric", "KLU"]
 
@@ -160,6 +159,9 @@ class KLUNumeric:
     # sequence (None until the first refactor_fast, or after a pivot
     # fallback changed the row permutation).
     refactor_cache: Optional[_KLURefactorCache] = None
+    # Compiled whole-BTF solve (None until the first solve); carried
+    # across refactor_fast like refactor_cache.
+    solve_plan: Optional[BTFSolveSchedule] = None
 
     @property
     def factor_nnz(self) -> int:
@@ -190,20 +192,16 @@ class KLUNumeric:
     def invalidate_caches(self) -> int:
         """Eviction hook: drop every derived cache hanging off this
         numeric object — the refactor value-gather/replay cache and the
-        compiled triangular solve schedules on the factor matrices.
+        compiled BTF solve plan.
 
-        Returns the number of compiled solve schedules released.  Does
-        *not* touch the factors themselves (the object stays usable; it
-        just recompiles on next use) and does not bump the symbolic
-        generation — callers evicting a shared-cache entry combine this
-        with :meth:`KLUSymbolic.invalidate`.
+        Returns the number of compiled solve plans released (0 or 1).
+        Does *not* touch the factors themselves (the object stays
+        usable; it just recompiles on next use) and does not bump the
+        symbolic generation — callers evicting a shared-cache entry
+        combine this with :meth:`KLUSymbolic.invalidate`.
         """
         self.refactor_cache = None
-        dropped = drop_solve_schedules(self.M)
-        for lu in self.block_lu:
-            dropped += drop_solve_schedules(lu.L)
-            dropped += drop_solve_schedules(lu.U)
-        return dropped
+        return drop_solve_plan(self)
 
 
 class KLU:
@@ -483,13 +481,15 @@ class KLU:
                 total.add(led)
 
             if fell_back:
-                # The row permutation changed: gathers keyed to the old one
-                # no longer apply to the result.
+                # The row permutation changed: gathers and the solve plan
+                # keyed to the old one no longer apply to the result.
                 Mfinal = A.permute(row_perm, symbolic.col_perm)
                 new_cache = None
+                plan = None
             else:
                 Mfinal = M
                 new_cache = cache
+                plan = numeric.solve_plan
             sp.attach(total)
             return KLUNumeric(
                 symbolic=symbolic,
@@ -502,6 +502,7 @@ class KLU:
                 block_working_sets=block_ws,
                 row_scale=r,
                 refactor_cache=new_cache,
+                solve_plan=plan,
             )
 
     # ------------------------------------------------------------------
@@ -542,8 +543,6 @@ class KLU:
             prior = numeric.block_lu[k]
             Lb = CSC(hi - lo, hi - lo, lp, li, Lx[l_ptr[k]:l_ptr[k + 1]])
             Ub = CSC(hi - lo, hi - lo, up, ui, Ux[u_ptr[k]:u_ptr[k + 1]])
-            adopt_solve_schedules(prior.L, Lb)
-            adopt_solve_schedules(prior.U, Ub)
             # Identity pivot order within the pre-pivoted block, same
             # as the per-block gp_refactor path.
             lu = GPResult(Lb, Ub, np.arange(hi - lo, dtype=np.int64), led,
@@ -563,38 +562,12 @@ class KLU:
             block_working_sets=block_ws,
             row_scale=r,
             refactor_cache=cache,
+            solve_plan=numeric.solve_plan,
         )
 
     # ------------------------------------------------------------------
     @domains(b="vec[global]", returns="vec[global]")
-    @shapes(returns="f8[n]")
     def solve(self, numeric: KLUNumeric, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` by block back-substitution over the BTF."""
-        b = np.asarray(b, dtype=np.float64)
-        n = numeric.symbolic.n
-        if b.shape != (n,):
-            raise StructureError("right-hand side has wrong length")
-        with get_tracer().span("solve.tri"):
-            splits = numeric.symbolic.block_splits
-            if numeric.row_scale is not None:
-                b = b * numeric.row_scale  # solve (R A) x = R b
-            c = b[numeric.row_perm].copy()
-            z = np.zeros(n, dtype=np.float64)
-            M = numeric.M
-            for k in range(numeric.symbolic.n_blocks - 1, -1, -1):
-                lo, hi = int(splits[k]), int(splits[k + 1])
-                lu = numeric.block_lu[k]
-                # row_perm already folds in the block pivoting, so the
-                # diagonal block of M is exactly L_k @ U_k.
-                zk = lu_solve_factors(lu.L, lu.U, c[lo:hi])
-                z[lo:hi] = zk
-                # Subtract this block's contribution from the rows above
-                # (block upper triangular: only rows < lo are affected).
-                for j in range(lo, hi):
-                    rows, vals = M.col(j)
-                    cut = np.searchsorted(rows, lo)
-                    if cut:
-                        c[rows[:cut]] -= vals[:cut] * z[j]
-            x = np.empty(n, dtype=np.float64)
-            x[numeric.col_perm] = z
-        return x
+        """Solve ``A x = b`` by block back-substitution over the BTF;
+        ``b`` is ``(n,)`` or ``(n, k)``."""
+        return btf_solve(numeric, [(lu.L, lu.U) for lu in numeric.block_lu], b)

@@ -582,9 +582,13 @@ class SupernodalLU:
         )
 
     def solve(self, numeric: SupernodalNumeric, b: np.ndarray) -> np.ndarray:
+        """Solve ``A x = b``; ``b`` is ``(n,)`` or ``(n, k)``."""
         b = np.asarray(b, dtype=np.float64)
-        if b.shape != (numeric.symbolic.n,):
-            raise StructureError("right-hand side has wrong length")
+        n = numeric.symbolic.n
+        if b.ndim not in (1, 2) or b.shape[0] != n:
+            raise StructureError(
+                f"right-hand side has shape {b.shape}, expected ({n},) or ({n}, k)"
+            )
         c = b[numeric.row_perm]
         z = lu_solve_factors(numeric.L, numeric.U, c)
         x = np.empty_like(z)

@@ -4,22 +4,32 @@ All factorizations in this package expose ``A[row_perm][:, col_perm] =
 L U``; this module turns that into ``x`` for ``A x = b`` and counts the
 solve-phase work (the paper only times numeric factorization, but the
 solve path is exercised by the examples and the Xyce transient loop).
+
+Every solve takes one right-hand side ``(n,)`` or a block ``(n, k)``.
+The BTF solvers (KLU and Basker) share :func:`btf_solve`: the whole
+block back-substitution replays one compiled
+:class:`~repro.sparse.schedule.BTFSolveSchedule`, cached on the numeric
+object next to its refactorization caches.
 """
 
 from __future__ import annotations
 
+from typing import List, Optional, Tuple
+
 import numpy as np
 
 from ..contracts import domains, shapes
+from ..errors import StructureError
+from ..obs.tracer import get_tracer
 from ..parallel.ledger import CostLedger
 from ..sparse.csc import CSC
-from ..sparse.ops import lower_solve, upper_solve
+from ..sparse.schedule import BTFSolveSchedule, triangular_schedule
 
-__all__ = ["lu_solve", "lu_solve_factors"]
+__all__ = ["lu_solve", "lu_solve_factors", "btf_solve", "btf_solve_plan", "drop_solve_plan"]
 
 
 @domains(L="matrix[S]", U="matrix[S]", b_perm="vec[S]", returns="vec[S]")
-@shapes(L="csc[n,n]", U="csc[n,n]", b_perm="f8[n]", returns="f8[n]")
+@shapes(L="csc[n,n]", U="csc[n,n]")
 def lu_solve_factors(
     L: CSC,
     U: CSC,
@@ -27,12 +37,17 @@ def lu_solve_factors(
     unit_diag_L: bool = True,
     ledger: CostLedger | None = None,
 ) -> np.ndarray:
-    """Solve ``L U z = b_perm`` (b already row-permuted)."""
-    y = lower_solve(L, b_perm, unit_diag=unit_diag_L)
-    z = upper_solve(U, y)
+    """Solve ``L U z = b_perm`` (b already row-permuted).
+
+    ``b_perm`` is ``(n,)`` or ``(n, k)``; the ledger books the work of
+    all ``k`` columns.
+    """
+    y = triangular_schedule(L, "lower").solve(L, b_perm, unit_diag=unit_diag_L)
+    z = triangular_schedule(U, "upper").solve(U, y)
     if ledger is not None:
-        ledger.sparse_flops += L.nnz + U.nnz
-        ledger.columns += 2 * L.n_cols
+        k = 1 if z.ndim == 1 else z.shape[1]
+        ledger.sparse_flops += k * (L.nnz + U.nnz)
+        ledger.columns += k * 2 * L.n_cols
     return z
 
 
@@ -55,3 +70,74 @@ def lu_solve(
     x = np.empty_like(z)
     x[np.asarray(col_perm, dtype=np.int64)] = z
     return x
+
+
+BlockFactors = List[Optional[Tuple[CSC, CSC]]]
+
+
+def btf_solve_plan(numeric, blocks: BlockFactors) -> BTFSolveSchedule:
+    """The compiled BTF solve of ``numeric``, compiled on first use.
+
+    The plan is keyed on the factor patterns, ``M``'s pattern and both
+    permutations.  It is carried across values-only refactorizations and
+    revalidated by array identity; a pivot fallback changes those arrays
+    and so recompiles it.  Lookups count as ``schedule.tri.hit`` /
+    ``.miss`` / ``.invalidate``.
+    """
+    M = numeric.M
+    pats = [None if blk is None else
+            (blk[0].indptr, blk[0].indices, blk[1].indptr, blk[1].indices)
+            for blk in blocks]
+    splits = numeric.symbolic.block_splits
+    refs = BTFSolveSchedule.pattern_refs(splits, pats, M.indptr, M.indices,
+                                         numeric.row_perm, numeric.col_perm)
+    metrics = get_tracer().metrics
+    plan = numeric.solve_plan
+    if plan is None:
+        metrics.incr("schedule.tri.miss")
+    elif not plan.matches(refs):
+        metrics.incr("schedule.tri.invalidate")
+        plan = None
+    else:
+        metrics.incr("schedule.tri.hit")
+    if plan is None:
+        plan = BTFSolveSchedule(splits, pats, M.indptr, M.indices,
+                                numeric.row_perm, numeric.col_perm)
+        numeric.solve_plan = plan
+    return plan
+
+
+def drop_solve_plan(numeric) -> int:
+    """Eviction hook: release ``numeric``'s compiled BTF solve plan.
+
+    Returns the number of plans dropped (0 or 1).  Each counts as a
+    ``schedule.tri.evictions`` event, the counter family the flight
+    recorder's ``cache_hit_drop`` detector scans.
+    """
+    if numeric.solve_plan is None:
+        return 0
+    numeric.solve_plan = None
+    get_tracer().metrics.incr("schedule.tri.evictions")
+    return 1
+
+
+@domains(b="vec[global]", returns="vec[global]")
+def btf_solve(numeric, blocks: BlockFactors, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` by block back-substitution over the BTF.
+
+    ``numeric`` is a KLU or Basker numeric object (``symbolic``, ``M``,
+    ``row_perm``, ``col_perm``, ``solve_plan`` and an optional
+    ``row_scale``); ``blocks[k]`` is block ``k``'s ``(L, U)``, None when
+    the block is empty.  ``b`` is ``(n,)`` or ``(n, k)``.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    n = numeric.symbolic.n
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise StructureError(
+            f"right-hand side has shape {b.shape}, expected ({n},) or ({n}, k)"
+        )
+    with get_tracer().span("solve.tri"):
+        plan = btf_solve_plan(numeric, blocks)
+        parts = [a for blk in blocks if blk is not None for a in (blk[0].data, blk[1].data)]
+        t_data = plan.values(parts, numeric.M.data)
+        return plan.solve(t_data, b, getattr(numeric, "row_scale", None))

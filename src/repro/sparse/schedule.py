@@ -30,6 +30,12 @@ Two compiled objects are produced:
   then apply every update they source — replays the reference
   column-by-column loop exactly.
 
+:class:`BTFSolveSchedule` builds on the first: it rewrites a whole BTF
+block back-substitution (every diagonal block's ``L``/``U`` solves plus
+the off-block coupling) as one triangular system of size ``2n`` and
+levels it with :func:`compile_triangular_schedule`, so KLU and Basker
+solve any number of right-hand sides in one replay.
+
 The replay keeps :class:`~repro.parallel.ledger.CostLedger` counts
 *identical* to the reference loops (updates whose source value is zero
 are counted out, exactly as the loops skip them); the reference
@@ -42,6 +48,7 @@ once and replay vectorized for every subsequent matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -59,9 +66,9 @@ __all__ = [
     "compile_triangular_schedule",
     "triangular_schedule",
     "adopt_solve_schedules",
-    "drop_solve_schedules",
     "RefactorSchedule",
     "compile_refactor_schedule",
+    "BTFSolveSchedule",
     "permutation_gather",
     "diagonal_block_gathers",
 ]
@@ -151,28 +158,50 @@ class TriangularSchedule:
         return M.n_rows == self.n and M.n_cols == self.n and M.nnz == self.nnz
 
     # ------------------------------------------------------------------
-    @shapes(M="csc[n,n]", b="f8[n]", returns="f8[n]")
+    @shapes(M="csc[n,n]")
     def solve(self, M: CSC, b: np.ndarray, unit_diag: bool = False) -> np.ndarray:
-        """Replay the schedule: solve ``M x = b`` level by level."""
+        """Replay the schedule: solve ``M x = b`` level by level.
+
+        ``b`` is one right-hand side ``(n,)`` or a block ``(n, k)``; a
+        block runs every level once for all ``k`` columns.
+        """
+        return self.replay(M.data, b, unit_diag=unit_diag)
+
+    def replay(self, data: np.ndarray, b: np.ndarray, unit_diag: bool = False) -> np.ndarray:
+        """:meth:`solve` on the compiled pattern with values ``data``
+        (indexed like the pattern's CSC data array)."""
+        b = np.asarray(b, dtype=np.float64)
+        if b.ndim == 1:
+            return self._replay_vec(data, b, unit_diag)
+        if b.ndim == 2:
+            return self._replay_block(data, b, unit_diag)
+        raise StructureError(
+            f"right-hand side must be (n,) or (n, k), got shape {b.shape}"
+        )
+
+    def _check_diagonal(self, data: np.ndarray) -> None:
+        """Validate every diagonal up front, reporting the column the
+        reference sweep would have hit first."""
+        missing = self.diag_idx < 0
+        dvals = np.zeros(self.n, dtype=np.float64)
+        dvals[~missing] = data[self.diag_idx[~missing]]
+        bad = missing | (dvals == 0.0)
+        if np.any(bad):
+            which = np.flatnonzero(bad)
+            j = int(which.max() if self.kind == "upper" else which.min())
+            if self.kind == "lower" and self.col_empty[j]:
+                raise ZeroPivotError(f"empty column {j} in lower solve", column=j)
+            raise ZeroPivotError(f"zero diagonal at column {j}", column=j)
+
+    @shapes(b="f8[n]", returns="f8[n]")
+    def _replay_vec(self, data: np.ndarray, b: np.ndarray, unit_diag: bool) -> np.ndarray:
         n = self.n
         x = np.array(b, dtype=np.float64, copy=True)
         if x.shape != (n,):
             raise StructureError("dimension mismatch")
-        data = M.data
         use_diag = not unit_diag
         if use_diag:
-            # Validate every diagonal up front, reporting the column the
-            # reference sweep would have hit first.
-            missing = self.diag_idx < 0
-            dvals = np.zeros(n, dtype=np.float64)
-            dvals[~missing] = data[self.diag_idx[~missing]]
-            bad = missing | (dvals == 0.0)
-            if np.any(bad):
-                which = np.flatnonzero(bad)
-                j = int(which.max() if self.kind == "upper" else which.min())
-                if self.kind == "lower" and self.col_empty[j]:
-                    raise ZeroPivotError(f"empty column {j} in lower solve", column=j)
-                raise ZeroPivotError(f"zero diagonal at column {j}", column=j)
+            self._check_diagonal(data)
         for lv in self.levels:
             scalars = lv.scalar_cols
             if scalars is not None:
@@ -189,6 +218,37 @@ class TriangularSchedule:
                 xj = np.repeat(x[lv.cols], lv.counts)
                 prods = data[lv.ent_val_idx] * xj
                 x[lv.seg_tgt] -= np.add.reduceat(prods[lv.ent_order], lv.seg_starts)
+        return x
+
+    @shapes(b="f8[n,k]", returns="f8[n,k]")
+    def _replay_block(self, data: np.ndarray, b: np.ndarray, unit_diag: bool) -> np.ndarray:
+        n = self.n
+        x = np.array(b, dtype=np.float64, order="C")
+        if x.shape[0] != n:
+            raise StructureError("dimension mismatch")
+        use_diag = not unit_diag
+        if use_diag:
+            self._check_diagonal(data)
+        for lv in self.levels:
+            scalars = lv.scalar_cols
+            if scalars is not None:
+                for j, dj, lo, hi, rows in scalars:
+                    xj = x[j]  # row view: updated in place
+                    if use_diag:
+                        xj /= data[dj]
+                    if lo != hi:
+                        x[rows] -= np.multiply.outer(data[lo:hi], xj)
+                continue
+            if use_diag:
+                x[lv.cols] /= data[lv.diag_idx][:, None]
+            if lv.ent_val_idx.size:
+                xj = x[np.repeat(lv.cols, lv.counts)]
+                prods = (data[lv.ent_val_idx][:, None] * xj)[lv.ent_order]
+                if lv.seg_starts.size < prods.shape[0]:
+                    # Some rows take several updates; row-wise reduceat
+                    # is slow, so levels with one update per row skip it.
+                    prods = np.add.reduceat(prods, lv.seg_starts, axis=0)
+                x[lv.seg_tgt] -= prods
         return x
 
 
@@ -312,25 +372,6 @@ def adopt_solve_schedules(src: CSC, dst: CSC) -> None:
     cache = getattr(src, "_solve_schedules", None)
     if cache:
         dst._solve_schedules = dict(cache)
-
-
-def drop_solve_schedules(M: CSC) -> int:
-    """Eviction hook: discard every compiled solve schedule cached on
-    ``M`` and return how many were dropped.
-
-    Used by shared-cache eviction (the serving layer's pattern cache)
-    so evicted factors release their compiled gather/scatter plans
-    instead of pinning them alive.  Each dropped schedule counts as a
-    ``schedule.tri.evictions`` event — the same counter family the
-    flight recorder's ``cache_hit_drop`` drift detector scans.
-    """
-    cache = getattr(M, "_solve_schedules", None)
-    if not cache:
-        return 0
-    n = len(cache)
-    M._solve_schedules = {}
-    get_tracer().metrics.incr("schedule.tri.evictions", n)
-    return n
 
 
 # ======================================================================
@@ -799,6 +840,230 @@ class BlockedRefactorSchedule:
             pivot_floor=pivot_floor, group_flops=group_flops,
         )
         return Lx, Ux, group_flops
+
+
+# ======================================================================
+# Whole-BTF solve schedules
+# ======================================================================
+
+
+class BTFSolveSchedule:
+    """The whole BTF block back-substitution as one triangular replay.
+
+    A block upper triangular ``M`` whose diagonal blocks factor as
+    ``M_kk = L_k U_k`` is solved from the last block to the first:
+    ``z_k = U_k^{-1} L_k^{-1} (c_k - sum_{j>k} M_kj z_j)``.  Run as a
+    Python loop over blocks (and over right-hand-side columns), that
+    costs far more interpreter time than arithmetic on circuit matrices
+    with hundreds of tiny blocks.  With ``y_k = L_k^{-1}(...)`` as extra
+    unknowns, the loop is one lower triangular system ``T u = d`` of
+    size ``2n``:
+
+    * unknowns run from the last block to the first: each block's
+      ``y_k`` ascending, then its ``z_k`` descending;
+    * the rows are ``L_k y_k + sum_{j>k} M_kj z_j = c_k`` (L's unit
+      diagonal stored as a constant) and ``-y_k + U_k z_k = 0``.
+
+    ``T``'s pattern is levelled once by
+    :func:`compile_triangular_schedule`, so independent blocks share
+    levels and each level is a few vector operations for all columns of
+    the right-hand side.  ``T``'s values are never stored as a matrix:
+    :meth:`values` reads them through one composed gather from the
+    factors' and ``M``'s data arrays.  Only the pattern-keyed parts are
+    held: the schedule, the gather, and the right-hand-side and
+    solution permutations.
+
+    Parameters
+    ----------
+    splits
+        Block boundaries (``nblocks + 1`` entries, as in BTF).
+    block_patterns
+        Per block, ``(Lp, Li, Up, Ui)`` of its factors, or None for an
+        empty block.  Columns must be sorted (every factorization here
+        stores them so).
+    m_indptr, m_indices
+        Pattern of ``M = A[row_perm][:, col_perm]``.
+    row_perm, col_perm
+        The factorization's final permutations.
+    """
+
+    def __init__(self, splits, block_patterns, m_indptr, m_indices,
+                 row_perm, col_perm) -> None:
+        splits = np.asarray(splits, dtype=np.int64)
+        nb = splits.size - 1
+        n = int(splits[-1])
+        sizes = np.diff(splits)
+        blk = np.repeat(np.arange(nb), sizes)
+        lo, hi = splits[:-1][blk], splits[1:][blk]
+        loc = np.arange(n, dtype=np.int64) - lo
+        ypos = 2 * (n - hi) + loc           # position of y for index g
+        zpos = 2 * (n - lo) - 1 - loc       # position of z for index g
+
+        # Factor entries in global coordinates, with their data indices
+        # in the value source [L_0, U_0, L_1, U_1, ..., M, 1, -1].
+        lcnt, lrow, ucnt, urow = [], [], [], []
+        l_start, l_len, u_start, u_len = [], [], [], []
+        off = 0
+        for k in range(nb):
+            pat = block_patterns[k]
+            if pat is None:
+                if sizes[k]:
+                    raise ScheduleCompileError(f"block {k} is nonempty but has no factors")
+                continue
+            Lp, Li, Up, Ui = pat
+            base = int(splits[k])
+            lcnt.append(np.diff(Lp))
+            lrow.append(Li + base)
+            ucnt.append(np.diff(Up))
+            urow.append(Ui + base)
+            l_start.append(off)
+            l_len.append(Li.size)
+            u_start.append(off + Li.size)
+            u_len.append(Ui.size)
+            off += Li.size + Ui.size
+        m_off = off
+        one, neg_one = m_off + m_indices.size, m_off + m_indices.size + 1
+
+        def _cat(parts):
+            return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+        def _ranges(starts, lens):
+            return _concat_ranges(np.asarray(starts, dtype=np.int64),
+                                  np.asarray(lens, dtype=np.int64))
+
+        lcol = np.repeat(np.arange(n), _cat(lcnt))
+        lrow_g = _cat(lrow)
+        ucol = np.repeat(np.arange(n), _cat(ucnt))
+        urow_g = _cat(urow)
+        mcol = np.repeat(np.arange(n), np.diff(m_indptr))
+        below = np.flatnonzero(lrow_g > lcol)        # L strictly below: y rows
+        upper = np.flatnonzero(urow_g <= ucol)       # U on/above: z rows
+        coupling = np.flatnonzero(m_indices < lo[mcol])  # M above its block
+        n_lb = np.bincount(lcol[below], minlength=n)
+        n_ua = np.bincount(ucol[upper], minlength=n)
+        n_e = np.bincount(mcol[coupling], minlength=n)
+
+        cnt = np.empty(2 * n, dtype=np.int64)
+        cnt[ypos] = n_lb + 2
+        cnt[zpos] = n_ua + n_e
+        tptr = np.zeros(2 * n + 1, dtype=np.int64)
+        np.cumsum(cnt, out=tptr[1:])
+        t_rows = np.empty(int(tptr[-1]), dtype=np.int64)
+        gather = np.empty(int(tptr[-1]), dtype=np.int64)
+
+        def _rank(cols, counts):
+            """Rank of each entry within its column (entries in CSC order)."""
+            start = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            return np.arange(cols.size, dtype=np.int64) - start[cols]
+
+        # y_g's column: unit diagonal, L's below-diagonal entries, -1 at z_g.
+        head = tptr[ypos]
+        t_rows[head] = ypos
+        gather[head] = one
+        cols = lcol[below]
+        dst = tptr[ypos[cols]] + 1 + _rank(cols, n_lb)
+        t_rows[dst] = ypos[lrow_g[below]]
+        gather[dst] = _ranges(l_start, l_len)[below]
+        dst = head + 1 + n_lb
+        t_rows[dst] = zpos
+        gather[dst] = neg_one
+
+        # z_g's column: U's column reversed (z runs descending), then the
+        # coupling entries of M grouped by row block, later blocks first.
+        cols = ucol[upper]
+        dst = tptr[zpos[cols]] + n_ua[cols] - 1 - _rank(cols, n_ua)
+        t_rows[dst] = zpos[urow_g[upper]]
+        gather[dst] = _ranges(u_start, u_len)[upper]
+        cols = mcol[coupling]
+        rows = m_indices[coupling]
+        if coupling.size:
+            new = np.ones(coupling.size, dtype=bool)
+            new[1:] = (cols[1:] != cols[:-1]) | (blk[rows[1:]] != blk[rows[:-1]])
+            g_first = np.flatnonzero(new)
+            gid = np.cumsum(new) - 1
+            g_start = g_first[gid]
+            g_end = np.append(g_first[1:], coupling.size)[gid]
+            c_end = np.cumsum(n_e)[cols]
+            dst = (tptr[zpos[cols]] + n_ua[cols]
+                   + (c_end - g_end) + (np.arange(coupling.size) - g_start))
+            t_rows[dst] = ypos[rows]
+            gather[dst] = m_off + coupling
+
+        # Every factorization here stores sorted columns; the level
+        # compiler relies on it, so check rather than trust.
+        first = np.zeros(t_rows.size, dtype=bool)
+        first[tptr[:-1][cnt > 0]] = True
+        if np.any(np.diff(t_rows)[~first[1:]] <= 0):
+            raise ScheduleCompileError("factor columns are not sorted")
+
+        T = CSC(2 * n, 2 * n, tptr, t_rows, np.broadcast_to(0.0, t_rows.shape))
+        self.schedule = compile_triangular_schedule(T, "lower")
+        self.n = n
+        self.gather = gather
+        self.src_size = neg_one + 1     # length of the value source
+        self.y_pos = ypos
+        self.row_perm = row_perm
+        self.x_src = np.empty(n, dtype=np.int64)
+        self.x_src[np.asarray(col_perm, dtype=np.int64)] = zpos
+        # The pattern arrays this plan was compiled for, revalidated by
+        # object identity (see :meth:`matches`).
+        self.refs = self.pattern_refs(splits, block_patterns, m_indptr, m_indices,
+                                      row_perm, col_perm)
+
+    # ------------------------------------------------------------------
+    @staticmethod
+    def pattern_refs(splits, block_patterns, m_indptr, m_indices,
+                     row_perm, col_perm) -> list:
+        """The arrays a plan is keyed on, flattened into one list."""
+        refs = [splits, m_indptr, m_indices, row_perm, col_perm]
+        for pat in block_patterns:
+            if pat is not None:
+                refs.extend(pat)
+        return refs
+
+    def matches(self, refs: list) -> bool:
+        """True when compiled for exactly these pattern arrays
+        (:meth:`pattern_refs`).
+
+        Object identity decides along a refactorization sequence.  Equal
+        but distinct arrays (a values-only refactorization that rebuilt
+        them) are adopted, so the next check is by identity again.
+        """
+        if len(refs) != len(self.refs):
+            return False
+        if all(map(operator.is_, refs, self.refs)):
+            return True
+        if not all(map(_same_pattern, refs, self.refs)):
+            return False
+        self.refs = refs
+        return True
+
+    def values(self, block_values: list, m_data: np.ndarray) -> np.ndarray:
+        """``T``'s data array: ``block_values`` lists ``L_k.data,
+        U_k.data`` for every nonempty block in order."""
+        src = np.concatenate(block_values + [m_data, np.array((1.0, -1.0))])
+        return src[self.gather]
+
+    def solve(self, t_data: np.ndarray, b: np.ndarray,
+              row_scale: Optional[np.ndarray] = None) -> np.ndarray:
+        """``x`` with ``A x = b`` for ``b`` of shape ``(n,)`` or ``(n,
+        k)``; ``t_data`` comes from :meth:`values`, ``row_scale`` is the
+        factorization's row equilibration (``M`` factors ``R A``)."""
+        c = b[self.row_perm]
+        if row_scale is not None:
+            r = row_scale[self.row_perm]
+            c = c * (r if b.ndim == 1 else r[:, None])
+        d = np.zeros((2 * self.n,) + b.shape[1:], dtype=np.float64)
+        d[self.y_pos] = c
+        try:
+            u = self.schedule.replay(t_data, d)
+        except ZeroPivotError as exc:
+            # Only z unknowns have a variable diagonal (U's): report the
+            # column of A it belongs to.
+            col = int(np.flatnonzero(self.x_src == exc.column)[0])
+            raise ZeroPivotError(f"zero U diagonal in the factors of column {col}",
+                                 column=col) from exc
+        return u[self.x_src]
 
 
 # ======================================================================

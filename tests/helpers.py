@@ -66,3 +66,55 @@ def dense_residual(A: CSC, L: CSC, U: CSC, row_perm=None, col_perm=None) -> floa
     R = Ad - L.to_dense() @ U.to_dense()
     denom = max(np.linalg.norm(A.to_dense()), 1e-300)
     return float(np.linalg.norm(R) / denom)
+
+
+def btf_solve_reference(numeric, b: np.ndarray) -> np.ndarray:
+    """Block back-substitution oracle for the solvers' ``solve``.
+
+    The per-block loop the compiled BTF solve replaced: blocks run from
+    last to first, each solved with ``lu_solve_factors``, then every
+    column of the block subtracts its coupling from the rows above.  A
+    block right-hand side is solved one column at a time.  A supernodal
+    numeric is one block with no coupling.
+    """
+    from repro.solvers.triangular import lu_solve_factors
+
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim == 2:
+        out = np.empty_like(b)
+        for j in range(b.shape[1]):
+            out[:, j] = btf_solve_reference(numeric, b[:, j])
+        return out
+    n = b.shape[0]
+    if hasattr(numeric, "block_lu"):  # KLU
+        splits = numeric.symbolic.block_splits
+        blocks = [(lu.L, lu.U) for lu in numeric.block_lu]
+    elif hasattr(numeric, "block_factors"):  # Basker
+        splits = numeric.symbolic.block_splits
+        blocks = [numeric.block_factors(k) if splits[k + 1] > splits[k] else None
+                  for k in range(len(splits) - 1)]
+    else:  # supernodal
+        splits = np.array([0, n])
+        blocks = [(numeric.L, numeric.U)]
+    scale = getattr(numeric, "row_scale", None)
+    if scale is not None:
+        b = b * scale  # the factors are of R A: solve (R A) x = R b
+    c = b[numeric.row_perm].copy()
+    z = np.zeros(n, dtype=np.float64)
+    M = getattr(numeric, "M", None)
+    for k in range(len(splits) - 2, -1, -1):
+        lo, hi = int(splits[k]), int(splits[k + 1])
+        if hi == lo:
+            continue
+        L, U = blocks[k]
+        z[lo:hi] = lu_solve_factors(L, U, c[lo:hi])
+        if M is None:
+            continue
+        for j in range(lo, hi):
+            rows, vals = M.col(j)
+            cut = np.searchsorted(rows, lo)
+            if cut:
+                c[rows[:cut]] -= vals[:cut] * z[j]
+    x = np.empty(n, dtype=np.float64)
+    x[numeric.col_perm] = z
+    return x

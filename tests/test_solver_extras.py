@@ -1,4 +1,4 @@
-"""Tests for transpose solve, multi-RHS, refinement and diagnostics."""
+"""Tests for transpose solve, block right-hand sides, refinement and diagnostics."""
 
 import itertools
 
@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 from repro.core import Basker
 from repro.solvers import KLU, SupernodalLU
 from repro.solvers.dense import dense_lu_factor
-from repro.solvers.extras import condest, refine_solve, rgrowth, solve_multi, solve_transpose
+from repro.errors import StructureError
+from repro.solvers.extras import condest, refine_solve, rgrowth, solve_transpose
 from repro.sparse import CSC, solve_residual
 
 from .helpers import dense_residual, random_sparse, random_spd_like, to_scipy
@@ -70,11 +71,13 @@ class TestTransposeSolve:
 
 
 class TestSolveMulti:
+    """Every solver's ``solve`` takes a block of right-hand sides."""
+
     def test_block_rhs(self, solver_numeric):
         s, num, A = solver_numeric
         rng = np.random.default_rng(2)
         B = rng.standard_normal((A.n_rows, 4))
-        X = solve_multi(s, num, B)
+        X = s.solve(num, B)
         for j in range(4):
             assert solve_residual(A, X[:, j], B[:, j]) < 1e-10
 
@@ -82,12 +85,12 @@ class TestSolveMulti:
         s, num, A = solver_numeric
         rng = np.random.default_rng(3)
         b = rng.standard_normal(A.n_rows)
-        assert np.allclose(solve_multi(s, num, b), s.solve(num, b))
+        assert np.allclose(s.solve(num, b[:, None])[:, 0], s.solve(num, b))
 
     def test_bad_ndim(self, solver_numeric):
         s, num, A = solver_numeric
-        with pytest.raises(ValueError):
-            solve_multi(s, num, np.zeros((2, 2, 2)))
+        with pytest.raises(StructureError):
+            s.solve(num, np.zeros((2, 2, 2)))
 
 
 class TestRefinement:
