@@ -146,19 +146,22 @@ def _analysis_matrices(args):
         yield name, _load(name)
 
 
-def _btf_solve_plans(A: CSC):
-    """``(solver, plan)`` for the compiled BTF solve plans of KLU and
-    Basker on ``A`` (each compiled by one solve)."""
+def _solver_plans(A: CSC):
+    """``(solver, solve plan, refactor plan)`` for KLU and Basker on
+    ``A``: the compiled BTF solve and the blocked refactor schedule that
+    ``refactor_fast`` replays, compiled by one factor, one solve and one
+    values-only refactorization each."""
     for label, solver in (("klu", KLU()), ("basker", Basker(n_threads=4))):
         num = solver.factor(A)
         solver.solve(num, np.zeros(A.n_rows))
-        yield label, num.solve_plan
+        solver.refactor_fast(A, num)
+        yield label, num.solve_plan, num.refactor_plan.schedule
 
 
 def _plan_audit_findings(args):
     """``analyze effects --plans``: symbolic disjointness audits of the
     compiled triangular/refactor schedules and of the KLU and Basker BTF
-    solve plans for the selected matrices."""
+    solve and blocked refactor plans for the selected matrices."""
     from .analysis import audit_refactor_schedule, audit_triangular_schedule
     from .solvers.gp import ensure_refactor_schedule, gp_factor
     from .sparse.schedule import compile_triangular_schedule
@@ -172,16 +175,18 @@ def _plan_audit_findings(args):
             compile_triangular_schedule(res.U, "upper"), label=f"{name}:U"))
         findings.extend(audit_refactor_schedule(
             ensure_refactor_schedule(res, A), label=f"{name}:refactor"))
-        for solver, plan in _btf_solve_plans(A):
+        for solver, solve, refactor in _solver_plans(A):
             findings.extend(audit_triangular_schedule(
-                plan.schedule, label=f"{name}:{solver}-solve"))
+                solve.schedule, label=f"{name}:{solver}-solve"))
+            findings.extend(audit_refactor_schedule(
+                refactor.schedule, label=f"{name}:{solver}-refactor"))
     return findings
 
 
 def _shape_plan_findings(args):
     """``analyze shapes --plans``: concrete buffer-bounds audits of the
     compiled triangular/refactor schedules and of the KLU and Basker BTF
-    solve plans for the selected matrices."""
+    solve and blocked refactor plans for the selected matrices."""
     from .analysis import audit_schedule_buffers
     from .solvers.gp import ensure_refactor_schedule, gp_factor
     from .sparse.schedule import compile_triangular_schedule
@@ -195,9 +200,11 @@ def _shape_plan_findings(args):
             compile_triangular_schedule(res.U, "upper"), label=f"{name}:U"))
         findings.extend(audit_schedule_buffers(
             ensure_refactor_schedule(res, A), label=f"{name}:refactor"))
-        for solver, plan in _btf_solve_plans(A):
+        for solver, solve, refactor in _solver_plans(A):
             findings.extend(audit_schedule_buffers(
-                plan, label=f"{name}:{solver}-solve"))
+                solve, label=f"{name}:{solver}-solve"))
+            findings.extend(audit_schedule_buffers(
+                refactor, label=f"{name}:{solver}-refactor"))
     return findings
 
 

@@ -37,14 +37,14 @@ from ..resilience.faults import fault_values as _fault_values
 from ..parallel.machine import MachineModel, SANDY_BRIDGE
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..parallel.threads import parallel_map
-from ..solvers.gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor, gp_refactor
+from ..solvers.gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor
 from ..solvers.triangular import btf_solve, drop_solve_plan
 from ..sparse.csc import CSC
 from ..sparse.schedule import (
     BTFSolveSchedule,
+    RefactorPlan,
     ScheduleCompileError,
-    diagonal_block_gathers,
-    permutation_gather,
+    refactor_plan,
 )
 from .numeric import NDNumericBlock, TaskBuilder, factor_nd_block
 from .structure import BaskerSymbolic
@@ -92,11 +92,11 @@ class BaskerNumeric:
     # + factor assembly); repro.analysis.conservation balances
     # sum(task ledgers) + overhead_ledger == ledger.
     overhead_ledger: CostLedger = field(default_factory=CostLedger)
-    # Value-gather maps + per-block elimination schedules reused by
-    # refactor_fast across a fixed-pattern sequence (None until then).
-    refactor_cache: Optional[dict] = None
+    # Value gathers and blocked replay reused by refactor_fast across a
+    # fixed-pattern sequence (None until then).
+    refactor_plan: Optional[RefactorPlan] = None
     # Compiled whole-BTF solve (None until the first solve); carried
-    # across refactor_fast like refactor_cache.
+    # across refactor_fast like refactor_plan.
     solve_plan: Optional[BTFSolveSchedule] = None
 
     # ------------------------------------------------------------------
@@ -160,14 +160,14 @@ class BaskerNumeric:
         return nd.L, nd.U
 
     def invalidate_caches(self) -> int:
-        """Eviction hook: drop the refactor gathers and schedules and
-        the compiled BTF solve plan, as
+        """Eviction hook: drop the refactor plan and the compiled BTF
+        solve plan, as
         :meth:`repro.solvers.klu.KLUNumeric.invalidate_caches` does.
 
         Returns the number of compiled solve plans released (0 or 1).
         The factors stay usable; the next use recompiles.
         """
-        self.refactor_cache = None
+        self.refactor_plan = None
         return drop_solve_plan(self)
 
 
@@ -331,11 +331,11 @@ class Basker:
     def refactor_fast(self, A: CSC, numeric: BaskerNumeric) -> BaskerNumeric:
         """Values-only refactorization on fixed patterns and pivots.
 
-        Replays every coarse block's factors through a cached
-        elimination schedule (:mod:`repro.sparse.schedule`) — no reach
-        DFS, no pivot search, no per-step permutation rebuild.  Falls
-        back to :meth:`refactor` (fresh pivoting) when a reused pivot
-        degenerates or the pattern stops matching the cache.
+        Replays every coarse block's factors, fine and ND alike, at once
+        through the shared :class:`~repro.sparse.schedule.RefactorPlan`
+        — no reach DFS, no pivot search, no per-step permutation
+        rebuild.  Falls back to :meth:`refactor` (fresh pivoting) when a
+        reused pivot degenerates or the patterns cannot be scheduled.
 
         The result carries *no* task DAG (``tasks == []`` with the whole
         ledger booked as overhead, which keeps the conservation checks
@@ -350,73 +350,36 @@ class Basker:
 
     def _refactor_fast(self, A: CSC, numeric: BaskerNumeric) -> BaskerNumeric:
         sym = numeric.symbolic
-        splits = sym.block_splits
-        n = sym.n
-        tr = get_tracer()
-        metrics = tr.metrics
-        sp = tr.span("refactor.replay")
+        sp = get_tracer().span("refactor.replay")
         with sp:
-            cache = numeric.refactor_cache
-            if cache is None:
-                metrics.incr("basker.refactor.gather.miss")
-            elif (
-                not np.array_equal(A.indptr, cache["a_indptr"])
-                or not np.array_equal(A.indices, cache["a_indices"])
-                or not np.array_equal(numeric.row_perm, cache["row_perm"])
-            ):
-                metrics.incr("basker.refactor.gather.invalidate")
-                cache = None
-            else:
-                metrics.incr("basker.refactor.gather.hit")
-            if cache is None:
-                m_indptr, m_indices, m_gather = permutation_gather(
-                    A, numeric.row_perm, sym.col_perm
-                )
-                cache = {
-                    "a_indptr": A.indptr,
-                    "a_indices": A.indices,
-                    "row_perm": numeric.row_perm.copy(),
-                    "m": (m_indptr, m_indices, m_gather),
-                    "blocks": diagonal_block_gathers(m_indptr, m_indices, splits),
-                    "sched": {},
-                }
-                numeric.refactor_cache = cache
-            m_indptr, m_indices, m_gather = cache["m"]
-            m_data = _fault_values("basker.refactor.values", A.data)[m_gather]
-            M = CSC(n, n, m_indptr, m_indices, m_data)
+            plan = refactor_plan(numeric.refactor_plan, "basker", A, numeric.row_perm,
+                                 sym.col_perm, sym.block_splits)
+            numeric.refactor_plan = plan
+            M = plan.permute(_fault_values("basker.refactor.values", A.data))
             total = CostLedger()
             total.mem_words += A.nnz
 
             fine_lu: Dict[int, GPResult] = {}
             nd_numeric: Dict[int, NDNumericBlock] = {}
-            for k in range(sym.n_blocks):
-                lo, hi = int(splits[k]), int(splits[k + 1])
-                if hi == lo:
+            for k, out in enumerate(plan.replay(M.data, _blocks(numeric))):
+                if out is None:
                     continue
-                bptr, brows, bgather = cache["blocks"][k]
-                blk = CSC(hi - lo, hi - lo, bptr, brows, m_data[bgather])
-                L, U = numeric.block_factors(k)
-                led = CostLedger()
-                # row_perm already folds in all pivoting: identity order.
-                fixed = GPResult(L, U, np.arange(hi - lo, dtype=np.int64), led,
-                                 schedule=cache["sched"].get(k))
-                lu = gp_refactor(blk, fixed, ledger=led)
-                cache["sched"][k] = lu.schedule
+                L, U, led = out
                 total.add(led)
                 if k in numeric.fine_lu:
-                    fine_lu[k] = lu
+                    # row_perm already folds in all pivoting: identity order.
+                    fine_lu[k] = GPResult(L, U, np.arange(L.n_cols, dtype=np.int64), led)
                 else:
-                    nd = numeric.nd_numeric[k]
                     nd_numeric[k] = dataclasses.replace(
-                        nd, L=lu.L, U=lu.U, ledger=led, overhead=CostLedger()
+                        numeric.nd_numeric[k], L=L, U=U, ledger=led, overhead=CostLedger()
                     )
             sp.attach(total)
         return BaskerNumeric(
             symbolic=sym,
             fine_lu=fine_lu,
             nd_numeric=nd_numeric,
-            # Shared, not copied (immutable by convention): the solve
-            # plan then revalidates by identity along the sequence.
+            # Shared, not copied (immutable by convention): the plans
+            # then revalidate by identity along the sequence.
             row_perm=numeric.row_perm,
             col_perm=sym.col_perm,
             M=M,
@@ -424,7 +387,7 @@ class Basker:
             task_labels={},
             ledger=total,
             overhead_ledger=total.copy(),
-            refactor_cache=cache,
+            refactor_plan=plan,
             solve_plan=numeric.solve_plan,
         )
 

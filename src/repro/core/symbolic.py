@@ -31,6 +31,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..contracts import domains
+from ..errors import StructureError
 from ..graph.etree import etree, symbolic_cholesky_counts, symmetric_pattern
 from ..graph.matching import mwcm_row_permutation
 from ..obs.tracer import get_tracer
@@ -410,9 +411,9 @@ def analyze(
     """
     n = A.n_rows
     if A.n_cols != n:
-        raise ValueError("Basker requires a square matrix")
+        raise StructureError("Basker requires a square matrix")
     if n_threads < 1 or (n_threads & (n_threads - 1)) != 0:
-        raise ValueError("n_threads must be a power of two")
+        raise StructureError("n_threads must be a power of two")
     if nd_leaves is None:
         nd_leaves = n_threads
     if (
@@ -420,7 +421,7 @@ def analyze(
         or (nd_leaves & (nd_leaves - 1)) != 0
         or nd_leaves % n_threads != 0
     ):
-        raise ValueError("nd_leaves must be a power-of-two multiple of n_threads")
+        raise StructureError("nd_leaves must be a power-of-two multiple of n_threads")
 
     tr = get_tracer()
     with tr.span("symbolic") as sp:

@@ -33,69 +33,15 @@ from ..parallel.machine import MachineModel
 from ..sparse.blocking import DensePlan
 from ..sparse.csc import CSC
 from ..sparse.schedule import (
-    BlockedRefactorSchedule,
     BTFSolveSchedule,
+    RefactorPlan,
     ScheduleCompileError,
-    diagonal_block_gathers,
-    permutation_gather,
+    refactor_plan,
 )
 from .gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor, gp_refactor
 from .triangular import btf_solve, drop_solve_plan
 
 __all__ = ["KLUSymbolic", "KLUNumeric", "KLU"]
-
-
-@dataclass
-class _KLURefactorCache:
-    """Fixed-pattern value-gather maps for the refactor_fast sequence.
-
-    Compiled once per (input pattern, final row permutation): turning
-    ``A.permute(row_perm, col_perm)`` and every diagonal-block
-    ``submatrix`` into pure value gathers, with no CSC reconstruction
-    per step.
-    """
-
-    a_indptr: np.ndarray
-    a_indices: np.ndarray
-    row_perm: np.ndarray
-    m_indptr: np.ndarray
-    m_indices: np.ndarray
-    m_gather: np.ndarray
-    blocks: List[tuple]        # per block: (indptr, indices, gather into M.data)
-    # Flattened all-blocks elimination schedule (compiled lazily from a
-    # numeric object's factor patterns) plus the exact pattern arrays it
-    # was compiled for, used to revalidate cheaply (object identity
-    # along a sequence, full comparison otherwise).
-    replay: Optional[BlockedRefactorSchedule] = None
-    replay_patterns: Optional[List[tuple]] = None
-
-    def matches(self, A: CSC, row_perm: np.ndarray) -> bool:
-        return (
-            (A.indptr is self.a_indptr or np.array_equal(A.indptr, self.a_indptr))
-            and (A.indices is self.a_indices
-                 or np.array_equal(A.indices, self.a_indices))
-            and (row_perm is self.row_perm
-                 or np.array_equal(row_perm, self.row_perm))
-        )
-
-    def replay_matches(self, numeric: "KLUNumeric") -> bool:
-        """True when ``replay`` was compiled for exactly the factor
-        patterns held by ``numeric``'s blocks."""
-        pats = self.replay_patterns
-        if pats is None or len(pats) != len(numeric.block_lu):
-            return False
-        for lu, (lp, li, up, ui) in zip(numeric.block_lu, pats):
-            L, U = lu.L, lu.U
-            if L.indptr is lp and L.indices is li and U.indptr is up and U.indices is ui:
-                continue
-            if not (
-                np.array_equal(L.indptr, lp)
-                and np.array_equal(L.indices, li)
-                and np.array_equal(U.indptr, up)
-                and np.array_equal(U.indices, ui)
-            ):
-                return False
-        return True
 
 
 @dataclass
@@ -155,12 +101,12 @@ class KLUNumeric:
     block_ledgers: List[CostLedger]
     block_working_sets: List[float]
     row_scale: Optional[np.ndarray] = None  # equilibration factors, or None
-    # Value-gather maps reused by refactor_fast across a fixed-pattern
-    # sequence (None until the first refactor_fast, or after a pivot
-    # fallback changed the row permutation).
-    refactor_cache: Optional[_KLURefactorCache] = None
+    # Value gathers and blocked replay reused by refactor_fast across a
+    # fixed-pattern sequence (None until the first refactor_fast, or
+    # after a pivot fallback changed the row permutation).
+    refactor_plan: Optional[RefactorPlan] = None
     # Compiled whole-BTF solve (None until the first solve); carried
-    # across refactor_fast like refactor_cache.
+    # across refactor_fast like refactor_plan.
     solve_plan: Optional[BTFSolveSchedule] = None
 
     @property
@@ -191,8 +137,8 @@ class KLUNumeric:
 
     def invalidate_caches(self) -> int:
         """Eviction hook: drop every derived cache hanging off this
-        numeric object — the refactor value-gather/replay cache and the
-        compiled BTF solve plan.
+        numeric object — the refactor plan and the compiled BTF solve
+        plan.
 
         Returns the number of compiled solve plans released (0 or 1).
         Does *not* touch the factors themselves (the object stays
@@ -200,7 +146,7 @@ class KLUNumeric:
         symbolic generation — callers evicting a shared-cache entry
         combine this with :meth:`KLUSymbolic.invalidate`.
         """
-        self.refactor_cache = None
+        self.refactor_plan = None
         return drop_solve_plan(self)
 
 
@@ -364,16 +310,15 @@ class KLU:
         factorization of that block (fresh pivoting), matching the
         recommended klu_refactor/klu_factor usage pattern.
 
-        Across a fixed-pattern sequence, the permute/submatrix maps and
-        the per-block elimination schedules are compiled on the first
-        call and cached on the numeric objects, so every later matrix
-        is pure value gathers plus vectorized level-scheduled replay.
+        Every block replays at once through the shared
+        :class:`~repro.sparse.schedule.RefactorPlan`, compiled on the
+        first call and carried on the numeric objects, so every later
+        matrix of a fixed-pattern sequence is pure value gathers plus
+        one vectorized level-scheduled replay.
         """
         symbolic = numeric.symbolic
         splits = symbolic.block_splits
-        n = symbolic.n
         tr = get_tracer()
-        metrics = tr.metrics
         sp = tr.span("refactor.replay")
         with sp:
             r = None
@@ -382,188 +327,90 @@ class KLU:
                 A = CSC(A.n_rows, A.n_cols, A.indptr.copy(), A.indices.copy(),
                         A.data * r[A.indices])
             # Reuse the *final* row permutation (pivoting included): the
-            # permuted diagonal blocks then refactor pivot-free.  The
-            # permutation and block extraction are fixed-pattern, so they
-            # reduce to cached value gathers.
-            cache = numeric.refactor_cache
-            if cache is None:
-                metrics.incr("klu.refactor.gather.miss")
-            elif not cache.matches(A, numeric.row_perm):
-                metrics.incr("klu.refactor.gather.invalidate")
-                cache = None
-            else:
-                metrics.incr("klu.refactor.gather.hit")
-            if cache is None:
-                m_indptr, m_indices, m_gather = permutation_gather(
-                    A, numeric.row_perm, symbolic.col_perm
-                )
-                cache = _KLURefactorCache(
-                    a_indptr=A.indptr,
-                    a_indices=A.indices,
-                    row_perm=numeric.row_perm,
-                    m_indptr=m_indptr,
-                    m_indices=m_indices,
-                    m_gather=m_gather,
-                    blocks=diagonal_block_gathers(m_indptr, m_indices, splits),
-                )
-                numeric.refactor_cache = cache
-            m_data = _fault_values("klu.refactor.values", A.data)[cache.m_gather]
-            M = CSC(n, n, cache.m_indptr, cache.m_indices, m_data)
+            # permuted diagonal blocks then refactor pivot-free.
+            plan = refactor_plan(numeric.refactor_plan, "klu", A, numeric.row_perm,
+                                 symbolic.col_perm, splits)
+            numeric.refactor_plan = plan
+            M = plan.permute(_fault_values("klu.refactor.values", A.data))
             total = CostLedger()
             overhead = CostLedger()
             overhead.mem_words += A.nnz
             total.add(overhead)
             sp.attach_overhead(overhead)
 
-            # Hot path: one flattened schedule replays every block at once
-            # (compiled on the first call, revalidated by object identity
-            # along the sequence).  Falls back to the per-block loop when a
-            # reused pivot degenerates or the patterns resist compilation.
-            if cache.replay is None:
-                metrics.incr("klu.refactor.schedule.miss")
-            elif not cache.replay_matches(numeric):
-                metrics.incr("klu.refactor.schedule.invalidate")
-                cache.replay = None
-                cache.replay_patterns = None
-            else:
-                metrics.incr("klu.refactor.schedule.hit")
-            if cache.replay is None:
-                pats = [(lu.L.indptr, lu.L.indices, lu.U.indptr, lu.U.indices)
-                        for lu in numeric.block_lu]
-                try:
-                    cache.replay = BlockedRefactorSchedule(splits, pats, cache.blocks)
-                    cache.replay_patterns = pats
-                except ScheduleCompileError:
-                    cache.replay = None
-                    cache.replay_patterns = None
-            if cache.replay is not None:
-                try:
-                    out = self._replay_refactor(numeric, cache, m_data, M, total, r)
-                    sp.attach(out.ledger)
-                    return out
-                except SingularMatrixError:
-                    # per-block loop below re-pivots where needed
-                    metrics.incr("klu.refactor.singular_fallback")
+            # Hot path: one replay of every block.  A degenerate reused
+            # pivot or an unschedulable pattern drops to the per-block
+            # loop, which re-pivots only the blocks that need it.
+            try:
+                replayed = plan.replay(M.data, [(lu.L, lu.U) for lu in numeric.block_lu])
+            except ScheduleCompileError:
+                replayed = None
+            except SingularMatrixError:
+                tr.metrics.incr("klu.refactor.singular_fallback")
+                replayed = None
 
             block_lu: List[GPResult] = []
             block_ledgers: List[CostLedger] = []
-            block_ws: List[float] = []
-            row_perm = numeric.row_perm.copy()
+            row_perm = numeric.row_perm
             fell_back = False
-            for k in range(symbolic.n_blocks):
-                lo, hi = int(splits[k]), int(splits[k + 1])
-                bptr, brows, bgather = cache.blocks[k]
-                blk = CSC(hi - lo, hi - lo, bptr, brows, m_data[bgather])
-                led = CostLedger()
-                prior = numeric.block_lu[k]
-                try:
+            if replayed is not None:
+                for prior, (L, U, led) in zip(numeric.block_lu, replayed):
                     # Identity pivot order within the pre-pivoted block.
-                    fixed = GPResult(prior.L, prior.U,
-                                     np.arange(hi - lo, dtype=np.int64), led,
-                                     schedule=prior.schedule)
-                    lu = gp_refactor(blk, fixed, ledger=led)
-                    # Persist the compiled schedule on the prior numeric too
-                    # (covers callers that keep refactoring from one object).
-                    prior.schedule = lu.schedule
-                except SingularMatrixError:
-                    metrics.incr("klu.refactor.block_fallback")
-                    plans = symbolic.dense_plans
-                    lu = gp_factor(blk, pivot_tol=self.pivot_tol,
-                                   static_perturb=self.static_perturb, ledger=led,
-                                   dense_plan=plans[k] if plans else None)
-                    if plans is not None:
-                        plans[k] = lu.dense_plan
-                    row_perm[lo:hi] = row_perm[lo:hi][lu.row_perm]
-                    fell_back = True
-                block_lu.append(lu)
-                block_ledgers.append(led)
-                block_ws.append((lu.L.nnz + lu.U.nnz) * 12.0 + (hi - lo) * 8.0)
+                    block_lu.append(GPResult(L, U, np.arange(L.n_cols, dtype=np.int64),
+                                             led, schedule=prior.schedule))
+                    block_ledgers.append(led)
+            else:
+                row_perm = row_perm.copy()
+                for k in range(symbolic.n_blocks):
+                    lo, hi = int(splits[k]), int(splits[k + 1])
+                    bptr, brows, bgather = plan.blocks[k]
+                    blk = CSC(hi - lo, hi - lo, bptr, brows, M.data[bgather])
+                    led = CostLedger()
+                    prior = numeric.block_lu[k]
+                    try:
+                        fixed = GPResult(prior.L, prior.U,
+                                         np.arange(hi - lo, dtype=np.int64), led,
+                                         schedule=prior.schedule)
+                        lu = gp_refactor(blk, fixed, ledger=led)
+                        # Persist the compiled schedule on the prior numeric
+                        # too (covers callers that keep refactoring from one
+                        # object).
+                        prior.schedule = lu.schedule
+                    except SingularMatrixError:
+                        tr.metrics.incr("klu.refactor.block_fallback")
+                        plans = symbolic.dense_plans
+                        lu = gp_factor(blk, pivot_tol=self.pivot_tol,
+                                       static_perturb=self.static_perturb, ledger=led,
+                                       dense_plan=plans[k] if plans else None)
+                        if plans is not None:
+                            plans[k] = lu.dense_plan
+                        row_perm[lo:hi] = row_perm[lo:hi][lu.row_perm]
+                        fell_back = True
+                    block_lu.append(lu)
+                    block_ledgers.append(led)
+            for led in block_ledgers:
                 total.add(led)
 
             if fell_back:
-                # The row permutation changed: gathers and the solve plan
-                # keyed to the old one no longer apply to the result.
-                Mfinal = A.permute(row_perm, symbolic.col_perm)
-                new_cache = None
+                # The row permutation changed: the plans keyed to the old
+                # one no longer apply to the result.
+                M = A.permute(row_perm, symbolic.col_perm)
                 plan = None
-            else:
-                Mfinal = M
-                new_cache = cache
-                plan = numeric.solve_plan
             sp.attach(total)
             return KLUNumeric(
                 symbolic=symbolic,
                 block_lu=block_lu,
                 row_perm=row_perm,
                 col_perm=symbolic.col_perm,
-                M=Mfinal,
+                M=M,
                 ledger=total,
                 block_ledgers=block_ledgers,
-                block_working_sets=block_ws,
+                block_working_sets=[(lu.L.nnz + lu.U.nnz) * 12.0 + lu.L.n_cols * 8.0
+                                    for lu in block_lu],
                 row_scale=r,
-                refactor_cache=new_cache,
-                solve_plan=plan,
+                refactor_plan=plan,
+                solve_plan=None if fell_back else numeric.solve_plan,
             )
-
-    # ------------------------------------------------------------------
-    def _replay_refactor(
-        self,
-        numeric: KLUNumeric,
-        cache: _KLURefactorCache,
-        m_data: np.ndarray,
-        M: CSC,
-        total: CostLedger,
-        r: Optional[np.ndarray],
-    ) -> KLUNumeric:
-        """One flattened sequence step: all blocks in a single replay.
-
-        Per-block ledgers are rebuilt from the schedule's grouped flop
-        attribution and are identical to running :func:`gp_refactor`
-        block by block.
-        """
-        symbolic = numeric.symbolic
-        splits = symbolic.block_splits
-        replay = cache.replay
-        Lx, Ux, gflops = replay.run(m_data)
-        sched = replay.schedule
-        gdiv = sched.group_div_flops
-        gcols = sched.group_columns
-        gmem = sched.group_mem_words
-        l_ptr, u_ptr = replay.l_ptr, replay.u_ptr
-        block_lu: List[GPResult] = []
-        block_ledgers: List[CostLedger] = []
-        block_ws: List[float] = []
-        for k in range(symbolic.n_blocks):
-            lo, hi = int(splits[k]), int(splits[k + 1])
-            lp, li, up, ui = cache.replay_patterns[k]
-            led = CostLedger()
-            led.sparse_flops += float(gflops[k]) + float(gdiv[k])
-            led.columns += int(gcols[k])
-            led.mem_words += int(gmem[k])
-            prior = numeric.block_lu[k]
-            Lb = CSC(hi - lo, hi - lo, lp, li, Lx[l_ptr[k]:l_ptr[k + 1]])
-            Ub = CSC(hi - lo, hi - lo, up, ui, Ux[u_ptr[k]:u_ptr[k + 1]])
-            # Identity pivot order within the pre-pivoted block, same
-            # as the per-block gp_refactor path.
-            lu = GPResult(Lb, Ub, np.arange(hi - lo, dtype=np.int64), led,
-                          schedule=prior.schedule)
-            block_lu.append(lu)
-            block_ledgers.append(led)
-            block_ws.append((Lb.nnz + Ub.nnz) * 12.0 + (hi - lo) * 8.0)
-            total.add(led)
-        return KLUNumeric(
-            symbolic=symbolic,
-            block_lu=block_lu,
-            row_perm=numeric.row_perm,
-            col_perm=symbolic.col_perm,
-            M=M,
-            ledger=total,
-            block_ledgers=block_ledgers,
-            block_working_sets=block_ws,
-            row_scale=r,
-            refactor_cache=cache,
-            solve_plan=numeric.solve_plan,
-        )
 
     # ------------------------------------------------------------------
     @domains(b="vec[global]", returns="vec[global]")

@@ -43,10 +43,10 @@ from ..parallel.machine import MachineModel
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..sparse.csc import CSC
 from ..sparse.schedule import (
+    RefactorPlan,
     ScheduleCompileError,
     adopt_solve_schedules,
-    compile_refactor_schedule,
-    permutation_gather,
+    refactor_plan,
 )
 from .triangular import lu_solve_factors
 
@@ -99,9 +99,9 @@ class SupernodalNumeric:
     tasks: List[SimTask]
     ledger: CostLedger
     perturbed_pivots: int
-    # Input value-gather + compiled elimination schedule reused by
-    # refactor_fast across a fixed-pattern sequence (None until then).
-    refactor_cache: Optional[dict] = None
+    # Value gather and compiled replay reused by refactor_fast across a
+    # fixed-pattern sequence (None until then).
+    refactor_plan: Optional[RefactorPlan] = None
 
     @property
     def factor_nnz(self) -> int:
@@ -118,6 +118,13 @@ class SupernodalNumeric:
 
     def factor_seconds(self, machine: MachineModel, n_threads: int = 1) -> float:
         return self.schedule(machine, n_threads).makespan
+
+    def invalidate_caches(self) -> int:
+        """Eviction hook: drop the refactor plan.  Returns the number of
+        compiled BTF solve plans released, always 0 (this solver has
+        none), like the KLU and Basker hooks."""
+        self.refactor_plan = None
+        return 0
 
 
 class SupernodalLU:
@@ -519,11 +526,11 @@ class SupernodalLU:
     def refactor_fast(self, A: CSC, numeric: SupernodalNumeric) -> SupernodalNumeric:
         """Values-only refactorization on the fixed supernodal pattern.
 
-        Replays the whole factor through a cached elimination schedule
-        (:mod:`repro.sparse.schedule`) — pure value gathers plus
-        level-scheduled vectorized elimination.  Falls back to
-        :meth:`refactor` (full factor, static pivoting re-applied) when
-        the prior factor relied on perturbed pivots, a reused pivot
+        Replays the whole factor as one block of the shared
+        :class:`~repro.sparse.schedule.RefactorPlan` — pure value
+        gathers plus level-scheduled vectorized elimination.  Falls back
+        to :meth:`refactor` (full factor, static pivoting re-applied)
+        when the prior factor relied on perturbed pivots, a reused pivot
         falls to zero, or the amalgamated pattern cannot be scheduled.
         The result carries no task DAG (modelled parallel times come
         from :meth:`refactor`); this is the wall-clock sequence path.
@@ -532,53 +539,32 @@ class SupernodalLU:
         # of M; an exact replay would divide by near-zero pivots.
         if numeric.perturbed_pivots:
             return self.refactor(A, numeric)
-        sym = numeric.symbolic
-        n = sym.n
-        cache = numeric.refactor_cache
-        if (
-            cache is None
-            or not np.array_equal(A.indptr, cache["a_indptr"])
-            or not np.array_equal(A.indices, cache["a_indices"])
-        ):
-            m_indptr, m_indices, m_gather = permutation_gather(
-                A, numeric.row_perm, numeric.col_perm
-            )
-            M0 = CSC(n, n, m_indptr, m_indices, np.zeros(m_indices.size))
-            try:
-                # row_perm is pre-applied in M, so the pivot order is
-                # the identity (static pivoting: no numeric pivoting).
-                sched = compile_refactor_schedule(
-                    numeric.L, numeric.U, M0, np.arange(n, dtype=np.int64)
-                )
-            except ScheduleCompileError:
-                return self.refactor(A, numeric)
-            cache = {
-                "a_indptr": A.indptr,
-                "a_indices": A.indices,
-                "m_gather": m_gather,
-                "sched": sched,
-            }
-            numeric.refactor_cache = cache
+        n = numeric.symbolic.n
+        # row_perm is pre-applied in M, so the pivot order is the
+        # identity (static pivoting: no numeric pivoting).
+        plan = refactor_plan(numeric.refactor_plan, "supernodal", A, numeric.row_perm,
+                             numeric.col_perm, np.array([0, n], dtype=np.int64))
+        numeric.refactor_plan = plan
+        try:
+            ((L, U, factor_led),) = plan.replay(A.data[plan.m_gather],
+                                                [(numeric.L, numeric.U)])
+        except (SingularMatrixError, ScheduleCompileError):
+            return self.refactor(A, numeric)
         led = CostLedger()
         led.mem_words += A.nnz  # permutation / scatter traffic
-        try:
-            Lx, Ux = cache["sched"].run(A.data[cache["m_gather"]], led)
-        except SingularMatrixError:
-            return self.refactor(A, numeric)
-        Lnew = CSC(n, n, numeric.L.indptr.copy(), numeric.L.indices.copy(), Lx)
-        Unew = CSC(n, n, numeric.U.indptr.copy(), numeric.U.indices.copy(), Ux)
-        adopt_solve_schedules(numeric.L, Lnew)
-        adopt_solve_schedules(numeric.U, Unew)
+        led.add(factor_led)
+        adopt_solve_schedules(numeric.L, L)
+        adopt_solve_schedules(numeric.U, U)
         return SupernodalNumeric(
-            symbolic=sym,
-            L=Lnew,
-            U=Unew,
+            symbolic=numeric.symbolic,
+            L=L,
+            U=U,
             row_perm=numeric.row_perm,
             col_perm=numeric.col_perm,
             tasks=[],
             ledger=led,
             perturbed_pivots=0,
-            refactor_cache=cache,
+            refactor_plan=plan,
         )
 
     def solve(self, numeric: SupernodalNumeric, b: np.ndarray) -> np.ndarray:

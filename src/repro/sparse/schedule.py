@@ -36,6 +36,11 @@ the off-block coupling) as one triangular system of size ``2n`` and
 levels it with :func:`compile_triangular_schedule`, so KLU and Basker
 solve any number of right-hand sides in one replay.
 
+:class:`RefactorPlan` builds on the second: the value gathers plus one
+:class:`BlockedRefactorSchedule` over every diagonal block, the single
+values-only refactorization step behind ``refactor_fast`` of KLU, Basker
+and the supernodal solver.
+
 The replay keeps :class:`~repro.parallel.ledger.CostLedger` counts
 *identical* to the reference loops (updates whose source value is zero
 are counted out, exactly as the loops skip them); the reference
@@ -57,6 +62,7 @@ import numpy as np
 from ..contracts import domains, shapes
 from ..errors import SingularMatrixError, StructureError, ZeroPivotError
 from ..obs.tracer import get_tracer
+from ..parallel.ledger import CostLedger
 from ..resilience.faults import active_plan as _fault_plan
 from .csc import CSC
 
@@ -71,6 +77,8 @@ __all__ = [
     "BTFSolveSchedule",
     "permutation_gather",
     "diagonal_block_gathers",
+    "RefactorPlan",
+    "refactor_plan",
 ]
 
 
@@ -406,6 +414,14 @@ def _same_pattern(a: np.ndarray, b: np.ndarray) -> bool:
     of a fixed-pattern sequence, so ``a is b`` almost always decides.
     """
     return a is b or np.array_equal(a, b)
+
+
+def _same_refs(held: list, refs: list) -> bool:
+    """:func:`_same_pattern` over two flat lists of pattern arrays (None
+    marks an empty block); all-shared lists decide on identity alone."""
+    return len(refs) == len(held) and (
+        all(map(operator.is_, refs, held)) or all(map(_same_pattern, refs, held))
+    )
 
 
 @dataclass
@@ -1029,11 +1045,7 @@ class BTFSolveSchedule:
         but distinct arrays (a values-only refactorization that rebuilt
         them) are adopted, so the next check is by identity again.
         """
-        if len(refs) != len(self.refs):
-            return False
-        if all(map(operator.is_, refs, self.refs)):
-            return True
-        if not all(map(_same_pattern, refs, self.refs)):
+        if not _same_refs(self.refs, refs):
             return False
         self.refs = refs
         return True
@@ -1137,3 +1149,116 @@ def diagonal_block_gathers(
         np.cumsum(np.bincount(local_cols, minlength=hi - lo), out=bptr[1:])
         out.append((bptr, local_rows, gather))
     return out
+
+
+# ======================================================================
+# The values-only refactorization plan
+# ======================================================================
+
+
+class RefactorPlan:
+    """Everything a values-only refactorization step reuses.
+
+    KLU, Basker and the supernodal solver refactor a fixed pattern with
+    fixed pivots through this one object.  Keyed on the input pattern
+    and the factorization's final row permutation, it holds:
+
+    * the :func:`permutation_gather` of ``A`` into ``M =
+      A[row_perm][:, col_perm]`` (:meth:`permute`);
+    * every diagonal block's :func:`diagonal_block_gathers` map into
+      ``M.data`` (``blocks``);
+    * the :class:`BlockedRefactorSchedule` that replays all blocks at
+      once, compiled on the first :meth:`replay` and revalidated against
+      the factor patterns, by object identity first.
+
+    Lookups count as ``<prefix>.refactor.gather.{hit,miss,invalidate}``
+    (:func:`refactor_plan`) and ``<prefix>.refactor.schedule.*``
+    (:meth:`replay`).
+    """
+
+    def __init__(self, prefix: str, A: CSC, row_perm: np.ndarray,
+                 col_perm: np.ndarray, splits: np.ndarray) -> None:
+        self.prefix = prefix
+        self.a_indptr = A.indptr
+        self.a_indices = A.indices
+        self.row_perm = row_perm
+        self.splits = splits
+        self.m_indptr, self.m_indices, self.m_gather = permutation_gather(
+            A, row_perm, col_perm
+        )
+        self.blocks = diagonal_block_gathers(self.m_indptr, self.m_indices, splits)
+        self.schedule: Optional[BlockedRefactorSchedule] = None
+        self.refs: list = []   # the factor pattern arrays ``schedule`` was compiled for
+
+    def matches(self, A: CSC, row_perm: np.ndarray) -> bool:
+        """True when built for ``A``'s pattern and this row permutation."""
+        return (_same_pattern(A.indptr, self.a_indptr)
+                and _same_pattern(A.indices, self.a_indices)
+                and _same_pattern(row_perm, self.row_perm))
+
+    def permute(self, a_data: np.ndarray) -> CSC:
+        """``M`` for values ``a_data`` on ``A``'s pattern."""
+        n = self.m_indptr.size - 1
+        return CSC(n, n, self.m_indptr, self.m_indices, a_data[self.m_gather])
+
+    def replay(self, m_data: np.ndarray, factors: list) -> list:
+        """Refactor every diagonal block of ``M`` (data ``m_data``) on
+        the patterns and pivot orders of the prior ``factors``.
+
+        ``factors[k]`` is block ``k``'s prior ``(L, U)``, None for an
+        empty block.  Returns, per block, the new ``(L, U, ledger)`` (None
+        for an empty block); values and ledgers are identical to running
+        :func:`~repro.solvers.gp.gp_refactor` block by block.  Raises
+        :class:`ScheduleCompileError` when the patterns cannot be
+        scheduled and :class:`~repro.errors.SingularMatrixError` when a
+        reused pivot is unusable.
+        """
+        pats = [None if f is None else
+                (f[0].indptr, f[0].indices, f[1].indptr, f[1].indices)
+                for f in factors]
+        refs = [a for pat in pats for a in (pat or (None,))]
+        family = self.prefix + ".refactor.schedule"
+        if self.schedule is not None and _same_refs(self.refs, refs):
+            get_tracer().metrics.incr(family + ".hit")
+        else:
+            get_tracer().metrics.incr(
+                family + (".miss" if self.schedule is None else ".invalidate"))
+            self.schedule = None  # a failed compile leaves no stale schedule
+            empty = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)) * 2
+            self.schedule = BlockedRefactorSchedule(
+                self.splits, [pat or empty for pat in pats], self.blocks)
+        self.refs = refs
+
+        blocked = self.schedule
+        Lx, Ux, gflops = blocked.run(m_data)
+        sched = blocked.schedule
+        l_ptr, u_ptr = blocked.l_ptr, blocked.u_ptr
+        out: list = []
+        for k, f in enumerate(factors):
+            if f is None:
+                out.append(None)
+                continue
+            L0, U0 = f
+            n = L0.n_cols
+            led = CostLedger()
+            led.sparse_flops += float(gflops[k]) + float(sched.group_div_flops[k])
+            led.columns += int(sched.group_columns[k])
+            led.mem_words += int(sched.group_mem_words[k])
+            L = CSC(n, n, L0.indptr, L0.indices, Lx[l_ptr[k]:l_ptr[k + 1]])
+            U = CSC(n, n, U0.indptr, U0.indices, Ux[u_ptr[k]:u_ptr[k + 1]])
+            out.append((L, U, led))
+        return out
+
+
+def refactor_plan(prior: Optional[RefactorPlan], prefix: str, A: CSC,
+                  row_perm: np.ndarray, col_perm: np.ndarray,
+                  splits: np.ndarray) -> RefactorPlan:
+    """``prior`` when it still fits ``A``'s pattern and ``row_perm``,
+    else a new :class:`RefactorPlan`; counts the lookup as
+    ``<prefix>.refactor.gather.{hit,miss,invalidate}``."""
+    family = prefix + ".refactor.gather"
+    if prior is not None and prior.matches(A, row_perm):
+        get_tracer().metrics.incr(family + ".hit")
+        return prior
+    get_tracer().metrics.incr(family + (".miss" if prior is None else ".invalidate"))
+    return RefactorPlan(prefix, A, row_perm, col_perm, splits)

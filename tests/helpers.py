@@ -118,3 +118,46 @@ def btf_solve_reference(numeric, b: np.ndarray) -> np.ndarray:
     x = np.empty(n, dtype=np.float64)
     x[numeric.col_perm] = z
     return x
+
+
+def basker_refactor_reference(A: CSC, numeric):
+    """Per-block oracle for ``Basker.refactor_fast``.
+
+    The loop the shared refactor plan replaced: permute ``A`` by the
+    factorization's final permutations, refactor every nonempty coarse
+    block on its own with ``gp_refactor`` (fixed pattern, identity pivot
+    order), and rewrap fine and ND blocks.  Its values and per-block
+    ledgers are what the one-replay path must reproduce exactly.
+    """
+    import dataclasses
+
+    from repro.core.basker import BaskerNumeric
+    from repro.parallel.ledger import CostLedger
+    from repro.solvers.gp import GPResult, gp_refactor
+
+    sym = numeric.symbolic
+    splits = sym.block_splits
+    M = A.permute(numeric.row_perm, sym.col_perm)
+    total = CostLedger()
+    total.mem_words += A.nnz
+    fine_lu, nd_numeric = {}, {}
+    for k in range(sym.n_blocks):
+        lo, hi = int(splits[k]), int(splits[k + 1])
+        if hi == lo:
+            continue
+        L, U = numeric.block_factors(k)
+        led = CostLedger()
+        fixed = GPResult(L, U, np.arange(hi - lo, dtype=np.int64), led)
+        lu = gp_refactor(M.submatrix(lo, hi, lo, hi), fixed, ledger=led)
+        total.add(led)
+        if k in numeric.fine_lu:
+            fine_lu[k] = lu
+        else:
+            nd_numeric[k] = dataclasses.replace(
+                numeric.nd_numeric[k], L=lu.L, U=lu.U, ledger=led, overhead=CostLedger()
+            )
+    return BaskerNumeric(
+        symbolic=sym, fine_lu=fine_lu, nd_numeric=nd_numeric,
+        row_perm=numeric.row_perm, col_perm=sym.col_perm, M=M,
+        tasks=[], task_labels={}, ledger=total, overhead_ledger=total.copy(),
+    )

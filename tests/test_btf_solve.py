@@ -183,11 +183,11 @@ def test_invalidate_caches_releases_plan(name):
     num = s.factor(A)
     num = s.refactor_fast(A, num)
     s.solve(num, np.ones(A.n_rows))
-    assert num.refactor_cache is not None and num.solve_plan is not None
+    assert num.refactor_plan is not None and num.solve_plan is not None
     with tracing(Tracer()) as tr:
         assert num.invalidate_caches() == 1
         assert num.invalidate_caches() == 0
-    assert num.refactor_cache is None and num.solve_plan is None
+    assert num.refactor_plan is None and num.solve_plan is None
     assert tr.metrics.counter("schedule.tri.evictions") == 1
     # The factors stay usable: the next solve recompiles.
     x = s.solve(num, np.ones(A.n_rows))
@@ -201,14 +201,14 @@ def test_pattern_cache_eviction_releases_basker_caches():
     ds.numeric_factorization(A)  # refactor_fast builds its gathers
     ds.solve(np.ones(A.n_rows))
     num = ds._numeric
-    assert num.refactor_cache is not None and num.solve_plan is not None
+    assert num.refactor_plan is not None and num.solve_plan is not None
     cache = PatternCache(capacity=1, eviction_window=1)
     lease, _ = cache.borrow("basker", lambda: (ds, CostLedger(sparse_flops=1.0)))
     cache.release(lease)
     other, _ = cache.borrow("other", lambda: (object(), CostLedger(sparse_flops=1.0)))
     cache.release(other)
     assert cache.evictions == 1
-    assert num.refactor_cache is None and num.solve_plan is None
+    assert num.refactor_plan is None and num.solve_plan is None
 
 
 @pytest.mark.parametrize("name", ["klu", "basker", "pardiso"])

@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from repro import DirectSolver
 from repro.core import Basker, analyze
 from repro.core.symbolic import DEFAULT_ND_THRESHOLD
+from repro.errors import StructureError
 from repro.matrices import btf_composite, grid2d, thick_ladder
 from repro.ordering import is_permutation
 from repro.sparse import CSC
@@ -144,3 +146,19 @@ class TestEstimates:
         A = grid2d(12, rng=rng)
         sym = analyze(A, n_threads=4, nd_threshold=40)
         assert sym.nd_plans[0].total_estimated_nnz() > 0
+
+
+def test_basker_symbolic_errors_are_typed():
+    """Basker's symbolic phase raises StructureError, as KLU's does."""
+    rect = CSC.empty(3, 4)
+    A = grid2d(6, rng=np.random.default_rng(0))
+    with pytest.raises(StructureError):
+        Basker(n_threads=2).analyze(rect)
+    with pytest.raises(StructureError):
+        Basker(n_threads=4, nd_leaves=2).analyze(A)
+    with pytest.raises(StructureError):
+        analyze(A, n_threads=3)
+    with pytest.raises(StructureError):
+        DirectSolver("basker").symbolic_factorization(rect)
+    with pytest.raises(StructureError):
+        DirectSolver("basker", n_threads=4, nd_leaves=12).symbolic_factorization(A)

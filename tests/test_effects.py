@@ -357,7 +357,7 @@ class TestDifferentialSoundness:
 
         snap = _csc_snapshot(A2)
         self_before = dict(vars(klu))
-        cache_before = numeric.refactor_cache
+        plan_before = numeric.refactor_plan
         klu.refactor_fast(A2, numeric)
 
         observed = set()
@@ -365,9 +365,9 @@ class TestDifferentialSoundness:
             observed.add("A")
         if dict(vars(klu)) != self_before:
             observed.add("self")
-        if numeric.refactor_cache is not cache_before:
+        if numeric.refactor_plan is not plan_before:
             observed.add("numeric")
-        assert "numeric" in observed  # the compiled cache was installed
+        assert "numeric" in observed  # the refactor plan was installed
 
         summary = summary_for(
             collect_effect_summaries(), "solvers/klu.py", "refactor_fast"

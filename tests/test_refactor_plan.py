@@ -1,0 +1,201 @@
+"""The shared values-only refactor plan behind every ``refactor_fast``.
+
+KLU, Basker and the supernodal solver replay a fixed-pattern sequence
+through one :class:`repro.sparse.schedule.RefactorPlan`.  These tests
+hold the plan to the loops it replaced: Basker's per-block
+``gp_refactor`` loop (kept as ``basker_refactor_reference``) and the
+supernodal solver's direct whole-matrix schedule, bit for bit.
+"""
+
+import copy
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.core import Basker
+from repro.matrices import get_matrix
+from repro.obs.tracer import Tracer, tracing
+from repro.parallel.ledger import CostLedger
+from repro.solvers import KLU, SupernodalLU
+from repro.sparse import CSC
+from repro.sparse.schedule import (
+    BlockedRefactorSchedule,
+    compile_refactor_schedule,
+    permutation_gather,
+)
+from repro.xyce import matrix_sequence, xyce1_analog
+
+from .helpers import basker_refactor_reference, random_spd_like
+
+
+def _outages(name: str, count: int, seed: int) -> list:
+    """The grid, then ``count`` same-pattern copies with one branch
+    (an off-diagonal entry and its transpose) zeroed each."""
+    A = get_matrix(name)
+    col = np.repeat(np.arange(A.n_cols), np.diff(A.indptr))
+    off = np.flatnonzero(A.indices != col)
+    where = {(int(A.indices[e]), int(col[e])): int(e) for e in off}
+    rng = np.random.default_rng(seed)
+    seq = [A]
+    for _ in range(count):
+        e = int(off[rng.integers(off.size)])
+        data = A.data.copy()
+        data[e] = 0.0
+        partner = where.get((int(col[e]), int(A.indices[e])))
+        if partner is not None:
+            data[partner] = 0.0
+        seq.append(CSC(A.n_rows, A.n_cols, A.indptr, A.indices, data))
+    return seq
+
+
+def _rescaled(A: CSC, count: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [A] + [CSC(A.n_rows, A.n_cols, A.indptr, A.indices,
+                      A.data * rng.uniform(0.8, 1.25, A.nnz)) for _ in range(count)]
+
+
+SEQUENCES = {
+    "xyce1_analog": lambda: matrix_sequence(xyce1_analog(), 5),
+    "Power0*+": lambda: _outages("Power0*+", 4, 1),
+    "hvdc2+": lambda: _outages("hvdc2+", 4, 2),
+    "random": lambda: _rescaled(random_spd_like(80, 0.05, np.random.default_rng(3)), 4, 4),
+}
+
+
+def _ledger(led) -> dict:
+    return dataclasses.asdict(led)
+
+
+def _assert_same_basker(fast, ref):
+    assert sorted(fast.fine_lu) == sorted(ref.fine_lu)
+    assert sorted(fast.nd_numeric) == sorted(ref.nd_numeric)
+    for k, lu in ref.fine_lu.items():
+        got = fast.fine_lu[k]
+        assert np.array_equal(got.L.data, lu.L.data), k
+        assert np.array_equal(got.U.data, lu.U.data), k
+        assert np.array_equal(got.row_perm, lu.row_perm), k
+        assert _ledger(got.ledger) == _ledger(lu.ledger), k
+    for k, nd in ref.nd_numeric.items():
+        got = fast.nd_numeric[k]
+        assert np.array_equal(got.L.data, nd.L.data), k
+        assert np.array_equal(got.U.data, nd.U.data), k
+        assert _ledger(got.ledger) == _ledger(nd.ledger), k
+        assert _ledger(got.overhead) == _ledger(nd.overhead), k
+    assert _ledger(fast.ledger) == _ledger(ref.ledger)
+    assert _ledger(fast.overhead_ledger) == _ledger(ref.overhead_ledger)
+    assert np.array_equal(fast.M.data, ref.M.data)
+    assert np.array_equal(fast.row_perm, ref.row_perm)
+    assert fast.tasks == []
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_basker_refactor_fast_matches_per_block_reference(name):
+    seq = SEQUENCES[name]()
+    basker = Basker(n_threads=4)
+    num = basker.factor(seq[0])
+    if name == "xyce1_analog":
+        # Both kinds of coarse block go through the one replay.
+        assert num.fine_lu and num.nd_numeric
+    with tracing(Tracer()) as tr:
+        for A in seq[1:]:
+            ref = basker_refactor_reference(A, num)
+            num = basker.refactor_fast(A, num)
+            _assert_same_basker(num, ref)
+    # Every step was a replay, not a fresh factorization.
+    assert tr.metrics.counter("basker.refactor.fallback") == 0
+
+
+@pytest.mark.parametrize("name", ["circuit_4", "Xyce0*", "Power0*+", "memplus"])
+def test_supernodal_refactor_fast_matches_direct_schedule(name):
+    A0, A1 = _rescaled(get_matrix(name), 1, 5)
+    slu = SupernodalLU()
+    num = slu.factor(A0)
+    assert num.perturbed_pivots == 0
+    fast = slu.refactor_fast(A1, num)
+    n = A1.n_rows
+    m_indptr, m_indices, m_gather = permutation_gather(A1, num.row_perm, num.col_perm)
+    M0 = CSC(n, n, m_indptr, m_indices, np.zeros(m_indices.size))
+    sched = compile_refactor_schedule(num.L, num.U, M0, np.arange(n, dtype=np.int64))
+    led = CostLedger()
+    led.mem_words += A1.nnz
+    Lx, Ux = sched.run(A1.data[m_gather], led)
+    assert np.array_equal(fast.L.data, Lx)
+    assert np.array_equal(fast.U.data, Ux)
+    assert _ledger(fast.ledger) == _ledger(led)
+    assert fast.tasks == []
+
+
+@pytest.mark.parametrize("solver,prefix", [
+    (KLU, "klu"), (lambda: Basker(n_threads=4), "basker"), (SupernodalLU, "supernodal"),
+])
+def test_sequence_compiles_once(solver, prefix):
+    seq = matrix_sequence(xyce1_analog(), 6)
+    s = solver()
+    num = s.factor(seq[0])
+    with tracing(Tracer()) as tr:
+        for A in seq[1:]:
+            num = s.refactor_fast(A, num)
+    steps = len(seq) - 1
+    m = tr.metrics
+    for family in ("gather", "schedule"):
+        assert m.counter(f"{prefix}.refactor.{family}.miss") == 1
+        assert m.counter(f"{prefix}.refactor.{family}.hit") == steps - 1
+        assert m.counter(f"{prefix}.refactor.{family}.invalidate") == 0
+    # One replay per step: no per-block schedule lookups remain.
+    assert m.counter("schedule.refactor.miss") == 0
+    assert m.counter("schedule.refactor.hit") == 0
+
+
+def test_basker_degenerate_pivot_falls_back_to_full_refactor():
+    """A reused pivot that dies ends in ``refactor`` with fresh pivoting,
+    whose result carries the task DAG the replay path omits."""
+    rng = np.random.default_rng(22)
+    A = CSC.from_dense(rng.standard_normal((6, 6)) + 8 * np.eye(6))
+    col = np.repeat(np.arange(6), np.diff(A.indptr))
+    A2 = CSC(6, 6, A.indptr, A.indices,
+             np.where((A.indices == 0) & (col == 0), 0.0, A.data))
+    basker = Basker(n_threads=1)
+    num = basker.factor(A)
+    with tracing(Tracer()) as tr:
+        fast = basker.refactor_fast(A2, num)
+    assert tr.metrics.counter("basker.refactor.fallback") == 1
+    assert fast.tasks
+    assert not np.array_equal(fast.row_perm, num.row_perm)
+    b = np.arange(1.0, 7.0)
+    assert np.abs(A2.to_dense() @ basker.solve(fast, b) - b).max() < 1e-10
+
+
+@pytest.mark.parametrize("solver,prefix", [
+    (KLU, "klu"), (lambda: Basker(n_threads=4), "basker"), (SupernodalLU, "supernodal"),
+])
+def test_invalidate_caches_drops_refactor_plan(solver, prefix):
+    A0, A1, A2 = _rescaled(get_matrix("circuit_4"), 2, 6)
+    s = solver()
+    num = s.refactor_fast(A1, s.factor(A0))
+    assert num.refactor_plan is not None
+    num.invalidate_caches()
+    assert num.refactor_plan is None
+    with tracing(Tracer()) as tr:
+        again = s.refactor_fast(A2, num)
+    assert tr.metrics.counter(f"{prefix}.refactor.gather.miss") == 1
+    assert again.refactor_plan is not None
+
+
+def test_plan_audits_cover_the_replayed_refactor_plan():
+    """``analyze {effects,shapes} --plans`` audit the blocked schedule
+    KLU and Basker replay, and a corrupted copy trips both audits."""
+    from repro.analysis import audit_refactor_schedule, audit_schedule_buffers
+    from repro.cli import _solver_plans
+
+    plans = {solver: refactor for solver, _, refactor in _solver_plans(get_matrix("circuit_4"))}
+    assert set(plans) == {"klu", "basker"}
+    for plan in plans.values():
+        assert isinstance(plan, BlockedRefactorSchedule)
+        assert audit_refactor_schedule(plan.schedule) == []
+        assert audit_schedule_buffers(plan) == []
+        bad = copy.deepcopy(plan)
+        stage = next(st for st in bad.schedule.stages if st.seg_tgt.size >= 2)
+        stage.seg_tgt[1] = stage.seg_tgt[0]
+        assert audit_refactor_schedule(bad.schedule) != []
+        assert audit_schedule_buffers(bad) != []

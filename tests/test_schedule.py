@@ -263,8 +263,8 @@ def test_klu_refactor_fast_matches_reference_sequence():
             assert_ledgers_equal(bv, br, "klu block")
         assert_ledgers_equal(num_vec.ledger, num_ref.ledger, "klu total")
     # The flattened all-blocks schedule compiled once and was reused.
-    assert num_vec.refactor_cache is not None
-    assert num_vec.refactor_cache.replay is not None
+    assert num_vec.refactor_plan is not None
+    assert num_vec.refactor_plan.schedule is not None
     n = seq[-1].n_rows
     b = np.arange(n, dtype=float) % 5 + 1.0
     assert np.allclose(klu.solve(num_vec, b), klu.solve(num_ref, b),

@@ -379,7 +379,7 @@ class TestPlanAudits:
         klu = KLU()
         num = klu.factor(A)
         num2 = klu.refactor_fast(A, num)
-        blocked = num2.refactor_cache.replay
+        blocked = num2.refactor_plan.schedule
         assert blocked is not None
         assert audit_schedule_buffers(blocked) == []
 
