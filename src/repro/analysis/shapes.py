@@ -2227,7 +2227,8 @@ def audit_schedule_buffers(plan, label: Optional[str] = None
     Accepts a :class:`~repro.sparse.schedule.TriangularSchedule`,
     :class:`~repro.sparse.schedule.RefactorSchedule`,
     :class:`~repro.sparse.schedule.BlockedRefactorSchedule` or
-    :class:`~repro.sparse.schedule.BTFSolveSchedule` and checks
+    :class:`~repro.sparse.schedule.BTFSolveSchedule` (with its
+    transposed system, once compiled) and checks
     every gather/scatter/segment array against the actual workspace
     extents of the plan: indices in bounds, ``ent_order`` a valid
     permutation, ``seg_starts`` strictly increasing from 0, ``seg_tgt``
@@ -2257,6 +2258,13 @@ def audit_schedule_buffers(plan, label: Optional[str] = None
             if arr.size != n or np.unique(arr).size != arr.size:
                 _aud(findings, lab, "S2", "%s is not %d distinct positions"
                      % (name, n))
+        if plan.t_schedule is not None:
+            # The transposed system: same size, T's values reordered.
+            findings.extend(_audit_triangular(plan.t_schedule, lab + ":T"))
+            if plan.t_schedule.n != 2 * n:
+                _aud(findings, lab, "S3", "transposed system has %d columns, "
+                     "expected 2n = %d" % (plan.t_schedule.n, 2 * n))
+            _chk_perm(findings, lab, "t_order", plan.t_order, sched.nnz)
         return findings
     if hasattr(plan, "schedule") and hasattr(plan, "d_gather"):
         lab = label or "blocked"

@@ -148,12 +148,16 @@ def _analysis_matrices(args):
 
 def _solver_plans(A: CSC):
     """``(solver, solve plan, refactor plan)`` for KLU and Basker on
-    ``A``: the compiled BTF solve and the blocked refactor schedule that
-    ``refactor_fast`` replays, compiled by one factor, one solve and one
-    values-only refactorization each."""
+    ``A``: the compiled BTF solve, with its transposed system, and the
+    blocked refactor schedule that ``refactor_fast`` replays, compiled by
+    one factor, one solve, one transpose solve and one values-only
+    refactorization each."""
+    from .solvers.extras import solve_transpose
+
     for label, solver in (("klu", KLU()), ("basker", Basker(n_threads=4))):
         num = solver.factor(A)
         solver.solve(num, np.zeros(A.n_rows))
+        solve_transpose(num, np.zeros(A.n_rows))
         solver.refactor_fast(A, num)
         yield label, num.solve_plan, num.refactor_plan.schedule
 
@@ -161,7 +165,8 @@ def _solver_plans(A: CSC):
 def _plan_audit_findings(args):
     """``analyze effects --plans``: symbolic disjointness audits of the
     compiled triangular/refactor schedules and of the KLU and Basker BTF
-    solve and blocked refactor plans for the selected matrices."""
+    solve (both directions) and blocked refactor plans for the selected
+    matrices."""
     from .analysis import audit_refactor_schedule, audit_triangular_schedule
     from .solvers.gp import ensure_refactor_schedule, gp_factor
     from .sparse.schedule import compile_triangular_schedule
@@ -178,6 +183,8 @@ def _plan_audit_findings(args):
         for solver, solve, refactor in _solver_plans(A):
             findings.extend(audit_triangular_schedule(
                 solve.schedule, label=f"{name}:{solver}-solve"))
+            findings.extend(audit_triangular_schedule(
+                solve.t_schedule, label=f"{name}:{solver}-solve-T"))
             findings.extend(audit_refactor_schedule(
                 refactor.schedule, label=f"{name}:{solver}-refactor"))
     return findings
@@ -186,7 +193,8 @@ def _plan_audit_findings(args):
 def _shape_plan_findings(args):
     """``analyze shapes --plans``: concrete buffer-bounds audits of the
     compiled triangular/refactor schedules and of the KLU and Basker BTF
-    solve and blocked refactor plans for the selected matrices."""
+    solve (both directions) and blocked refactor plans for the selected
+    matrices."""
     from .analysis import audit_schedule_buffers
     from .solvers.gp import ensure_refactor_schedule, gp_factor
     from .sparse.schedule import compile_triangular_schedule

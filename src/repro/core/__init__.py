@@ -9,7 +9,7 @@ from .numeric import (
     lower_offdiag_solve,
     upper_offdiag_solve,
 )
-from .parsolve import TriangularLevels, level_schedule, parallel_lower_solve, parallel_upper_solve
+from .parsolve import parallel_lower_solve, parallel_upper_solve
 from .structure import BaskerSymbolic, FineBTFPlan, NDBlockPlan
 from .symbolic import DEFAULT_ND_THRESHOLD, analyze
 
@@ -27,8 +27,6 @@ __all__ = [
     "lower_offdiag_solve",
     "upper_offdiag_solve",
     "block_reduce",
-    "level_schedule",
     "parallel_lower_solve",
     "parallel_upper_solve",
-    "TriangularLevels",
 ]

@@ -38,7 +38,7 @@ from ..parallel.machine import MachineModel, SANDY_BRIDGE
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..parallel.threads import parallel_map
 from ..solvers.gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor
-from ..solvers.triangular import btf_solve, drop_solve_plan
+from ..solvers.triangular import btf_factors, btf_solve, drop_solve_plan
 from ..sparse.csc import CSC
 from ..sparse.schedule import (
     BTFSolveSchedule,
@@ -169,13 +169,6 @@ class BaskerNumeric:
         """
         self.refactor_plan = None
         return drop_solve_plan(self)
-
-
-def _blocks(numeric: BaskerNumeric) -> List[Optional[Tuple[CSC, CSC]]]:
-    """Per coarse block, its ``(L, U)``; None for an empty block."""
-    splits = numeric.symbolic.block_splits
-    return [numeric.block_factors(k) if splits[k + 1] > splits[k] else None
-            for k in range(splits.size - 1)]
 
 
 class Basker:
@@ -361,7 +354,7 @@ class Basker:
 
             fine_lu: Dict[int, GPResult] = {}
             nd_numeric: Dict[int, NDNumericBlock] = {}
-            for k, out in enumerate(plan.replay(M.data, _blocks(numeric))):
+            for k, out in enumerate(plan.replay(M.data, btf_factors(numeric)[1])):
                 if out is None:
                     continue
                 L, U, led = out
@@ -396,4 +389,4 @@ class Basker:
     def solve(self, numeric: BaskerNumeric, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` via coarse-BTF block back-substitution;
         ``b`` is ``(n,)`` or ``(n, k)``."""
-        return btf_solve(numeric, _blocks(numeric), b)
+        return btf_solve(numeric, b)

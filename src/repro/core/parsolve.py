@@ -3,14 +3,14 @@
 The paper's point-to-point synchronization story (§IV) builds on Park
 et al.'s sparsifying-synchronization triangular solve (ref. [18]); the
 solve phase also matters to Basker's users because a transient run does
-at least one solve per factorization.  This module implements the
-classic level-scheduled parallel triangular solve:
+at least one solve per factorization.  This module models the classic
+level-scheduled parallel triangular solve on the level sets of the
+compiled solve (:func:`~repro.sparse.schedule.triangular_schedule`):
 
 * rows are grouped into *levels* — row ``i``'s level is one more than
   the deepest level among the rows its off-diagonal entries reference —
-  so all rows in one level are independent;
-* numerically the solve sweeps level by level (row-oriented kernels on
-  the transposed factor);
+  so all rows in one level are independent; the numbers come from the
+  compiled schedule's replay;
 * for the performance model, each level is split into per-thread row
   chunks whose dependency edges are *sparsified*: a chunk depends only
   on the previous-level chunks that actually produced one of its
@@ -20,143 +20,80 @@ classic level-scheduled parallel triangular solve:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-# effects: blocks x=x
-
+from ..errors import StructureError
 from ..parallel.ledger import CostLedger
 from ..parallel.machine import MachineModel
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..sparse.csc import CSC
+from ..sparse.schedule import TriangularSchedule, triangular_schedule
 
-__all__ = ["TriangularLevels", "level_schedule", "parallel_lower_solve", "parallel_upper_solve"]
-
-
-@dataclass
-class TriangularLevels:
-    """Level sets of a triangular factor.
-
-    ``levels[k]`` holds the row indices solvable at step ``k``; ``Rp``,
-    ``Ri``, ``Rx`` is the factor in row-major (CSR) form used by the
-    row-oriented numeric sweep.
-    """
-
-    levels: List[np.ndarray]
-    Rp: np.ndarray
-    Ri: np.ndarray
-    Rx: np.ndarray
-    lower: bool
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
-    @property
-    def max_parallelism(self) -> float:
-        if not self.levels:
-            return 1.0
-        return max(lv.size for lv in self.levels)
-
-    @property
-    def average_parallelism(self) -> float:
-        n = sum(lv.size for lv in self.levels)
-        return n / max(self.n_levels, 1)
+__all__ = ["parallel_lower_solve", "parallel_upper_solve"]
 
 
-def level_schedule(T: CSC, lower: bool = True) -> TriangularLevels:
-    """Compute the level sets of a (unit) triangular CSC factor."""
+def _chunk_tasks(T: CSC, sched: TriangularSchedule, n_threads: int) -> List[SimTask]:
+    """One task per thread chunk of every level, with p2p dependencies."""
     n = T.n_cols
-    R = T.transpose()  # rows of T as columns of R
-    level = np.zeros(n, dtype=np.int64)
-    order = range(n) if lower else range(n - 1, -1, -1)
-    for i in order:
-        deps, _ = R.col(i)
-        lv = 0
-        for j in deps:
-            j = int(j)
-            if (lower and j < i) or (not lower and j > i):
-                if level[j] + 1 > lv:
-                    lv = level[j] + 1
-        level[i] = lv
-    n_levels = int(level.max()) + 1 if n else 0
-    levels = [np.flatnonzero(level == k).astype(np.int64) for k in range(n_levels)]
-    return TriangularLevels(levels=levels, Rp=R.indptr, Ri=R.indices, Rx=R.data, lower=lower)
+    keys: List[Tuple[int, int]] = []  # task id -> (level, chunk)
+    chunks: List[np.ndarray] = []
+    task_of = np.empty(n, dtype=np.int64)  # row -> producing task id
+    for lv, level in enumerate(sched.levels):
+        # Static chunking of the level across threads.
+        for ci, chunk in enumerate(np.array_split(level.cols, min(n_threads, level.cols.size))):
+            task_of[chunk] = len(keys)
+            keys.append((lv, ci))
+            chunks.append(chunk)
+    if not keys:
+        return []
+    # Row i waits for the task that finalized x[j] for every stored
+    # off-diagonal T[i, j]: one (consumer, producer) pair per task pair.
+    col = np.repeat(np.arange(n), np.diff(T.indptr))
+    off = T.indices > col if sched.kind == "lower" else T.indices < col
+    nt = len(keys)
+    pairs = np.unique(task_of[T.indices[off]] * nt + task_of[col[off]])
+    bounds = np.searchsorted(pairs // nt, np.arange(nt + 1))
+    row_nnz = np.bincount(T.indices, minlength=n)
+    tasks: List[SimTask] = []
+    for tid, ((lv, ci), chunk) in enumerate(zip(keys, chunks)):
+        deps = (pairs[bounds[tid] : bounds[tid + 1]] % nt).tolist()
+        led = CostLedger(sparse_flops=float(row_nnz[chunk].sum()), columns=float(chunk.size))
+        # Declared effect sets: this chunk finalizes its own x rows and
+        # reads exactly the chunks it synchronizes with — the hazard
+        # checker then proves the sparsified point-to-point edges
+        # sufficient.
+        tasks.append(
+            SimTask(
+                tid=tid,
+                ledger=led,
+                deps=deps,
+                thread=ci % n_threads,
+                p2p_syncs=len(deps),
+                label=f"lv{lv}/c{ci}",
+                reads=[("x",) + keys[t] for t in deps],
+                writes=[("x", lv, ci)],
+            )
+        )
+    return tasks
 
 
-def _solve_with_levels(
-    tl: TriangularLevels,
+def _solve(
+    T: CSC,
+    kind: str,
     b: np.ndarray,
     unit_diag: bool,
     n_threads: int,
     machine: Optional[MachineModel],
 ) -> Tuple[np.ndarray, Optional[Schedule]]:
-    n = b.size
-    x = np.array(b, dtype=np.float64, copy=True)
-    Rp, Ri, Rx = tl.Rp, tl.Ri, tl.Rx
-
-    tasks: List[SimTask] = []
-    prev_chunk_of = np.full(n, -1, dtype=np.int64)  # row -> producing task id
-    task_keys: List[Tuple[int, int]] = []  # task id -> (level, chunk)
-    make_tasks = machine is not None
-
-    for lv, rows in enumerate(tl.levels):
-        # Static chunking of the level across threads.
-        chunks = np.array_split(rows, min(n_threads, max(rows.size, 1)))
-        for ci, chunk in enumerate(chunks):
-            if chunk.size == 0:
-                continue
-            led = CostLedger()
-            dep_tasks = set()
-            for i in chunk:
-                i = int(i)
-                lo, hi = int(Rp[i]), int(Rp[i + 1])
-                acc = x[i]
-                diag = 1.0
-                for p in range(lo, hi):
-                    j = int(Ri[p])
-                    if j == i:
-                        diag = Rx[p]
-                        continue
-                    off = (j < i) if tl.lower else (j > i)
-                    if off:
-                        acc -= Rx[p] * x[j]
-                        if make_tasks and prev_chunk_of[j] >= 0:
-                            dep_tasks.add(int(prev_chunk_of[j]))
-                led.sparse_flops += hi - lo
-                led.columns += 1
-                if unit_diag:
-                    x[i] = acc
-                else:
-                    if diag == 0.0:
-                        raise ZeroDivisionError(f"zero diagonal at row {i}")
-                    x[i] = acc / diag
-            if make_tasks:
-                tid = len(tasks)
-                deps = sorted(dep_tasks)
-                # Declared effect sets: this chunk finalizes its own x
-                # rows and reads exactly the chunks it synchronizes
-                # with — the hazard checker then proves the sparsified
-                # point-to-point edges sufficient.
-                tasks.append(
-                    SimTask(
-                        tid=tid,
-                        ledger=led,
-                        deps=deps,
-                        thread=ci % n_threads,
-                        p2p_syncs=len(deps),
-                        label=f"lv{lv}/c{ci}",
-                        reads=[("x",) + task_keys[t] for t in deps],
-                        writes=[("x", lv, ci)],
-                    )
-                )
-                task_keys.append((lv, ci))
-                prev_chunk_of[chunk] = tid
-
-    sched = simulate(tasks, machine, n_threads) if make_tasks else None
-    return x, sched
+    if T.n_rows != T.n_cols or np.shape(b) != (T.n_cols,):
+        raise StructureError("dimension mismatch")
+    sched = triangular_schedule(T, kind)
+    x = sched.solve(T, b, unit_diag=unit_diag)
+    if machine is None:
+        return x, None
+    return x, simulate(_chunk_tasks(T, sched, n_threads), machine, n_threads)
 
 
 def parallel_lower_solve(
@@ -165,18 +102,14 @@ def parallel_lower_solve(
     n_threads: int = 1,
     machine: Optional[MachineModel] = None,
     unit_diag: bool = True,
-    levels: Optional[TriangularLevels] = None,
 ) -> Tuple[np.ndarray, Optional[Schedule]]:
     """Level-scheduled solve of ``L x = b``.
 
     Returns ``(x, schedule)``; the schedule is None unless a machine
-    model is supplied.  ``levels`` may be precomputed (the pattern is
-    fixed across a refactorization sequence).
+    model is supplied.  The levels are compiled once per factor object
+    and cached on it.
     """
-    if L.n_rows != L.n_cols or b.shape != (L.n_cols,):
-        raise ValueError("dimension mismatch")
-    tl = levels if levels is not None else level_schedule(L, lower=True)
-    return _solve_with_levels(tl, b, unit_diag, n_threads, machine)
+    return _solve(L, "lower", b, unit_diag, n_threads, machine)
 
 
 def parallel_upper_solve(
@@ -184,10 +117,6 @@ def parallel_upper_solve(
     b: np.ndarray,
     n_threads: int = 1,
     machine: Optional[MachineModel] = None,
-    levels: Optional[TriangularLevels] = None,
 ) -> Tuple[np.ndarray, Optional[Schedule]]:
     """Level-scheduled solve of ``U x = b`` (non-unit diagonal)."""
-    if U.n_rows != U.n_cols or b.shape != (U.n_cols,):
-        raise ValueError("dimension mismatch")
-    tl = levels if levels is not None else level_schedule(U, lower=False)
-    return _solve_with_levels(tl, b, unit_diag=False, n_threads=n_threads, machine=machine)
+    return _solve(U, "upper", b, False, n_threads, machine)

@@ -26,7 +26,8 @@ import numpy as np
 
 from ..errors import NumericalHealthError
 from ..obs.tracer import get_tracer
-from ..solvers.extras import _blocked_view, condest, rgrowth
+from ..solvers.extras import condest, rgrowth
+from ..solvers.triangular import btf_factors
 from ..sparse.csc import CSC
 from ..sparse.verify import componentwise_backward_error
 
@@ -99,10 +100,9 @@ def _pivot_extremes(numeric) -> tuple:
     """(min |U diagonal|, max |U diagonal|, non-finite factor count)
     across all diagonal blocks — vectorized over the stored factors
     (U's diagonal is the last entry of every column by layout)."""
-    splits, blocks, _M, _rp, _cp = _blocked_view(numeric)
     lo_piv, hi_piv = np.inf, 0.0
     nonfinite = 0
-    for L, U in blocks:
+    for L, U in filter(None, btf_factors(numeric)[1]):
         nonfinite += int(np.count_nonzero(~np.isfinite(L.data)))
         nonfinite += int(np.count_nonzero(~np.isfinite(U.data)))
         if U.n_cols:

@@ -4,21 +4,22 @@ The reference KLU exposes more than plain solve: ``klu_tsolve``
 (transpose solves, needed by adjoint/sensitivity analysis in circuit
 simulators), iterative refinement, and the numerical-quality
 diagnostics ``klu_rgrowth`` / ``klu_condest``.  These work uniformly on
-this package's KLU, Basker and supernodal numeric objects through a
-tiny structural adapter.  (Multiple right-hand sides need no helper:
-every solver's ``solve`` takes an ``(n, k)`` block.)
+this package's KLU, Basker and supernodal numeric objects through
+:func:`~repro.solvers.triangular.btf_factors`.  (Multiple right-hand
+sides need no helper: every solver's ``solve`` takes an ``(n, k)``
+block.)
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..errors import RefinementDivergedError, StructureError
 from ..sparse.csc import CSC
-from ..sparse.ops import unit_lower_solve_T, upper_solve_T
 from ..sparse.verify import validate_rhs
+from .triangular import btf_factors, btf_solve
 
 __all__ = [
     "refine_solve",
@@ -28,65 +29,19 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# Structural adapter over the three numeric-object flavours
-# ----------------------------------------------------------------------
-
-
-def _blocked_view(numeric) -> Tuple[np.ndarray, List[Tuple[CSC, CSC]], CSC, np.ndarray, np.ndarray]:
-    """(block_splits, [(L, U)], M, row_perm, col_perm) for any numeric."""
-    if hasattr(numeric, "block_lu"):  # KLUNumeric
-        splits = numeric.symbolic.block_splits
-        blocks = [(lu.L, lu.U) for lu in numeric.block_lu]
-        return splits, blocks, numeric.M, numeric.row_perm, numeric.col_perm
-    if hasattr(numeric, "block_factors"):  # BaskerNumeric
-        splits = numeric.symbolic.block_splits
-        blocks = [numeric.block_factors(k) for k in range(len(splits) - 1)]
-        return splits, blocks, numeric.M, numeric.row_perm, numeric.col_perm
-    # SupernodalNumeric: one block covering the whole matrix.
-    n = numeric.L.n_rows
-    splits = np.array([0, n], dtype=np.int64)
-    M = None  # not needed: single block has no off-diagonal coupling
-    return splits, [(numeric.L, numeric.U)], M, numeric.row_perm, numeric.col_perm
-
-
 def solve_transpose(numeric, b: np.ndarray) -> np.ndarray:
     """Solve ``A.T x = b`` from the factors of ``A``.
 
-    With ``M = A[rp][:, cp] = (block upper triangular, diag = L_k U_k)``,
-    ``A.T x = b`` becomes ``M.T z = b[cp]`` with ``x[rp] = z`` — a
-    *forward* sweep over the block structure using transposed
-    triangular solves.
+    Replays the transposed system of the numeric's compiled BTF solve
+    plan (:func:`~repro.solvers.triangular.btf_solve` with
+    ``transpose``), for KLU, Basker and the supernodal solver alike.
+    ``b`` is one right-hand side ``(n,)``.
     """
-    splits, blocks, M, row_perm, col_perm = _blocked_view(numeric)
     b = np.asarray(b, dtype=np.float64)
-    n = int(splits[-1])
+    n = numeric.row_perm.size
     if b.shape != (n,):
         raise StructureError("right-hand side has wrong length")
-    c = b[col_perm].copy()
-    z = np.zeros(n, dtype=np.float64)
-    for k in range(len(blocks)):
-        lo, hi = int(splits[k]), int(splits[k + 1])
-        if hi == lo:
-            continue
-        if M is not None and lo > 0:
-            # (M.T z)_i for i in block k picks up M[r, i] z[r] for rows
-            # r in earlier blocks (M is block upper triangular).
-            for i in range(lo, hi):
-                rows, vals = M.col(i)
-                cut = int(np.searchsorted(rows, lo))
-                if cut:
-                    c[i] -= float(vals[:cut] @ z[rows[:cut]])
-        L, U = blocks[k]
-        w = upper_solve_T(U, c[lo:hi])
-        z[lo:hi] = unit_lower_solve_T(L, w)
-    x = np.empty(n, dtype=np.float64)
-    x[row_perm] = z
-    scale = getattr(numeric, "row_scale", None)
-    if scale is not None:
-        # Factors are of R A: (RA)^T y = b  =>  A^T (R y) = b.
-        x = x * scale
-    return x
+    return btf_solve(numeric, b, transpose=True)
 
 
 def refine_solve(
@@ -149,17 +104,23 @@ def rgrowth(A: CSC, numeric) -> float:
     """Reciprocal pivot growth, KLU-style.
 
     ``min_j ( max_i |A(:, j)| / max_i |U(:, j)| )`` over the factored
-    columns, computed in the factorization's permuted coordinates.
-    Values near 1 mean no element growth; tiny values signal numerical
-    trouble.
+    columns, computed in the factorization's permuted coordinates.  With
+    row equilibration the factored matrix is ``R A`` (``row_scale``), so
+    growth is measured against it, as ``klu_rgrowth`` does.  Values near
+    1 mean no element growth; tiny values signal numerical trouble.
     """
-    splits, blocks, M, row_perm, col_perm = _blocked_view(numeric)
-    Aperm = A.permute(row_perm, col_perm)
+    splits, blocks, _M = btf_factors(numeric)
+    scale = getattr(numeric, "row_scale", None)
+    if scale is not None:
+        A = CSC(A.n_rows, A.n_cols, A.indptr, A.indices, A.data * scale[A.indices])
+    Aperm = A.permute(numeric.row_perm, numeric.col_perm)
     worst = np.inf
-    for k in range(len(blocks)):
-        lo, hi = int(splits[k]), int(splits[k + 1])
-        _, U = blocks[k]
-        for j in range(hi - lo):
+    for k, blk in enumerate(blocks):
+        if blk is None:
+            continue
+        lo = int(splits[k])
+        U = blk[1]
+        for j in range(U.n_cols):
             arows, avals = Aperm.col(lo + j)
             urows, uvals = U.col(j)
             amax = float(np.max(np.abs(avals), initial=0.0))

@@ -33,11 +33,7 @@ from ..parallel.ledger import CostLedger
 from ..resilience.faults import fault_values as _fault_values
 from ..sparse.blocking import DensePlan, detect_dense_tail
 from ..sparse.csc import CSC
-from ..sparse.schedule import (
-    RefactorSchedule,
-    adopt_solve_schedules,
-    compile_refactor_schedule,
-)
+from ..sparse.schedule import RefactorSchedule, compile_refactor_schedule
 
 __all__ = [
     "GPResult",
@@ -168,9 +164,6 @@ def gp_refactor(
     # instead of O(nnz) comparisons.
     Lnew = CSC(n, n, L.indptr, L.indices, Lx)
     Unew = CSC(n, n, U.indptr, U.indices, Ux)
-    # Keep compiled triangular-solve schedules warm across refactors.
-    adopt_solve_schedules(L, Lnew)
-    adopt_solve_schedules(U, Unew)
     return GPResult(Lnew, Unew, prior.row_perm, led, schedule=sched)
 
 
@@ -319,21 +312,23 @@ def gp_factor_reference(
         x[pat] = 0.0
         x[arows] = avals
 
-        # Sparse triangular solve in topological order.
+        # Sparse triangular solve in topological order.  Every reached
+        # pivotal column is counted, zero source or not: the count is
+        # the pattern's work, so no summation order can change it.
         for t in range(top, n):
             j = int(xi[t])
             jcol = int(pinv[j])
             if jcol < 0:
                 continue
+            lo = int(Lp[jcol])
+            hi = int(Lp[jcol + 1])
+            led.sparse_flops += hi - lo - 1
             xj = x[j]
             if xj == 0.0:
                 continue
-            lo = int(Lp[jcol])
-            hi = int(Lp[jcol + 1])
             # First entry of each L column is its (unit) pivot row.
             rows_view = Li[lo + 1 : hi]
             x[rows_view] -= Lx[lo + 1 : hi] * xj
-            led.sparse_flops += hi - lo - 1
 
         # Pivot search among non-pivotal rows of the pattern.
         ipiv = -1
@@ -470,10 +465,11 @@ def gp_factor(
     * identical nonzero patterns and row permutation (pivot choice uses
       the same threshold rule, the same reach-order tie-break, and NaNs
       can never win a pivot search);
-    * bit-identical :class:`~repro.parallel.ledger.CostLedger` — the
-      reference skips exact-zero update sources, and the dense kernels
-      preserve exact zeros (``x - l*0 == x``), so the counted work is
-      recovered exactly from the final values and the pattern;
+    * bit-identical :class:`~repro.parallel.ledger.CostLedger` — both
+      count ``|L(:,j)|-1`` multiply-adds for every reached pivotal
+      ``j``, zero source value or not, so the counts follow from the
+      pattern alone (a cancellation that lands on exactly 0.0 in one
+      summation order and on 1e-17 in the other changes no count);
     * values equal up to floating-point summation order inside the
       dense tail, bit-identical before the switch;
     * the first failing column of a singular matrix raises the same
@@ -549,13 +545,13 @@ def gp_factor(
             jc = pinv_l[j]
             if jc < 0:
                 continue
+            lo = lp_l[jc] + 1
+            hi = lp_l[jc + 1]
+            lscal.sparse_flops += hi - lo
             xj = x[j]
             if xj == 0.0:
                 continue
-            lo = lp_l[jc] + 1
-            hi = lp_l[jc + 1]
             x[Li[lo:hi]] -= Lx[lo:hi] * xj
-            lscal.sparse_flops += hi - lo
 
         # Pivot search among non-pivotal rows of the pattern.
         ipiv = -1
@@ -645,8 +641,7 @@ def gp_factor(
             # Bulk left-looking update by the leading columns in pivot
             # (= topological) order, each vectorized across the tail.
             # Exact zeros propagate exactly (x - l*0 == x), so entries
-            # outside a column's reach stay 0.0 — the property the
-            # ledger emulation below relies on.
+            # outside a column's reach stay 0.0.
             liL = Li[:lnz]
             tgt = np.where(pinv[liL] >= 0, pinv[liL], ks + slot_of[liL])
             for j in range(ks):
@@ -724,14 +719,11 @@ def gp_factor(
                 unz += 1
                 Up[k + 1] = unz
 
-                # Ledger emulation, bit-identical to the oracle: the
-                # reference counts |L(:,j)|-1 multiply-adds for every
-                # reached pivotal j whose source value is nonzero at use
-                # time — which is its final U value here.
-                nzsrc = ucols[uvals != 0.0]
-                if nzsrc.size:
+                # Ledger, bit-identical to the oracle: |L(:,j)|-1
+                # multiply-adds for every reached pivotal j.
+                if usz:
                     lpan.sparse_flops += float(
-                        np.sum(Lp[nzsrc + 1] - Lp[nzsrc] - 1)
+                        np.sum(Lp[ucols + 1] - Lp[ucols] - 1)
                     )
 
                 # Harvest L: remaining pattern rows in reach order,

@@ -417,4 +417,4 @@ class KLU:
     def solve(self, numeric: KLUNumeric, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` by block back-substitution over the BTF;
         ``b`` is ``(n,)`` or ``(n, k)``."""
-        return btf_solve(numeric, [(lu.L, lu.U) for lu in numeric.block_lu], b)
+        return btf_solve(numeric, b)

@@ -43,12 +43,12 @@ from ..parallel.machine import MachineModel
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..sparse.csc import CSC
 from ..sparse.schedule import (
+    BTFSolveSchedule,
     RefactorPlan,
     ScheduleCompileError,
-    adopt_solve_schedules,
     refactor_plan,
 )
-from .triangular import lu_solve_factors
+from .triangular import btf_solve, drop_solve_plan
 
 # effects: blocks F=F G=G
 # effects: emitter new_task
@@ -102,6 +102,9 @@ class SupernodalNumeric:
     # Value gather and compiled replay reused by refactor_fast across a
     # fixed-pattern sequence (None until then).
     refactor_plan: Optional[RefactorPlan] = None
+    # Compiled solve, the factors as a one-block BTF (None until the
+    # first solve); carried across refactor_fast like refactor_plan.
+    solve_plan: Optional[BTFSolveSchedule] = None
 
     @property
     def factor_nnz(self) -> int:
@@ -120,11 +123,11 @@ class SupernodalNumeric:
         return self.schedule(machine, n_threads).makespan
 
     def invalidate_caches(self) -> int:
-        """Eviction hook: drop the refactor plan.  Returns the number of
-        compiled BTF solve plans released, always 0 (this solver has
-        none), like the KLU and Basker hooks."""
+        """Eviction hook: drop the refactor plan and the compiled solve
+        plan, as the KLU and Basker hooks do.  Returns the number of
+        compiled solve plans released (0 or 1)."""
         self.refactor_plan = None
-        return 0
+        return drop_solve_plan(self)
 
 
 class SupernodalLU:
@@ -553,8 +556,6 @@ class SupernodalLU:
         led = CostLedger()
         led.mem_words += A.nnz  # permutation / scatter traffic
         led.add(factor_led)
-        adopt_solve_schedules(numeric.L, L)
-        adopt_solve_schedules(numeric.U, U)
         return SupernodalNumeric(
             symbolic=numeric.symbolic,
             L=L,
@@ -565,21 +566,12 @@ class SupernodalLU:
             ledger=led,
             perturbed_pivots=0,
             refactor_plan=plan,
+            solve_plan=numeric.solve_plan,
         )
 
     def solve(self, numeric: SupernodalNumeric, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b``; ``b`` is ``(n,)`` or ``(n, k)``."""
-        b = np.asarray(b, dtype=np.float64)
-        n = numeric.symbolic.n
-        if b.ndim not in (1, 2) or b.shape[0] != n:
-            raise StructureError(
-                f"right-hand side has shape {b.shape}, expected ({n},) or ({n}, k)"
-            )
-        c = b[numeric.row_perm]
-        z = lu_solve_factors(numeric.L, numeric.U, c)
-        x = np.empty_like(z)
-        x[numeric.col_perm] = z
-        return x
+        return btf_solve(numeric, b)
 
 
 def slu_mt(fill_cap: Optional[float] = 60.0) -> SupernodalLU:

@@ -6,10 +6,11 @@ solve-phase work (the paper only times numeric factorization, but the
 solve path is exercised by the examples and the Xyce transient loop).
 
 Every solve takes one right-hand side ``(n,)`` or a block ``(n, k)``.
-The BTF solvers (KLU and Basker) share :func:`btf_solve`: the whole
-block back-substitution replays one compiled
+KLU, Basker and the supernodal solver share :func:`btf_solve`, forward
+and transposed: the whole block back-substitution replays one compiled
 :class:`~repro.sparse.schedule.BTFSolveSchedule`, cached on the numeric
-object next to its refactorization caches.
+object next to its refactorization caches.  The supernodal factors are
+one block with no coupling.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from ..parallel.ledger import CostLedger
 from ..sparse.csc import CSC
 from ..sparse.schedule import BTFSolveSchedule, triangular_schedule
 
-__all__ = ["lu_solve", "lu_solve_factors", "btf_solve", "btf_solve_plan", "drop_solve_plan"]
+__all__ = [
+    "lu_solve", "lu_solve_factors", "btf_factors", "btf_solve", "btf_solve_plan",
+    "drop_solve_plan",
+]
 
 
 @domains(L="matrix[S]", U="matrix[S]", b_perm="vec[S]", returns="vec[S]")
@@ -75,7 +79,27 @@ def lu_solve(
 BlockFactors = List[Optional[Tuple[CSC, CSC]]]
 
 
-def btf_solve_plan(numeric, blocks: BlockFactors) -> BTFSolveSchedule:
+def btf_factors(numeric) -> Tuple[np.ndarray, BlockFactors, Optional[CSC]]:
+    """``(splits, blocks, M)`` of a KLU, Basker or supernodal numeric.
+
+    ``blocks[k]`` is block ``k``'s ``(L, U)``, None when the block is
+    empty; ``M = A[row_perm][:, col_perm]`` holds the coupling above the
+    diagonal blocks, None for the supernodal solver's single block.
+    """
+    if hasattr(numeric, "block_lu"):  # KLUNumeric
+        blocks = [(lu.L, lu.U) for lu in numeric.block_lu]
+        return numeric.symbolic.block_splits, blocks, numeric.M
+    if hasattr(numeric, "block_factors"):  # BaskerNumeric
+        splits = numeric.symbolic.block_splits
+        blocks = [numeric.block_factors(k) if splits[k + 1] > splits[k] else None
+                  for k in range(splits.size - 1)]
+        return splits, blocks, numeric.M
+    # SupernodalNumeric: one block covering the whole matrix.
+    return np.array([0, numeric.L.n_cols], dtype=np.int64), [(numeric.L, numeric.U)], None
+
+
+def btf_solve_plan(numeric, splits: np.ndarray, blocks: BlockFactors,
+                   M: Optional[CSC]) -> BTFSolveSchedule:
     """The compiled BTF solve of ``numeric``, compiled on first use.
 
     The plan is keyed on the factor patterns, ``M``'s pattern and both
@@ -84,12 +108,11 @@ def btf_solve_plan(numeric, blocks: BlockFactors) -> BTFSolveSchedule:
     and so recompiles it.  Lookups count as ``schedule.tri.hit`` /
     ``.miss`` / ``.invalidate``.
     """
-    M = numeric.M
     pats = [None if blk is None else
             (blk[0].indptr, blk[0].indices, blk[1].indptr, blk[1].indices)
             for blk in blocks]
-    splits = numeric.symbolic.block_splits
-    refs = BTFSolveSchedule.pattern_refs(splits, pats, M.indptr, M.indices,
+    m_indptr, m_indices = (None, None) if M is None else (M.indptr, M.indices)
+    refs = BTFSolveSchedule.pattern_refs(splits, pats, m_indptr, m_indices,
                                          numeric.row_perm, numeric.col_perm)
     metrics = get_tracer().metrics
     plan = numeric.solve_plan
@@ -101,7 +124,7 @@ def btf_solve_plan(numeric, blocks: BlockFactors) -> BTFSolveSchedule:
     else:
         metrics.incr("schedule.tri.hit")
     if plan is None:
-        plan = BTFSolveSchedule(splits, pats, M.indptr, M.indices,
+        plan = BTFSolveSchedule(splits, pats, m_indptr, m_indices,
                                 numeric.row_perm, numeric.col_perm)
         numeric.solve_plan = plan
     return plan
@@ -122,22 +145,23 @@ def drop_solve_plan(numeric) -> int:
 
 
 @domains(b="vec[global]", returns="vec[global]")
-def btf_solve(numeric, blocks: BlockFactors, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` by block back-substitution over the BTF.
+def btf_solve(numeric, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve ``A x = b`` (``A.T x = b`` with ``transpose``) by block
+    back-substitution over the BTF.
 
-    ``numeric`` is a KLU or Basker numeric object (``symbolic``, ``M``,
-    ``row_perm``, ``col_perm``, ``solve_plan`` and an optional
-    ``row_scale``); ``blocks[k]`` is block ``k``'s ``(L, U)``, None when
-    the block is empty.  ``b`` is ``(n,)`` or ``(n, k)``.
+    ``numeric`` is a KLU, Basker or supernodal numeric object (its
+    :func:`btf_factors`, ``row_perm``, ``col_perm``, ``solve_plan`` and
+    an optional ``row_scale``).  ``b`` is ``(n,)`` or ``(n, k)``.
     """
     b = np.asarray(b, dtype=np.float64)
-    n = numeric.symbolic.n
+    splits, blocks, M = btf_factors(numeric)
+    n = int(splits[-1])
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise StructureError(
             f"right-hand side has shape {b.shape}, expected ({n},) or ({n}, k)"
         )
     with get_tracer().span("solve.tri"):
-        plan = btf_solve_plan(numeric, blocks)
+        plan = btf_solve_plan(numeric, splits, blocks, M)
         parts = [a for blk in blocks if blk is not None for a in (blk[0].data, blk[1].data)]
-        t_data = plan.values(parts, numeric.M.data)
-        return plan.solve(t_data, b, getattr(numeric, "row_scale", None))
+        t_data = plan.values(parts, None if M is None else M.data)
+        return plan.solve(t_data, b, getattr(numeric, "row_scale", None), transpose)

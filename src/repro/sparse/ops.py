@@ -26,8 +26,6 @@ __all__ = [
     "upper_solve",
     "lower_solve_reference",
     "upper_solve_reference",
-    "unit_lower_solve_T",
-    "upper_solve_T",
     "matmat",
     "scatter_column",
     "spmv_accumulate",
@@ -109,43 +107,6 @@ def upper_solve_reference(U: CSC, b: np.ndarray) -> np.ndarray:
         xj = x[j]
         if xj != 0.0 and k > 0:
             x[rows[:k]] -= vals[:k] * xj
-    return x
-
-
-@domains(L="matrix[S]", b="vec[S]", returns="vec[S]")
-@shapes(L="csc[n,n]", b="f8[n]", returns="f8[n]")
-def unit_lower_solve_T(L: CSC, b: np.ndarray) -> np.ndarray:
-    """Solve ``L.T x = b`` with unit-diagonal lower-triangular L (CSC).
-
-    Columns of L are rows of L.T, so this is a backward sweep of dot
-    products — no transpose materialization needed.
-    """
-    n = L.n_cols
-    x = np.array(b, dtype=np.float64, copy=True)
-    for j in range(n - 1, -1, -1):
-        rows, vals = L.col(j)
-        k = np.searchsorted(rows, j)
-        has_diag = k < rows.size and rows[k] == j
-        start = k + 1 if has_diag else k
-        if start < rows.size:
-            x[j] -= float(vals[start:] @ x[rows[start:]])
-    return x
-
-
-@domains(U="matrix[S]", b="vec[S]", returns="vec[S]")
-@shapes(U="csc[n,n]", b="f8[n]", returns="f8[n]")
-def upper_solve_T(U: CSC, b: np.ndarray) -> np.ndarray:
-    """Solve ``U.T x = b`` with upper-triangular U (CSC), forward sweep."""
-    n = U.n_cols
-    x = np.array(b, dtype=np.float64, copy=True)
-    for j in range(n):
-        rows, vals = U.col(j)
-        k = np.searchsorted(rows, j)
-        if k >= rows.size or rows[k] != j or vals[k] == 0.0:
-            raise ZeroPivotError(f"zero diagonal at column {j}", column=j)
-        if k > 0:
-            x[j] -= float(vals[:k] @ x[rows[:k]])
-        x[j] /= vals[k]
     return x
 
 

@@ -33,8 +33,9 @@ Two compiled objects are produced:
 :class:`BTFSolveSchedule` builds on the first: it rewrites a whole BTF
 block back-substitution (every diagonal block's ``L``/``U`` solves plus
 the off-block coupling) as one triangular system of size ``2n`` and
-levels it with :func:`compile_triangular_schedule`, so KLU and Basker
-solve any number of right-hand sides in one replay.
+levels it with :func:`compile_triangular_schedule`, so KLU, Basker and
+the supernodal solver solve any number of right-hand sides, in either
+direction, in one replay.
 
 :class:`RefactorPlan` builds on the second: the value gathers plus one
 :class:`BlockedRefactorSchedule` over every diagonal block, the single
@@ -71,7 +72,6 @@ __all__ = [
     "TriangularSchedule",
     "compile_triangular_schedule",
     "triangular_schedule",
-    "adopt_solve_schedules",
     "RefactorSchedule",
     "compile_refactor_schedule",
     "BTFSolveSchedule",
@@ -369,17 +369,6 @@ def triangular_schedule(M: CSC, kind: str) -> TriangularSchedule:
         sched = compile_triangular_schedule(M, kind)
         cache[kind] = sched
     return sched
-
-
-def adopt_solve_schedules(src: CSC, dst: CSC) -> None:
-    """Share ``src``'s compiled solve schedules with ``dst``.
-
-    Only valid when both matrices have the same pattern (the caller
-    guarantees it — e.g. a values-only refactorization result).
-    """
-    cache = getattr(src, "_solve_schedules", None)
-    if cache:
-        dst._solve_schedules = dict(cache)
 
 
 # ======================================================================
@@ -863,6 +852,127 @@ class BlockedRefactorSchedule:
 # ======================================================================
 
 
+def _btf_system(splits, block_patterns, m_indptr, m_indices):
+    """Pattern of the ``2n`` system ``T`` of a BTF back-substitution.
+
+    Returns ``(T, gather, ypos, zpos, src_size)``: ``T`` with zero
+    values, ``gather`` mapping its data array into the value source
+    ``[L_0, U_0, L_1, U_1, ..., M, 1, -1]`` of length ``src_size``, and
+    the positions of every ``y`` and ``z`` unknown (see
+    :class:`BTFSolveSchedule`).  ``m_indices`` None means no coupling.
+    """
+    nb = splits.size - 1
+    n = int(splits[-1])
+    if m_indices is None:
+        m_indptr, m_indices = np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    sizes = np.diff(splits)
+    blk = np.repeat(np.arange(nb), sizes)
+    lo, hi = splits[:-1][blk], splits[1:][blk]
+    loc = np.arange(n, dtype=np.int64) - lo
+    ypos = 2 * (n - hi) + loc           # position of y for index g
+    zpos = 2 * (n - lo) - 1 - loc       # position of z for index g
+
+    # Factor entries in global coordinates, with their data indices
+    # in the value source [L_0, U_0, L_1, U_1, ..., M, 1, -1].
+    lcnt, lrow, ucnt, urow = [], [], [], []
+    l_start, l_len, u_start, u_len = [], [], [], []
+    off = 0
+    for k in range(nb):
+        pat = block_patterns[k]
+        if pat is None:
+            if sizes[k]:
+                raise ScheduleCompileError(f"block {k} is nonempty but has no factors")
+            continue
+        Lp, Li, Up, Ui = pat
+        base = int(splits[k])
+        lcnt.append(np.diff(Lp))
+        lrow.append(Li + base)
+        ucnt.append(np.diff(Up))
+        urow.append(Ui + base)
+        l_start.append(off)
+        l_len.append(Li.size)
+        u_start.append(off + Li.size)
+        u_len.append(Ui.size)
+        off += Li.size + Ui.size
+    m_off = off
+    one, neg_one = m_off + m_indices.size, m_off + m_indices.size + 1
+
+    def _cat(parts):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+    def _ranges(starts, lens):
+        return _concat_ranges(np.asarray(starts, dtype=np.int64),
+                              np.asarray(lens, dtype=np.int64))
+
+    lcol = np.repeat(np.arange(n), _cat(lcnt))
+    lrow_g = _cat(lrow)
+    ucol = np.repeat(np.arange(n), _cat(ucnt))
+    urow_g = _cat(urow)
+    mcol = np.repeat(np.arange(n), np.diff(m_indptr))
+    below = np.flatnonzero(lrow_g > lcol)        # L strictly below: y rows
+    upper = np.flatnonzero(urow_g <= ucol)       # U on/above: z rows
+    coupling = np.flatnonzero(m_indices < lo[mcol])  # M above its block
+    n_lb = np.bincount(lcol[below], minlength=n)
+    n_ua = np.bincount(ucol[upper], minlength=n)
+    n_e = np.bincount(mcol[coupling], minlength=n)
+
+    cnt = np.empty(2 * n, dtype=np.int64)
+    cnt[ypos] = n_lb + 2
+    cnt[zpos] = n_ua + n_e
+    tptr = np.zeros(2 * n + 1, dtype=np.int64)
+    np.cumsum(cnt, out=tptr[1:])
+    t_rows = np.empty(int(tptr[-1]), dtype=np.int64)
+    gather = np.empty(int(tptr[-1]), dtype=np.int64)
+
+    def _rank(cols, counts):
+        """Rank of each entry within its column (entries in CSC order)."""
+        start = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        return np.arange(cols.size, dtype=np.int64) - start[cols]
+
+    # y_g's column: unit diagonal, L's below-diagonal entries, -1 at z_g.
+    head = tptr[ypos]
+    t_rows[head] = ypos
+    gather[head] = one
+    cols = lcol[below]
+    dst = tptr[ypos[cols]] + 1 + _rank(cols, n_lb)
+    t_rows[dst] = ypos[lrow_g[below]]
+    gather[dst] = _ranges(l_start, l_len)[below]
+    dst = head + 1 + n_lb
+    t_rows[dst] = zpos
+    gather[dst] = neg_one
+
+    # z_g's column: U's column reversed (z runs descending), then the
+    # coupling entries of M grouped by row block, later blocks first.
+    cols = ucol[upper]
+    dst = tptr[zpos[cols]] + n_ua[cols] - 1 - _rank(cols, n_ua)
+    t_rows[dst] = zpos[urow_g[upper]]
+    gather[dst] = _ranges(u_start, u_len)[upper]
+    cols = mcol[coupling]
+    rows = m_indices[coupling]
+    if coupling.size:
+        new = np.ones(coupling.size, dtype=bool)
+        new[1:] = (cols[1:] != cols[:-1]) | (blk[rows[1:]] != blk[rows[:-1]])
+        g_first = np.flatnonzero(new)
+        gid = np.cumsum(new) - 1
+        g_start = g_first[gid]
+        g_end = np.append(g_first[1:], coupling.size)[gid]
+        c_end = np.cumsum(n_e)[cols]
+        dst = (tptr[zpos[cols]] + n_ua[cols]
+               + (c_end - g_end) + (np.arange(coupling.size) - g_start))
+        t_rows[dst] = ypos[rows]
+        gather[dst] = m_off + coupling
+
+    # Every factorization here stores sorted columns; the level
+    # compiler relies on it, so check rather than trust.
+    first = np.zeros(t_rows.size, dtype=bool)
+    first[tptr[:-1][cnt > 0]] = True
+    if np.any(np.diff(t_rows)[~first[1:]] <= 0):
+        raise ScheduleCompileError("factor columns are not sorted")
+
+    T = CSC(2 * n, 2 * n, tptr, t_rows, np.broadcast_to(0.0, t_rows.shape))
+    return T, gather, ypos, zpos, neg_one + 1
+
+
 class BTFSolveSchedule:
     """The whole BTF block back-substitution as one triangular replay.
 
@@ -889,6 +999,15 @@ class BTFSolveSchedule:
     held: the schedule, the gather, and the right-hand-side and
     solution permutations.
 
+    The transpose ``A.T x = b`` is the transposed system ``T.T w = d``,
+    upper triangular: ``b`` enters at the z positions and the answer
+    leaves from the y positions.  ``T.T`` is levelled on the first
+    transpose solve, from the pattern arrays in :attr:`refs`, and
+    replays ``T``'s values in row-major order (``t_order``).
+
+    A single factor pair with no coupling (the supernodal solver) is a
+    one-block BTF with ``m_indices`` None.
+
     Parameters
     ----------
     splits
@@ -898,7 +1017,8 @@ class BTFSolveSchedule:
         empty block.  Columns must be sorted (every factorization here
         stores them so).
     m_indptr, m_indices
-        Pattern of ``M = A[row_perm][:, col_perm]``.
+        Pattern of ``M = A[row_perm][:, col_perm]``, or None for no
+        coupling.
     row_perm, col_perm
         The factorization's final permutations.
     """
@@ -906,121 +1026,16 @@ class BTFSolveSchedule:
     def __init__(self, splits, block_patterns, m_indptr, m_indices,
                  row_perm, col_perm) -> None:
         splits = np.asarray(splits, dtype=np.int64)
-        nb = splits.size - 1
-        n = int(splits[-1])
-        sizes = np.diff(splits)
-        blk = np.repeat(np.arange(nb), sizes)
-        lo, hi = splits[:-1][blk], splits[1:][blk]
-        loc = np.arange(n, dtype=np.int64) - lo
-        ypos = 2 * (n - hi) + loc           # position of y for index g
-        zpos = 2 * (n - lo) - 1 - loc       # position of z for index g
-
-        # Factor entries in global coordinates, with their data indices
-        # in the value source [L_0, U_0, L_1, U_1, ..., M, 1, -1].
-        lcnt, lrow, ucnt, urow = [], [], [], []
-        l_start, l_len, u_start, u_len = [], [], [], []
-        off = 0
-        for k in range(nb):
-            pat = block_patterns[k]
-            if pat is None:
-                if sizes[k]:
-                    raise ScheduleCompileError(f"block {k} is nonempty but has no factors")
-                continue
-            Lp, Li, Up, Ui = pat
-            base = int(splits[k])
-            lcnt.append(np.diff(Lp))
-            lrow.append(Li + base)
-            ucnt.append(np.diff(Up))
-            urow.append(Ui + base)
-            l_start.append(off)
-            l_len.append(Li.size)
-            u_start.append(off + Li.size)
-            u_len.append(Ui.size)
-            off += Li.size + Ui.size
-        m_off = off
-        one, neg_one = m_off + m_indices.size, m_off + m_indices.size + 1
-
-        def _cat(parts):
-            return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-        def _ranges(starts, lens):
-            return _concat_ranges(np.asarray(starts, dtype=np.int64),
-                                  np.asarray(lens, dtype=np.int64))
-
-        lcol = np.repeat(np.arange(n), _cat(lcnt))
-        lrow_g = _cat(lrow)
-        ucol = np.repeat(np.arange(n), _cat(ucnt))
-        urow_g = _cat(urow)
-        mcol = np.repeat(np.arange(n), np.diff(m_indptr))
-        below = np.flatnonzero(lrow_g > lcol)        # L strictly below: y rows
-        upper = np.flatnonzero(urow_g <= ucol)       # U on/above: z rows
-        coupling = np.flatnonzero(m_indices < lo[mcol])  # M above its block
-        n_lb = np.bincount(lcol[below], minlength=n)
-        n_ua = np.bincount(ucol[upper], minlength=n)
-        n_e = np.bincount(mcol[coupling], minlength=n)
-
-        cnt = np.empty(2 * n, dtype=np.int64)
-        cnt[ypos] = n_lb + 2
-        cnt[zpos] = n_ua + n_e
-        tptr = np.zeros(2 * n + 1, dtype=np.int64)
-        np.cumsum(cnt, out=tptr[1:])
-        t_rows = np.empty(int(tptr[-1]), dtype=np.int64)
-        gather = np.empty(int(tptr[-1]), dtype=np.int64)
-
-        def _rank(cols, counts):
-            """Rank of each entry within its column (entries in CSC order)."""
-            start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            return np.arange(cols.size, dtype=np.int64) - start[cols]
-
-        # y_g's column: unit diagonal, L's below-diagonal entries, -1 at z_g.
-        head = tptr[ypos]
-        t_rows[head] = ypos
-        gather[head] = one
-        cols = lcol[below]
-        dst = tptr[ypos[cols]] + 1 + _rank(cols, n_lb)
-        t_rows[dst] = ypos[lrow_g[below]]
-        gather[dst] = _ranges(l_start, l_len)[below]
-        dst = head + 1 + n_lb
-        t_rows[dst] = zpos
-        gather[dst] = neg_one
-
-        # z_g's column: U's column reversed (z runs descending), then the
-        # coupling entries of M grouped by row block, later blocks first.
-        cols = ucol[upper]
-        dst = tptr[zpos[cols]] + n_ua[cols] - 1 - _rank(cols, n_ua)
-        t_rows[dst] = zpos[urow_g[upper]]
-        gather[dst] = _ranges(u_start, u_len)[upper]
-        cols = mcol[coupling]
-        rows = m_indices[coupling]
-        if coupling.size:
-            new = np.ones(coupling.size, dtype=bool)
-            new[1:] = (cols[1:] != cols[:-1]) | (blk[rows[1:]] != blk[rows[:-1]])
-            g_first = np.flatnonzero(new)
-            gid = np.cumsum(new) - 1
-            g_start = g_first[gid]
-            g_end = np.append(g_first[1:], coupling.size)[gid]
-            c_end = np.cumsum(n_e)[cols]
-            dst = (tptr[zpos[cols]] + n_ua[cols]
-                   + (c_end - g_end) + (np.arange(coupling.size) - g_start))
-            t_rows[dst] = ypos[rows]
-            gather[dst] = m_off + coupling
-
-        # Every factorization here stores sorted columns; the level
-        # compiler relies on it, so check rather than trust.
-        first = np.zeros(t_rows.size, dtype=bool)
-        first[tptr[:-1][cnt > 0]] = True
-        if np.any(np.diff(t_rows)[~first[1:]] <= 0):
-            raise ScheduleCompileError("factor columns are not sorted")
-
-        T = CSC(2 * n, 2 * n, tptr, t_rows, np.broadcast_to(0.0, t_rows.shape))
+        T, self.gather, self.y_pos, zpos, self.src_size = _btf_system(
+            splits, block_patterns, m_indptr, m_indices)
         self.schedule = compile_triangular_schedule(T, "lower")
-        self.n = n
-        self.gather = gather
-        self.src_size = neg_one + 1     # length of the value source
-        self.y_pos = ypos
+        self.n = n = int(splits[-1])
         self.row_perm = row_perm
         self.x_src = np.empty(n, dtype=np.int64)
         self.x_src[np.asarray(col_perm, dtype=np.int64)] = zpos
+        # ``T.T``'s schedule and value order, set by the first transpose.
+        self.t_schedule: Optional[TriangularSchedule] = None
+        self.t_order: Optional[np.ndarray] = None
         # The pattern arrays this plan was compiled for, revalidated by
         # object identity (see :meth:`matches`).
         self.refs = self.pattern_refs(splits, block_patterns, m_indptr, m_indices,
@@ -1030,11 +1045,11 @@ class BTFSolveSchedule:
     @staticmethod
     def pattern_refs(splits, block_patterns, m_indptr, m_indices,
                      row_perm, col_perm) -> list:
-        """The arrays a plan is keyed on, flattened into one list."""
+        """The arrays a plan is keyed on, flattened into one list (None
+        marks an empty block)."""
         refs = [splits, m_indptr, m_indices, row_perm, col_perm]
         for pat in block_patterns:
-            if pat is not None:
-                refs.extend(pat)
+            refs.extend(pat or (None,))
         return refs
 
     def matches(self, refs: list) -> bool:
@@ -1050,32 +1065,66 @@ class BTFSolveSchedule:
         self.refs = refs
         return True
 
-    def values(self, block_values: list, m_data: np.ndarray) -> np.ndarray:
+    def values(self, block_values: list, m_data: Optional[np.ndarray]) -> np.ndarray:
         """``T``'s data array: ``block_values`` lists ``L_k.data,
-        U_k.data`` for every nonempty block in order."""
-        src = np.concatenate(block_values + [m_data, np.array((1.0, -1.0))])
+        U_k.data`` for every nonempty block in order; ``m_data`` is
+        ``M.data``, None without coupling."""
+        coupling = [] if m_data is None else [m_data]
+        src = np.concatenate(block_values + coupling + [np.array((1.0, -1.0))])
         return src[self.gather]
 
     def solve(self, t_data: np.ndarray, b: np.ndarray,
-              row_scale: Optional[np.ndarray] = None) -> np.ndarray:
-        """``x`` with ``A x = b`` for ``b`` of shape ``(n,)`` or ``(n,
-        k)``; ``t_data`` comes from :meth:`values`, ``row_scale`` is the
-        factorization's row equilibration (``M`` factors ``R A``)."""
+              row_scale: Optional[np.ndarray] = None,
+              transpose: bool = False) -> np.ndarray:
+        """``x`` with ``A x = b``, or ``A.T x = b`` with ``transpose``, for
+        ``b`` of shape ``(n,)`` or ``(n, k)``; ``t_data`` comes from
+        :meth:`values`, ``row_scale`` is the factorization's row
+        equilibration (``M`` factors ``R A``)."""
+        d = np.zeros((2 * self.n,) + b.shape[1:], dtype=np.float64)
+        if transpose:
+            if self.t_schedule is None:
+                self._compile_transpose()
+            d[self.x_src] = b
+            w = self._replay(self.t_schedule, t_data[self.t_order], d)
+            x = np.empty(b.shape, dtype=np.float64)
+            x[self.row_perm] = w[self.y_pos]
+            if row_scale is not None:
+                # (R A).T w = b  =>  A.T (R w) = b.
+                x *= row_scale if b.ndim == 1 else row_scale[:, None]
+            return x
         c = b[self.row_perm]
         if row_scale is not None:
             r = row_scale[self.row_perm]
             c = c * (r if b.ndim == 1 else r[:, None])
-        d = np.zeros((2 * self.n,) + b.shape[1:], dtype=np.float64)
         d[self.y_pos] = c
+        return self._replay(self.schedule, t_data, d)[self.x_src]
+
+    def _replay(self, schedule: TriangularSchedule, data: np.ndarray,
+                d: np.ndarray) -> np.ndarray:
         try:
-            u = self.schedule.replay(t_data, d)
+            return schedule.replay(data, d)
         except ZeroPivotError as exc:
             # Only z unknowns have a variable diagonal (U's): report the
             # column of A it belongs to.
             col = int(np.flatnonzero(self.x_src == exc.column)[0])
             raise ZeroPivotError(f"zero U diagonal in the factors of column {col}",
                                  column=col) from exc
-        return u[self.x_src]
+
+    def _compile_transpose(self) -> None:
+        """Level ``T.T`` from the pattern arrays in :attr:`refs`."""
+        splits, m_indptr, m_indices = self.refs[:3]
+        # Blocks are None or four arrays; the comprehension pulls the
+        # other three from the same iterator.
+        rest = iter(self.refs[5:])
+        pats = [None if a is None else (a, next(rest), next(rest), next(rest))
+                for a in rest]
+        T = _btf_system(splits, pats, m_indptr, m_indices)[0]
+        # Numbered in T's CSC order, the entries of T.T carry the
+        # numbers to their row-major places.
+        Tt = CSC(T.n_rows, T.n_cols, T.indptr, T.indices,
+                 np.arange(T.nnz, dtype=np.float64)).transpose()
+        self.t_schedule = compile_triangular_schedule(Tt, "upper")
+        self.t_order = Tt.data.astype(np.int64)
 
 
 # ======================================================================

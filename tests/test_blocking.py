@@ -87,6 +87,16 @@ class TestBlockedParity:
         blk = gp_factor(A, pivot_tol=1.0, dense_plan=forced_plan(A, switch))
         assert_parity(A, blk, ref)
 
+    def test_cancellation_keeps_ledger_parity(self):
+        """U entries that cancel to exactly 0.0 in the dense tail but to
+        ~1e-16 in the reference loop: the flop counts still agree."""
+        rng = np.random.default_rng(1377)
+        A = random_sparse(33, 33, 0.3, rng, ensure_diag=True)
+        ref = gp_factor_reference(A, pivot_tol=1.0)
+        blk = gp_factor(A, pivot_tol=1.0, dense_plan=forced_plan(A, 0))
+        assert np.count_nonzero(blk.U.data == 0.0) > np.count_nonzero(ref.U.data == 0.0)
+        assert_parity(A, blk, ref)
+
     def test_switch_extremes(self):
         rng = np.random.default_rng(3)
         A = random_spd_like(30, 0.2, rng)

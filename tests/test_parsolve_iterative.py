@@ -5,14 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.parsolve import level_schedule, parallel_lower_solve, parallel_upper_solve
+from repro.core.parsolve import parallel_lower_solve, parallel_upper_solve
 from repro.iterative import ILU0Preconditioner, gmres, ilu0
+from repro.matrices import get_matrix
 from repro.parallel import SANDY_BRIDGE
 from repro.solvers import KLU, gp_factor
 from repro.sparse import CSC, solve_residual
 from repro.sparse.ops import lower_solve, upper_solve
+from repro.sparse.schedule import triangular_schedule
 
-from .helpers import random_spd_like
+from .helpers import parallel_solve_reference, random_spd_like
 
 
 def _factors(n, seed, density=0.1):
@@ -22,36 +24,44 @@ def _factors(n, seed, density=0.1):
     return A, lu, rng
 
 
+def _levels(T, kind):
+    """Rows of each level of the compiled solve schedule, in order."""
+    return [lv.cols for lv in triangular_schedule(T, kind).levels]
+
+
 class TestLevelSchedule:
+    """The level sets the parallel solve replays, read from the compiled
+    schedule."""
+
     def test_levels_partition_rows(self):
         _, lu, _ = _factors(40, 0)
-        tl = level_schedule(lu.L, lower=True)
-        allrows = np.concatenate(tl.levels)
+        levels = _levels(lu.L, "lower")
+        allrows = np.concatenate(levels)
         assert sorted(allrows.tolist()) == list(range(40))
 
     def test_level_zero_rows_have_no_deps(self):
         _, lu, _ = _factors(30, 1)
-        tl = level_schedule(lu.L, lower=True)
+        levels = _levels(lu.L, "lower")
         Lt = lu.L.transpose()
-        for i in tl.levels[0]:
+        for i in levels[0]:
             deps, _ = Lt.col(int(i))
             assert np.all(deps >= i)  # only the diagonal
 
     def test_diagonal_matrix_single_level(self):
-        tl = level_schedule(CSC.identity(7), lower=True)
-        assert tl.n_levels == 1
-        assert tl.max_parallelism == 7
+        levels = _levels(CSC.identity(7), "lower")
+        assert len(levels) == 1
+        assert max(lv.size for lv in levels) == 7
 
     def test_dense_lower_chain(self):
         d = np.tril(np.ones((5, 5)))
-        tl = level_schedule(CSC.from_dense(d), lower=True)
-        assert tl.n_levels == 5  # fully sequential
+        levels = _levels(CSC.from_dense(d), "lower")
+        assert len(levels) == 5  # fully sequential
 
     def test_upper_levels_reversed(self):
         d = np.triu(np.ones((4, 4)))
-        tl = level_schedule(CSC.from_dense(d), lower=False)
+        levels = _levels(CSC.from_dense(d), "upper")
         # Row 3 first (level 0), then 2, 1, 0.
-        assert [int(lv[0]) for lv in tl.levels] == [3, 2, 1, 0]
+        assert [int(lv[0]) for lv in levels] == [3, 2, 1, 0]
 
 
 class TestParallelTriangularSolve:
@@ -96,14 +106,41 @@ class TestParallelTriangularSolve:
 
     def test_reused_levels(self):
         _, lu, rng = _factors(30, 6)
-        tl = level_schedule(lu.L, lower=True)
+        sched = triangular_schedule(lu.L, "lower")
         b = rng.standard_normal(30)
-        x1, _ = parallel_lower_solve(lu.L, b, levels=tl)
+        x1, _ = parallel_lower_solve(lu.L, b)
+        assert triangular_schedule(lu.L, "lower") is sched  # levels reused
         assert np.allclose(x1, lower_solve(lu.L, b))
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             parallel_lower_solve(CSC.identity(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("name", ["Power0*+", "Xyce0*", "circuit_4", "memplus"])
+@pytest.mark.parametrize("kind", ["lower", "upper"])
+def test_simulated_schedule_matches_per_row_oracle(name, kind):
+    """The chunk DAG rebuilt on the compiled levels is the per-row
+    scheduler's, task for task, with the same makespan."""
+    A = get_matrix(name)
+    lu = gp_factor(A)
+    T = lu.L if kind == "lower" else lu.U
+    b = np.random.default_rng(14).standard_normal(A.n_rows)
+    for p in (1, 4, 16):
+        if kind == "lower":
+            x, sched = parallel_lower_solve(T, b, n_threads=p, machine=SANDY_BRIDGE)
+        else:
+            x, sched = parallel_upper_solve(T, b, n_threads=p, machine=SANDY_BRIDGE)
+        x_ref, ref = parallel_solve_reference(T, b, kind == "lower", kind == "lower",
+                                              p, SANDY_BRIDGE)
+        assert np.allclose(x, x_ref, rtol=1e-10, atol=1e-12)
+        assert len(sched.tasks) == len(ref.tasks)
+        for t, r in zip(sched.tasks, ref.tasks):
+            assert vars(t.ledger) == vars(r.ledger)
+            assert (t.tid, list(t.deps), t.thread, t.label, t.p2p_syncs) == (
+                r.tid, list(r.deps), r.thread, r.label, r.p2p_syncs)
+            assert (list(t.reads), list(t.writes)) == (list(r.reads), list(r.writes))
+        assert sched.makespan == ref.makespan
 
 
 class TestILU0:

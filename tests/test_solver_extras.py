@@ -129,6 +129,25 @@ class TestDiagnostics:
         num = klu.factor(A)
         assert rgrowth(A, num) < 0.7
 
+    @pytest.mark.parametrize("scale", [None, "max", "sum"])
+    def test_rgrowth_measures_the_equilibrated_matrix(self, scale):
+        """With row scaling U factors R A, so growth is measured against
+        R A: a tiny but exactly factored first row is no growth."""
+        from repro.interface import DirectSolver
+
+        d = np.diag([1e-14, 1.0, 2.0, 3.0])
+        d[1, 0] = 5e-15
+        d[3, 2] = 0.1
+        A = CSC.from_dense(d)
+        x = np.arange(1.0, 5.0)
+        b = A.matvec(x)
+        ds = DirectSolver("klu", scale=scale)
+        ds.numeric_factorization(A)
+        rep = ds.health_report(A, ds.solve(b), b)
+        assert rep.backward_error < 1e-15
+        assert rep.rgrowth == pytest.approx(1.0)
+        assert rep.ok, rep.to_dict()
+
     def test_condest_tracks_true_condition(self):
         rng = np.random.default_rng(7)
         A = grid2d(8, rng)

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sparse import CSC, matmat
-from repro.sparse.ops import (
-    lower_solve,
-    unit_lower_solve_T,
-    upper_solve,
-    upper_solve_T,
-)
+from repro.sparse.ops import lower_solve, upper_solve
 
 from .helpers import random_sparse
 
@@ -59,14 +54,6 @@ class TestTriangularSolves:
         U = CSC.from_dense(np.array([[1.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ZeroDivisionError):
             upper_solve(U, np.ones(2))
-
-    def test_transposed_solves(self):
-        rng = np.random.default_rng(3)
-        L, dl = _random_unit_lower(9, rng)
-        U, du = _random_upper(9, rng)
-        b = rng.standard_normal(9)
-        assert np.allclose(unit_lower_solve_T(L, b), np.linalg.solve(dl.T, b))
-        assert np.allclose(upper_solve_T(U, b), np.linalg.solve(du.T, b))
 
 
 class TestMatmat:

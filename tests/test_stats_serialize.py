@@ -5,7 +5,7 @@ import pytest
 
 from repro.matrices import add_semi_dense_columns, grid2d, ladder_circuit, reduced_system
 from repro.solvers import KLU
-from repro.solvers.extras import _blocked_view
+from repro.solvers.triangular import btf_factors
 from repro.sparse import CSC, solve_residual
 from repro.sparse.serialize import load_csc, load_factors, save_csc, save_factors
 from repro.sparse.stats import degree_stats, matrix_stats, structural_symmetry
@@ -74,7 +74,8 @@ class TestSerializeFactors:
         A = reduced_system(12, rng=rng)
         klu = KLU()
         num = klu.factor(A)
-        splits, blocks, M, rp, cp = _blocked_view(num)
+        splits, blocks, M = btf_factors(num)
+        rp, cp = num.row_perm, num.col_perm
         p = tmp_path / "factors.npz"
         save_factors(p, blocks, rp, cp, splits)
 
