@@ -4,7 +4,6 @@ from .basker import Basker, BaskerNumeric
 from .numeric import (
     NDNumericBlock,
     TaskBuilder,
-    block_reduce,
     factor_nd_block,
     lower_offdiag_solve,
     upper_offdiag_solve,
@@ -26,7 +25,6 @@ __all__ = [
     "factor_nd_block",
     "lower_offdiag_solve",
     "upper_offdiag_solve",
-    "block_reduce",
     "parallel_lower_solve",
     "parallel_upper_solve",
 ]

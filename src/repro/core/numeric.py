@@ -32,6 +32,7 @@ performance model.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -41,12 +42,14 @@ import numpy as np
 # effects: emitter builder em
 
 from ..contracts import domains, effects
-from ..graph.dfs import ReachWorkspace, topo_reach
+from ..errors import StructureError, ZeroPivotError
+from ..graph.dfs import ReachGraph
 from ..obs.tracer import NULL_TRACER, tracing
 from ..parallel.ledger import CostLedger
 from ..parallel.sim import SimTask
 from ..sparse.blocks import BlockMatrix
 from ..sparse.csc import CSC
+from ..sparse.ops import matmat
 from .structure import NDBlockPlan
 from ..solvers.dense import DENSE_SEPARATOR_THRESHOLD, dense_lu_factor
 from ..solvers.gp import GPResult, gp_factor
@@ -56,7 +59,6 @@ __all__ = [
     "NDNumericBlock",
     "lower_offdiag_solve",
     "upper_offdiag_solve",
-    "block_reduce",
     "factor_nd_block",
 ]
 
@@ -244,112 +246,133 @@ def lower_offdiag_solve(A_ki: CSC, U_ii: CSC, ledger: CostLedger) -> CSC:
     Column sweep: ``X(:,c) = (A(:,c) − Σ_{t<c, U(t,c)≠0} X(:,t) U(t,c))
     / U(c,c)``.  This is the "nonzero pattern discovered by parallel
     sparse matrix-vector multiplication" step of the leaf phase
-    (Algorithm 4, line 5).
+    (Algorithm 4, line 5).  Column ``c`` needs the finished columns
+    ``t < c``, so the sweep stays sequential; it runs over Python lists
+    (one ``tolist`` per operand array).
     """
     m, n = A_ki.shape
-    if U_ii.n_cols != n:
-        raise ValueError("dimension mismatch")
-    work = np.zeros(m, dtype=np.float64)
-    mark = np.full(m, -1, dtype=np.int64)
-    xcols_rows: List[np.ndarray] = []
-    xcols_vals: List[np.ndarray] = []
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    if U_ii.shape != (n, n):
+        raise StructureError(
+            f"lower off-diagonal solve: A is {m}x{n} but U is "
+            f"{U_ii.n_rows}x{U_ii.n_cols}"
+        )
+    Ap, Ai, Ax = A_ki.indptr.tolist(), A_ki.indices.tolist(), A_ki.data.tolist()
+    Up, Ui, Ux = U_ii.indptr.tolist(), U_ii.indices.tolist(), U_ii.data.tolist()
+    work = [0.0] * m
+    mark = [-1] * m
+    xrows: List[List[int]] = []
+    xvals: List[List[float]] = []
+    flops = 0
     for c in range(n):
-        stamp = c
-        pattern: List[int] = []
-        arows, avals = A_ki.col(c)
-        for t in range(arows.size):
-            i = int(arows[t])
-            mark[i] = stamp
-            work[i] = avals[t]
-            pattern.append(i)
-        urows, uvals = U_ii.col(c)
+        pattern = Ai[Ap[c]:Ap[c + 1]]
+        for p in range(Ap[c], Ap[c + 1]):
+            mark[Ai[p]] = c
+            work[Ai[p]] = Ax[p]
         udiag = 0.0
-        for t in range(urows.size):
-            tt = int(urows[t])
-            if tt == c:
-                udiag = uvals[t]
+        for p in range(Up[c], Up[c + 1]):
+            t = Ui[p]
+            if t >= c:
+                if t == c:
+                    udiag = Ux[p]
                 continue
-            if tt > c:
-                continue
-            uv = uvals[t]
-            xr = xcols_rows[tt]
-            xv = xcols_vals[tt]
-            ledger.sparse_flops += xr.size
-            for s in range(xr.size):
-                i = int(xr[s])
-                if mark[i] != stamp:
-                    mark[i] = stamp
+            uv = Ux[p]
+            xr = xrows[t]
+            flops += len(xr)
+            for i, xv in zip(xr, xvals[t]):
+                if mark[i] != c:
+                    mark[i] = c
                     work[i] = 0.0
                     pattern.append(i)
-                work[i] -= xv[s] * uv
+                work[i] -= xv * uv
         if pattern and udiag == 0.0:
-            raise ZeroDivisionError(f"zero diagonal U({c},{c}) in lower off-diagonal solve")
+            raise ZeroPivotError(
+                f"zero diagonal U({c},{c}) in lower off-diagonal solve", column=c
+            )
         pattern.sort()
-        pr = np.asarray(pattern, dtype=np.int64)
-        pv = work[pr] / udiag if pattern else np.empty(0, dtype=np.float64)
-        ledger.sparse_flops += pr.size
-        xcols_rows.append(pr)
-        xcols_vals.append(pv)
-        indptr[c + 1] = indptr[c] + pr.size
-        if pr.size:
-            ledger.columns += 1
-    indices = np.concatenate(xcols_rows) if xcols_rows else np.empty(0, dtype=np.int64)
-    data = np.concatenate(xcols_vals) if xcols_vals else np.empty(0, dtype=np.float64)
-    ledger.mem_words += indices.size
-    return CSC(m, n, indptr, indices, data)
+        xrows.append(pattern)
+        xvals.append([work[i] / udiag for i in pattern])
+        flops += len(pattern)
+    return _from_columns(m, xrows, xvals, ledger, flops)
 
 
 @domains(L_ii="matrix[local:block]", A_ij="matrix[local:block]",
          returns="matrix[local:block]")
-@effects(mutates=("ws", "ledger"))
+@effects(mutates=("graph", "ledger"))
 def upper_offdiag_solve(
-    L_ii: CSC, A_ij: CSC, ws: ReachWorkspace, ledger: CostLedger
+    L_ii: CSC, A_ij: CSC, graph: ReachGraph, ledger: CostLedger
 ) -> CSC:
     """Solve ``L_ii @ X = A_ij`` (rows of A already in pivoted order).
 
     Per-column Gilbert–Peierls backsolve: reach DFS over the completed
     ``L_ii`` graph for the pattern, then the sparse triangular solve in
-    topological order (Algorithm 4, lines 14/20).
+    topological order (Algorithm 4, lines 14/20).  ``graph`` is
+    ``ReachGraph.from_csc(L_ii)``, built once per ND node (its stamps
+    and reach buffer are scratch); the numeric sweep runs over Python
+    lists.
     """
     n_i = L_ii.n_cols
     m, n = A_ij.shape
-    if m != n_i:
-        raise ValueError("dimension mismatch")
-    x = np.zeros(n_i, dtype=np.float64)
-    out_rows: List[np.ndarray] = []
-    out_vals: List[np.ndarray] = []
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    xi = ws.xi
+    if L_ii.n_rows != n_i or m != n_i or len(graph.cols) != n_i:
+        raise StructureError(
+            f"upper off-diagonal solve: L is {L_ii.n_rows}x{n_i} with a "
+            f"{len(graph.cols)}-column reach graph but A has {m} rows"
+        )
+    Ap, Ai, Ax = A_ij.indptr.tolist(), A_ij.indices.tolist(), A_ij.data.tolist()
+    Lp, Lx = L_ii.indptr.tolist(), L_ii.data.tolist()
+    cols, xi = graph.cols, graph.xi
+    ident = range(n_i)  # L_ii is fully built: every row is its own pivot
+    x = [0.0] * n_i
+    out_rows: List[List[int]] = []
+    out_vals: List[List[float]] = []
+    flops = steps_total = 0
     for c in range(n):
-        arows, avals = A_ij.col(c)
-        if arows.size == 0:
-            indptr[c + 1] = indptr[c]
+        lo, hi = Ap[c], Ap[c + 1]
+        if lo == hi:
+            out_rows.append([])
+            out_vals.append([])
             continue
-        ws.next_stamp()
-        top, steps = topo_reach(L_ii.indptr, L_ii.indices, arows, None, ws)
-        ledger.dfs_steps += steps + arows.size
+        arows = Ai[lo:hi]
+        graph.next_stamp()
+        top, steps = graph.reach(arows, ident)
+        steps_total += steps + hi - lo
         pat = xi[top:n_i]
-        x[pat] = 0.0
-        x[arows] = avals
-        for t in range(top, n_i):
-            j = int(xi[t])
+        for j in pat:
+            x[j] = 0.0
+        for p in range(lo, hi):
+            x[Ai[p]] = Ax[p]
+        for j in pat:
             xj = x[j]
             if xj == 0.0:
                 continue
-            lo, hi = int(L_ii.indptr[j]), int(L_ii.indptr[j + 1])
-            rows_view = L_ii.indices[lo + 1 : hi]  # first entry is the unit pivot
-            x[rows_view] -= L_ii.data[lo + 1 : hi] * xj
-            ledger.sparse_flops += hi - lo - 1
-        pat_sorted = np.sort(pat)
-        out_rows.append(pat_sorted.copy())
-        out_vals.append(x[pat_sorted].copy())
-        indptr[c + 1] = indptr[c] + pat_sorted.size
-        ledger.columns += 1
-    indices = np.concatenate(out_rows) if out_rows else np.empty(0, dtype=np.int64)
-    data = np.concatenate(out_vals) if out_vals else np.empty(0, dtype=np.float64)
-    ledger.mem_words += indices.size
-    return CSC(n_i, n, indptr, indices, data)
+            rows = cols[j]  # first entry is the unit pivot
+            base = Lp[j]
+            for q in range(1, len(rows)):
+                x[rows[q]] -= Lx[base + q] * xj
+            flops += len(rows) - 1
+        pat.sort()
+        out_rows.append(pat)
+        out_vals.append([x[i] for i in pat])
+    ledger.dfs_steps += steps_total
+    return _from_columns(n_i, out_rows, out_vals, ledger, flops)
+
+
+def _from_columns(
+    m: int, rows: List[List[int]], vals: List[List[float]],
+    ledger: CostLedger, flops: int,
+) -> CSC:
+    """Assemble an off-diagonal solve's output columns and book its
+    ledger: the flops, one column per nonempty output column and one
+    word per stored entry."""
+    counts = [len(r) for r in rows]
+    nnz = sum(counts)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=nnz)
+    data = np.fromiter(itertools.chain.from_iterable(vals), dtype=np.float64, count=nnz)
+    ledger.sparse_flops += flops
+    ledger.columns += sum(1 for k in counts if k)
+    ledger.mem_words += nnz
+    return CSC(m, len(rows), indptr, indices, data)
 
 
 @domains(L_ms="matrix[local:block]", U_sj="matrix[local:block]",
@@ -360,43 +383,20 @@ def sparse_product(L_ms: CSC, U_sj: CSC, ledger: CostLedger) -> CSC:
 
     One contributing thread's share of a reduction: the "multiple
     parallel sparse matrix-vector multiplication" phase of Figure 4(d).
+    An exactly zero ``U`` entry contributes neither terms nor flops;
+    the rest is :func:`~repro.sparse.ops.matmat`.
     """
-    m = L_ms.n_rows
-    n = U_sj.n_cols
-    work = np.zeros(m, dtype=np.float64)
-    mark = np.full(m, -1, dtype=np.int64)
-    out_rows: List[np.ndarray] = []
-    out_vals: List[np.ndarray] = []
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for c in range(n):
-        stamp = c
-        pattern: List[int] = []
-        urows, uvals = U_sj.col(c)
-        for t in range(urows.size):
-            k = int(urows[t])
-            uv = uvals[t]
-            if uv == 0.0:
-                continue
-            lo, hi = int(L_ms.indptr[k]), int(L_ms.indptr[k + 1])
-            ledger.sparse_flops += hi - lo
-            for s in range(lo, hi):
-                i = int(L_ms.indices[s])
-                if mark[i] != stamp:
-                    mark[i] = stamp
-                    work[i] = 0.0
-                    pattern.append(i)
-                work[i] += L_ms.data[s] * uv
-        pattern.sort()
-        pr = np.asarray(pattern, dtype=np.int64)
-        out_rows.append(pr)
-        out_vals.append(work[pr].copy())
-        indptr[c + 1] = indptr[c] + pr.size
-        if pr.size:
-            ledger.columns += 1
-    indices = np.concatenate(out_rows) if out_rows else np.empty(0, dtype=np.int64)
-    data = np.concatenate(out_vals) if out_vals else np.empty(0, dtype=np.float64)
-    ledger.mem_words += indices.size
-    return CSC(m, n, indptr, indices, data)
+    keep = U_sj.data != 0.0
+    if not keep.all():
+        kept = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        U_sj = CSC(U_sj.n_rows, U_sj.n_cols, kept[U_sj.indptr],
+                   U_sj.indices[keep], U_sj.data[keep])
+    P = matmat(L_ms, U_sj)
+    ledger.sparse_flops += int(np.diff(L_ms.indptr)[U_sj.indices].sum())
+    ledger.columns += int(np.count_nonzero(np.diff(P.indptr)))
+    ledger.mem_words += P.nnz
+    return P
 
 
 @domains(A_mj="matrix[local:block]", returns="matrix[local:block]")
@@ -406,98 +406,32 @@ def subtract_products(A_mj: CSC, prods: List[CSC], ledger: CostLedger) -> CSC:
 
     Pure scatter-add traffic (no multiplies) — cheap relative to the
     product phase, which is why distributing the products pays off.
+    Each entry is ``((A − P₁) − P₂) − …`` in product order: the union
+    pattern is keyed by (column, row), ``A`` seeds its entries and
+    ``np.subtract.at`` applies the products' entries in input order.
     """
     m, n = A_mj.shape
-    work = np.zeros(m, dtype=np.float64)
-    mark = np.full(m, -1, dtype=np.int64)
-    out_rows: List[np.ndarray] = []
-    out_vals: List[np.ndarray] = []
+    for P in prods:
+        if P.shape != (m, n):
+            raise StructureError(
+                f"reduction combine: a {P.n_rows}x{P.n_cols} product "
+                f"against a {m}x{n} block"
+            )
+    ledger.mem_words += sum(P.nnz for P in prods)
+    if not prods:
+        return A_mj.copy()
+    mats = [A_mj] + list(prods)
+    keys = np.concatenate([
+        np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr)) * m + M.indices
+        for M in mats
+    ])
+    uk, inv = np.unique(keys, return_inverse=True)
+    data = np.zeros(uk.size, dtype=np.float64)
+    data[inv[:A_mj.nnz]] = A_mj.data
+    np.subtract.at(data, inv[A_mj.nnz:], np.concatenate([P.data for P in prods]))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    for c in range(n):
-        stamp = c
-        pattern: List[int] = []
-        arows, avals = A_mj.col(c)
-        for t in range(arows.size):
-            i = int(arows[t])
-            mark[i] = stamp
-            work[i] = avals[t]
-            pattern.append(i)
-        for P in prods:
-            prows, pvals = P.col(c)
-            ledger.mem_words += prows.size
-            for t in range(prows.size):
-                i = int(prows[t])
-                if mark[i] != stamp:
-                    mark[i] = stamp
-                    work[i] = 0.0
-                    pattern.append(i)
-                work[i] -= pvals[t]
-        pattern.sort()
-        pr = np.asarray(pattern, dtype=np.int64)
-        out_rows.append(pr)
-        out_vals.append(work[pr].copy())
-        indptr[c + 1] = indptr[c] + pr.size
-    indices = np.concatenate(out_rows) if out_rows else np.empty(0, dtype=np.int64)
-    data = np.concatenate(out_vals) if out_vals else np.empty(0, dtype=np.float64)
-    return CSC(m, n, indptr, indices, data)
-
-
-@domains(A_mj="matrix[local:block]", returns="matrix[local:block]")
-@effects(mutates=("ledger",))
-def block_reduce(
-    A_mj: CSC,
-    contribs: List[Tuple[CSC, CSC]],
-    ledger: CostLedger,
-) -> CSC:
-    """``Â_mj = A_mj − Σ_s L_ms @ U_sj`` (Algorithm 4, lines 18/24).
-
-    ``contribs`` pairs each lower block ``L_ms`` with the matching
-    column-of-U block ``U_sj``.  Column-wise sparse accumulation — the
-    "multiple parallel sparse matrix-vector multiplication" phase of
-    the reduction.
-    """
-    m, n = A_mj.shape
-    work = np.zeros(m, dtype=np.float64)
-    mark = np.full(m, -1, dtype=np.int64)
-    out_rows: List[np.ndarray] = []
-    out_vals: List[np.ndarray] = []
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for c in range(n):
-        stamp = c
-        pattern: List[int] = []
-        arows, avals = A_mj.col(c)
-        for t in range(arows.size):
-            i = int(arows[t])
-            mark[i] = stamp
-            work[i] = avals[t]
-            pattern.append(i)
-        for L_ms, U_sj in contribs:
-            urows, uvals = U_sj.col(c)
-            for t in range(urows.size):
-                k = int(urows[t])
-                uv = uvals[t]
-                if uv == 0.0:
-                    continue
-                lo, hi = int(L_ms.indptr[k]), int(L_ms.indptr[k + 1])
-                ledger.sparse_flops += hi - lo
-                for s in range(lo, hi):
-                    i = int(L_ms.indices[s])
-                    if mark[i] != stamp:
-                        mark[i] = stamp
-                        work[i] = 0.0
-                        pattern.append(i)
-                    work[i] -= L_ms.data[s] * uv
-        pattern.sort()
-        pr = np.asarray(pattern, dtype=np.int64)
-        out_rows.append(pr)
-        out_vals.append(work[pr].copy())
-        indptr[c + 1] = indptr[c] + pr.size
-        if pr.size:
-            ledger.columns += 1
-    indices = np.concatenate(out_rows) if out_rows else np.empty(0, dtype=np.int64)
-    data = np.concatenate(out_vals) if out_vals else np.empty(0, dtype=np.float64)
-    ledger.mem_words += indices.size
-    return CSC(m, n, indptr, indices, data)
+    np.cumsum(np.bincount(uk // m, minlength=n), out=indptr[1:])
+    return CSC(m, n, indptr, uk % m, data)
 
 
 # ----------------------------------------------------------------------
@@ -581,12 +515,14 @@ def factor_nd_block(
     Ub: Dict[Tuple[int, int], CSC] = {}
     node_piv: Dict[int, np.ndarray] = {}
     total = CostLedger()
-    ws_cache: Dict[int, ReachWorkspace] = {}
+    graphs: Dict[int, ReachGraph] = {}
 
-    def reach_ws(node: int) -> ReachWorkspace:
-        if node not in ws_cache:
-            ws_cache[node] = ReachWorkspace(sizes[node])
-        return ws_cache[node]
+    def reach_graph(node: int) -> ReachGraph:
+        # L_{node,node} is final once built: later pivots permute only
+        # the off-diagonal L blocks of their own block row.
+        if node not in graphs:
+            graphs[node] = ReachGraph.from_csc(Lb[(node, node)])
+        return graphs[node]
 
     def subtree_of(j: int) -> List[int]:
         return [s for s in range(part.n_nodes) if j in part.ancestors(s)]
@@ -659,7 +595,7 @@ def factor_nd_block(
             if A[(i, j)].nnz == 0:
                 continue
             led = CostLedger()
-            Uij = upper_offdiag_solve(Lb[(i, i)], A[(i, j)], reach_ws(i), led)
+            Uij = upper_offdiag_solve(Lb[(i, i)], A[(i, j)], reach_graph(i), led)
             if Uij.nnz:
                 Ub[(i, j)] = Uij
             total.add(led)
@@ -754,7 +690,7 @@ def factor_nd_block(
             if Ahat.nnz == 0:
                 continue
             led2 = CostLedger()
-            Umj = upper_offdiag_solve(Lb[(m, m)], Ahat, reach_ws(m), led2)
+            Umj = upper_offdiag_solve(Lb[(m, m)], Ahat, reach_graph(m), led2)
             if Umj.nnz:
                 Ub[(m, j)] = Umj
             total.add(led2)

@@ -173,7 +173,8 @@ class ReachGraph:
 
         Returns ``(top, steps)``; the reach is ``self.xi[top:]`` in
         topological order — same contract as :func:`topo_reach`.
-        ``pinv`` must be a Python list (``pinv[i] < 0`` = not pivotal).
+        ``pinv`` must be a Python list (``pinv[i] < 0`` = not pivotal),
+        or ``range(n)`` for a fully built L.
         """
         mark, xi, cols = self.mark, self.xi, self.cols
         sv, sa, sc = self._sv, self._sa, self._sc

@@ -269,30 +269,18 @@ class CSC:
         """Extract the contiguous block ``A[r0:r1, c0:c1]``.
 
         Contiguous extraction is the common case in Basker: after the
-        BTF/ND reorderings every 2-D block is an index range.
+        BTF/ND reorderings every 2-D block is an index range.  The column
+        range is one slice; its rows are masked to ``[r0, r1)``.
         """
         if not (0 <= r0 <= r1 <= self.n_rows and 0 <= c0 <= c1 <= self.n_cols):
             raise StructureError("block bounds out of range")
-        ncols = c1 - c0
-        indptr = np.zeros(ncols + 1, dtype=np.int64)
-        chunks_idx = []
-        chunks_val = []
-        for j in range(c0, c1):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            rows = self.indices[lo:hi]
-            a = np.searchsorted(rows, r0)
-            b = np.searchsorted(rows, r1)
-            indptr[j - c0 + 1] = indptr[j - c0] + (b - a)
-            if b > a:
-                chunks_idx.append(rows[a:b] - r0)
-                chunks_val.append(self.data[lo + a : lo + b])
-        if chunks_idx:
-            indices = np.concatenate(chunks_idx)
-            data = np.concatenate(chunks_val)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            data = np.empty(0, dtype=np.float64)
-        return CSC(r1 - r0, ncols, indptr, indices, data)
+        lo, hi = int(self.indptr[c0]), int(self.indptr[c1])
+        rows = self.indices[lo:hi]
+        keep = (rows >= r0) & (rows < r1)
+        kept = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        return CSC(r1 - r0, c1 - c0, kept[self.indptr[c0:c1 + 1] - lo],
+                   rows[keep] - r0, self.data[lo:hi][keep])
 
     @domains(rows="index[R]", cols="index[C]", returns="matrix[local:block]")
     @shapes(self="csc[r,c]", rows="i8[p] unique < r", cols="i8[q] < c", returns="csc[p,q]")

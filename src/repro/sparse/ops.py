@@ -1,8 +1,8 @@
 """Sparse kernels operating on :class:`~repro.sparse.csc.CSC` matrices.
 
 These are the numeric building blocks shared by every solver in the
-package: dense-RHS triangular solves, sparse matrix-matrix products, and
-the scatter/gather column operations used by the blocked factorization.
+package: dense-RHS triangular solves and the sparse matrix-matrix
+product (which Basker's reduction kernels also run on).
 
 The dense-RHS triangular solves execute level-by-level through a
 compiled :class:`~repro.sparse.schedule.TriangularSchedule` (cached on
@@ -27,8 +27,6 @@ __all__ = [
     "lower_solve_reference",
     "upper_solve_reference",
     "matmat",
-    "scatter_column",
-    "spmv_accumulate",
 ]
 
 
@@ -110,96 +108,59 @@ def upper_solve_reference(U: CSC, b: np.ndarray) -> np.ndarray:
     return x
 
 
+# Most product terms one pass of :func:`matmat` expands: longer products
+# run in chunks of B's entries, carrying the partial sums of a column
+# that straddles two chunks.  Bounds the kernel's scratch memory.
+_EXPAND_CAP = 1 << 16
+
+
 @shapes(A="csc[m,k]", B="csc[k,p]", returns="csc[m,p]")
 def matmat(A: CSC, B: CSC) -> CSC:
-    """Sparse product ``A @ B`` using a dense accumulator per column."""
+    """Sparse product ``A @ B``, bit-identical to a dense-accumulator
+    column loop.
+
+    The terms ``A(i,k) B(k,j)`` are expanded in that loop's order (B's
+    columns, then each column's entries, then column ``k`` of A top to
+    bottom), keyed by (column, row), and summed per key by
+    ``np.bincount``, which adds its weights in input order starting
+    from 0.0 — the loop's own sums.  A pass expands at most
+    ``_EXPAND_CAP`` terms (one column of A is never split); the open
+    column's partial sums lead the next pass's terms, and ``0.0 + s ==
+    s`` because a bincount sum is never -0.0.  Every term is kept, so
+    cancellation leaves a stored 0.0.
+    """
     if A.n_cols != B.n_rows:
         raise StructureError("dimension mismatch")
-    acc = np.zeros(A.n_rows, dtype=np.float64)
-    mark = np.full(A.n_rows, -1, dtype=np.int64)
-    indptr = np.zeros(B.n_cols + 1, dtype=np.int64)
-    out_rows, out_vals = [], []
-    for j in range(B.n_cols):
-        brows, bvals = B.col(j)
-        pattern = []
-        for t in range(brows.size):
-            k = brows[t]
-            bv = bvals[t]
-            arows, avals = A.col(int(k))
-            for s in range(arows.size):
-                i = int(arows[s])
-                if mark[i] != j:
-                    mark[i] = j
-                    acc[i] = 0.0
-                    pattern.append(i)
-                acc[i] += avals[s] * bv
-        pattern.sort()
-        indptr[j + 1] = indptr[j] + len(pattern)
-        if pattern:
-            p = np.asarray(pattern, dtype=np.int64)
-            out_rows.append(p)
-            out_vals.append(acc[p].copy())
-    if out_rows:
-        indices = np.concatenate(out_rows)
-        data = np.concatenate(out_vals)
-    else:
-        indices = np.empty(0, dtype=np.int64)
-        data = np.empty(0, dtype=np.float64)
-    return CSC(A.n_rows, B.n_cols, indptr, indices, data)
-
-
-@shapes(A="csc[r,c]", j="scalar < cols(A)", work="f8[r]", mark="i8[r]")
-def scatter_column(
-    A: CSC, j: int, work: np.ndarray, mark: np.ndarray, stamp: int, pattern: list
-) -> None:
-    """Scatter column ``j`` of A into the dense work vector.
-
-    ``mark[i] == stamp`` records that row ``i`` is already in
-    ``pattern``; new rows are appended.  This is the standard sparse
-    accumulator idiom used throughout the numeric kernels.
-    """
-    rows, vals = A.col(j)
-    for t in range(rows.size):
-        i = int(rows[t])
-        if mark[i] != stamp:
-            mark[i] = stamp
-            work[i] = vals[t]
-            pattern.append(i)
-        else:
-            work[i] += vals[t]
-
-
-@shapes(A="csc[r,c]", xrows="i8[k] < cols(A)", xvals="f8[k]",
-        work="f8[r]", mark="i8[r]")
-def spmv_accumulate(
-    A: CSC,
-    xrows: np.ndarray,
-    xvals: np.ndarray,
-    work: np.ndarray,
-    mark: np.ndarray,
-    stamp: int,
-    pattern: list,
-    sign: float = -1.0,
-) -> int:
-    """Accumulate ``work += sign * A @ x`` for a sparse x.
-
-    ``x`` is given by parallel arrays (row indices into A's column
-    space, values).  Returns the number of multiply-add operations,
-    which callers feed into their cost ledgers.
-    """
-    ops = 0
-    for t in range(xrows.size):
-        k = int(xrows[t])
-        xv = xvals[t] * sign
-        if xv == 0.0:
-            continue
-        arows, avals = A.col(k)
-        ops += arows.size
-        for s in range(arows.size):
-            i = int(arows[s])
-            if mark[i] != stamp:
-                mark[i] = stamp
-                work[i] = 0.0
-                pattern.append(i)
-            work[i] += avals[s] * xv
-    return ops
+    m, p = A.n_rows, B.n_cols
+    Ap, Ai, Ax = A.indptr, A.indices, A.data
+    Bi, Bx = B.indices, B.data
+    lens = np.diff(Ap)[Bi]  # terms expanded from each entry of B
+    ends = np.cumsum(lens)
+    if not ends.size or ends[-1] == 0:
+        return CSC.empty(m, p)
+    bcol = np.repeat(np.arange(p, dtype=np.int64), np.diff(B.indptr))
+    keys_out, sums_out = [], []
+    carry_k = np.empty(0, dtype=np.int64)
+    carry_s = np.empty(0, dtype=np.float64)
+    e0 = 0
+    while e0 < Bi.size:
+        t0 = int(ends[e0] - lens[e0])
+        e1 = max(e0 + 1, int(np.searchsorted(ends, t0 + _EXPAND_CAP, side="right")))
+        ln = lens[e0:e1]
+        src = np.repeat(np.arange(e0, e1, dtype=np.int64), ln)
+        pos = np.arange(int(ends[e1 - 1]) - t0, dtype=np.int64)
+        pos += np.repeat(Ap[Bi[e0:e1]] - (ends[e0:e1] - ln - t0), ln)
+        keys = np.concatenate((carry_k, bcol[src] * m + Ai[pos]))
+        terms = np.concatenate((carry_s, Ax[pos] * Bx[src]))
+        uk, inv = np.unique(keys, return_inverse=True)
+        sums = np.bincount(inv, weights=terms, minlength=uk.size)
+        # The column of the next entry is still open: carry it.
+        cut = uk.size if e1 == Bi.size else int(np.searchsorted(uk, bcol[e1] * m))
+        carry_k, carry_s = uk[cut:], sums[cut:]
+        keys_out.append(uk[:cut])
+        sums_out.append(sums[:cut])
+        e0 = e1
+    keys = np.concatenate(keys_out)
+    indptr = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // m, minlength=p), out=indptr[1:])
+    return CSC(m, p, indptr, keys % m, np.concatenate(sums_out))

@@ -6,9 +6,14 @@ from-scratch kernels in :mod:`repro`.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 import scipy.sparse as sp
 
+from repro.errors import StructureError
+from repro.graph.dfs import ReachWorkspace, topo_reach
+from repro.parallel.ledger import CostLedger
 from repro.sparse import CSC
 
 
@@ -299,3 +304,273 @@ def basker_refactor_reference(A: CSC, numeric):
         row_perm=numeric.row_perm, col_perm=sym.col_perm, M=M,
         tasks=[], task_labels={}, ledger=total, overhead_ledger=total.copy(),
     )
+
+
+# ----------------------------------------------------------------------
+# Oracles for the vectorized kernels: the per-element loops they
+# replaced, kept verbatim.  The kernels must reproduce them bit for bit
+# (values, patterns and ledgers); see tests/test_nd_kernels.py.
+# ----------------------------------------------------------------------
+
+
+def lower_offdiag_solve_reference(A_ki: CSC, U_ii: CSC, ledger: CostLedger) -> CSC:
+    """Solve ``X @ U_ii = A_ki`` for the lower off-diagonal block.
+
+    Column sweep: ``X(:,c) = (A(:,c) − Σ_{t<c, U(t,c)≠0} X(:,t) U(t,c))
+    / U(c,c)``.  This is the "nonzero pattern discovered by parallel
+    sparse matrix-vector multiplication" step of the leaf phase
+    (Algorithm 4, line 5).
+    """
+    m, n = A_ki.shape
+    if U_ii.n_cols != n:
+        raise ValueError("dimension mismatch")
+    work = np.zeros(m, dtype=np.float64)
+    mark = np.full(m, -1, dtype=np.int64)
+    xcols_rows: List[np.ndarray] = []
+    xcols_vals: List[np.ndarray] = []
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for c in range(n):
+        stamp = c
+        pattern: List[int] = []
+        arows, avals = A_ki.col(c)
+        for t in range(arows.size):
+            i = int(arows[t])
+            mark[i] = stamp
+            work[i] = avals[t]
+            pattern.append(i)
+        urows, uvals = U_ii.col(c)
+        udiag = 0.0
+        for t in range(urows.size):
+            tt = int(urows[t])
+            if tt == c:
+                udiag = uvals[t]
+                continue
+            if tt > c:
+                continue
+            uv = uvals[t]
+            xr = xcols_rows[tt]
+            xv = xcols_vals[tt]
+            ledger.sparse_flops += xr.size
+            for s in range(xr.size):
+                i = int(xr[s])
+                if mark[i] != stamp:
+                    mark[i] = stamp
+                    work[i] = 0.0
+                    pattern.append(i)
+                work[i] -= xv[s] * uv
+        if pattern and udiag == 0.0:
+            raise ZeroDivisionError(f"zero diagonal U({c},{c}) in lower off-diagonal solve")
+        pattern.sort()
+        pr = np.asarray(pattern, dtype=np.int64)
+        pv = work[pr] / udiag if pattern else np.empty(0, dtype=np.float64)
+        ledger.sparse_flops += pr.size
+        xcols_rows.append(pr)
+        xcols_vals.append(pv)
+        indptr[c + 1] = indptr[c] + pr.size
+        if pr.size:
+            ledger.columns += 1
+    indices = np.concatenate(xcols_rows) if xcols_rows else np.empty(0, dtype=np.int64)
+    data = np.concatenate(xcols_vals) if xcols_vals else np.empty(0, dtype=np.float64)
+    ledger.mem_words += indices.size
+    return CSC(m, n, indptr, indices, data)
+
+
+def upper_offdiag_solve_reference(
+    L_ii: CSC, A_ij: CSC, ws: ReachWorkspace, ledger: CostLedger
+) -> CSC:
+    """Solve ``L_ii @ X = A_ij`` (rows of A already in pivoted order).
+
+    Per-column Gilbert–Peierls backsolve: reach DFS over the completed
+    ``L_ii`` graph for the pattern, then the sparse triangular solve in
+    topological order (Algorithm 4, lines 14/20).
+    """
+    n_i = L_ii.n_cols
+    m, n = A_ij.shape
+    if m != n_i:
+        raise ValueError("dimension mismatch")
+    x = np.zeros(n_i, dtype=np.float64)
+    out_rows: List[np.ndarray] = []
+    out_vals: List[np.ndarray] = []
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    xi = ws.xi
+    for c in range(n):
+        arows, avals = A_ij.col(c)
+        if arows.size == 0:
+            indptr[c + 1] = indptr[c]
+            continue
+        ws.next_stamp()
+        top, steps = topo_reach(L_ii.indptr, L_ii.indices, arows, None, ws)
+        ledger.dfs_steps += steps + arows.size
+        pat = xi[top:n_i]
+        x[pat] = 0.0
+        x[arows] = avals
+        for t in range(top, n_i):
+            j = int(xi[t])
+            xj = x[j]
+            if xj == 0.0:
+                continue
+            lo, hi = int(L_ii.indptr[j]), int(L_ii.indptr[j + 1])
+            rows_view = L_ii.indices[lo + 1 : hi]  # first entry is the unit pivot
+            x[rows_view] -= L_ii.data[lo + 1 : hi] * xj
+            ledger.sparse_flops += hi - lo - 1
+        pat_sorted = np.sort(pat)
+        out_rows.append(pat_sorted.copy())
+        out_vals.append(x[pat_sorted].copy())
+        indptr[c + 1] = indptr[c] + pat_sorted.size
+        ledger.columns += 1
+    indices = np.concatenate(out_rows) if out_rows else np.empty(0, dtype=np.int64)
+    data = np.concatenate(out_vals) if out_vals else np.empty(0, dtype=np.float64)
+    ledger.mem_words += indices.size
+    return CSC(n_i, n, indptr, indices, data)
+
+
+def sparse_product_reference(L_ms: CSC, U_sj: CSC, ledger: CostLedger) -> CSC:
+    """Column-accumulated sparse product ``L_ms @ U_sj``.
+
+    One contributing thread's share of a reduction: the "multiple
+    parallel sparse matrix-vector multiplication" phase of Figure 4(d).
+    """
+    m = L_ms.n_rows
+    n = U_sj.n_cols
+    work = np.zeros(m, dtype=np.float64)
+    mark = np.full(m, -1, dtype=np.int64)
+    out_rows: List[np.ndarray] = []
+    out_vals: List[np.ndarray] = []
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for c in range(n):
+        stamp = c
+        pattern: List[int] = []
+        urows, uvals = U_sj.col(c)
+        for t in range(urows.size):
+            k = int(urows[t])
+            uv = uvals[t]
+            if uv == 0.0:
+                continue
+            lo, hi = int(L_ms.indptr[k]), int(L_ms.indptr[k + 1])
+            ledger.sparse_flops += hi - lo
+            for s in range(lo, hi):
+                i = int(L_ms.indices[s])
+                if mark[i] != stamp:
+                    mark[i] = stamp
+                    work[i] = 0.0
+                    pattern.append(i)
+                work[i] += L_ms.data[s] * uv
+        pattern.sort()
+        pr = np.asarray(pattern, dtype=np.int64)
+        out_rows.append(pr)
+        out_vals.append(work[pr].copy())
+        indptr[c + 1] = indptr[c] + pr.size
+        if pr.size:
+            ledger.columns += 1
+    indices = np.concatenate(out_rows) if out_rows else np.empty(0, dtype=np.int64)
+    data = np.concatenate(out_vals) if out_vals else np.empty(0, dtype=np.float64)
+    ledger.mem_words += indices.size
+    return CSC(m, n, indptr, indices, data)
+
+
+def subtract_products_reference(A_mj: CSC, prods: List[CSC], ledger: CostLedger) -> CSC:
+    """``Â = A − Σ prods``: the combine phase of the reduction.
+
+    Pure scatter-add traffic (no multiplies) — cheap relative to the
+    product phase, which is why distributing the products pays off.
+    """
+    m, n = A_mj.shape
+    work = np.zeros(m, dtype=np.float64)
+    mark = np.full(m, -1, dtype=np.int64)
+    out_rows: List[np.ndarray] = []
+    out_vals: List[np.ndarray] = []
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for c in range(n):
+        stamp = c
+        pattern: List[int] = []
+        arows, avals = A_mj.col(c)
+        for t in range(arows.size):
+            i = int(arows[t])
+            mark[i] = stamp
+            work[i] = avals[t]
+            pattern.append(i)
+        for P in prods:
+            prows, pvals = P.col(c)
+            ledger.mem_words += prows.size
+            for t in range(prows.size):
+                i = int(prows[t])
+                if mark[i] != stamp:
+                    mark[i] = stamp
+                    work[i] = 0.0
+                    pattern.append(i)
+                work[i] -= pvals[t]
+        pattern.sort()
+        pr = np.asarray(pattern, dtype=np.int64)
+        out_rows.append(pr)
+        out_vals.append(work[pr].copy())
+        indptr[c + 1] = indptr[c] + pr.size
+    indices = np.concatenate(out_rows) if out_rows else np.empty(0, dtype=np.int64)
+    data = np.concatenate(out_vals) if out_vals else np.empty(0, dtype=np.float64)
+    return CSC(m, n, indptr, indices, data)
+
+
+def submatrix_reference(self: CSC, r0: int, r1: int, c0: int, c1: int) -> CSC:
+    """Extract the contiguous block ``A[r0:r1, c0:c1]``.
+
+    Contiguous extraction is the common case in Basker: after the
+    BTF/ND reorderings every 2-D block is an index range.
+    """
+    if not (0 <= r0 <= r1 <= self.n_rows and 0 <= c0 <= c1 <= self.n_cols):
+        raise StructureError("block bounds out of range")
+    ncols = c1 - c0
+    indptr = np.zeros(ncols + 1, dtype=np.int64)
+    chunks_idx = []
+    chunks_val = []
+    for j in range(c0, c1):
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        rows = self.indices[lo:hi]
+        a = np.searchsorted(rows, r0)
+        b = np.searchsorted(rows, r1)
+        indptr[j - c0 + 1] = indptr[j - c0] + (b - a)
+        if b > a:
+            chunks_idx.append(rows[a:b] - r0)
+            chunks_val.append(self.data[lo + a : lo + b])
+    if chunks_idx:
+        indices = np.concatenate(chunks_idx)
+        data = np.concatenate(chunks_val)
+    else:
+        indices = np.empty(0, dtype=np.int64)
+        data = np.empty(0, dtype=np.float64)
+    return CSC(r1 - r0, ncols, indptr, indices, data)
+
+
+def matmat_reference(A: CSC, B: CSC) -> CSC:
+    """Sparse product ``A @ B`` using a dense accumulator per column."""
+    if A.n_cols != B.n_rows:
+        raise StructureError("dimension mismatch")
+    acc = np.zeros(A.n_rows, dtype=np.float64)
+    mark = np.full(A.n_rows, -1, dtype=np.int64)
+    indptr = np.zeros(B.n_cols + 1, dtype=np.int64)
+    out_rows, out_vals = [], []
+    for j in range(B.n_cols):
+        brows, bvals = B.col(j)
+        pattern = []
+        for t in range(brows.size):
+            k = brows[t]
+            bv = bvals[t]
+            arows, avals = A.col(int(k))
+            for s in range(arows.size):
+                i = int(arows[s])
+                if mark[i] != j:
+                    mark[i] = j
+                    acc[i] = 0.0
+                    pattern.append(i)
+                acc[i] += avals[s] * bv
+        pattern.sort()
+        indptr[j + 1] = indptr[j] + len(pattern)
+        if pattern:
+            p = np.asarray(pattern, dtype=np.int64)
+            out_rows.append(p)
+            out_vals.append(acc[p].copy())
+    if out_rows:
+        indices = np.concatenate(out_rows)
+        data = np.concatenate(out_vals)
+    else:
+        indices = np.empty(0, dtype=np.int64)
+        data = np.empty(0, dtype=np.float64)
+    return CSC(A.n_rows, B.n_cols, indptr, indices, data)

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.numeric import block_reduce, lower_offdiag_solve, upper_offdiag_solve
-from repro.graph.dfs import ReachWorkspace
+from repro.core.numeric import (
+    lower_offdiag_solve,
+    sparse_product,
+    subtract_products,
+    upper_offdiag_solve,
+)
+from repro.graph.dfs import ReachGraph
 from repro.parallel import CostLedger
 from repro.solvers.gp import gp_factor
 from repro.sparse import CSC
@@ -51,9 +56,8 @@ class TestUpperOffdiagSolve:
     def test_matches_dense_solve(self):
         L, U, rng = _factors(10, 3)
         A_ij = random_sparse(10, 6, 0.3, rng)
-        ws = ReachWorkspace(10)
         led = CostLedger()
-        X = upper_offdiag_solve(L, A_ij, ws, led)
+        X = upper_offdiag_solve(L, A_ij, ReachGraph.from_csc(L), led)
         X.check()
         ref = np.linalg.inv(L.to_dense()) @ A_ij.to_dense()
         assert np.allclose(X.to_dense(), ref, atol=1e-10)
@@ -64,16 +68,19 @@ class TestUpperOffdiagSolve:
         rng = np.random.default_rng(4)
         L = CSC.identity(9)
         A_ij = random_sparse(9, 4, 0.25, rng)
-        X = upper_offdiag_solve(L, A_ij, ReachWorkspace(9), CostLedger())
+        X = upper_offdiag_solve(L, A_ij, ReachGraph.from_csc(L), CostLedger())
         assert X.nnz == A_ij.nnz
 
     def test_empty_columns_skipped(self):
         L, _, _ = _factors(6, 5)
-        X = upper_offdiag_solve(L, CSC.empty(6, 3), ReachWorkspace(6), CostLedger())
+        X = upper_offdiag_solve(L, CSC.empty(6, 3), ReachGraph.from_csc(L), CostLedger())
         assert X.nnz == 0
 
 
 class TestBlockReduce:
+    """``A − Σ L_s U_s`` as the reduction computes it: one product per
+    contributor, then the combine."""
+
     def test_matches_dense_expression(self):
         rng = np.random.default_rng(6)
         A = random_sparse(8, 5, 0.4, rng)
@@ -82,7 +89,9 @@ class TestBlockReduce:
         L2 = random_sparse(8, 4, 0.3, rng)
         U2 = random_sparse(4, 5, 0.3, rng)
         led = CostLedger()
-        R = block_reduce(A, [(L1, U1), (L2, U2)], led)
+        R = subtract_products(
+            A, [sparse_product(L1, U1, led), sparse_product(L2, U2, led)], led
+        )
         R.check()
         ref = A.to_dense() - L1.to_dense() @ U1.to_dense() - L2.to_dense() @ U2.to_dense()
         assert np.allclose(R.to_dense(), ref, atol=1e-12)
@@ -91,7 +100,7 @@ class TestBlockReduce:
     def test_no_contribs_copies_A(self):
         rng = np.random.default_rng(7)
         A = random_sparse(6, 6, 0.4, rng)
-        R = block_reduce(A, [], CostLedger())
+        R = subtract_products(A, [], CostLedger())
         assert np.allclose(R.to_dense(), A.to_dense())
 
     def test_cancellation_keeps_explicit_zero(self):
@@ -99,6 +108,7 @@ class TestBlockReduce:
         A = CSC.from_coo([0], [0], [1.0], (2, 2))
         L = CSC.from_coo([0], [0], [1.0], (2, 1))
         U = CSC.from_coo([0], [0], [1.0], (1, 2))
-        R = block_reduce(A, [(L, U)], CostLedger())
+        led = CostLedger()
+        R = subtract_products(A, [sparse_product(L, U, led)], led)
         assert R.nnz == 1
         assert R.get(0, 0) == 0.0
