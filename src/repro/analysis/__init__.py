@@ -31,19 +31,21 @@ machinery:
   checks them against the declared contracts: ``SimTask`` read/write
   sets (E1), :func:`repro.contracts.effects` purity declarations (E2),
   process-safety for a real worker-pool backend (E3), same-level
-  write-set disjointness including symbolic audits of the compiled
-  :mod:`repro.sparse.schedule` plans (E4), and numpy in-place misuse
-  (E5);
+  write-set disjointness (E4), and numpy in-place misuse (E5);
 * :mod:`repro.analysis.shapes` — symbolic shape/bounds/dtype abstract
   interpreter assigning every array a symbolic shape in a lattice of
   named dimensions plus an index-range interval, checked against
   :func:`repro.contracts.shapes` declarations: gather out-of-bounds
   (S1), scatter/``reduceat`` precondition violations (S2), shape
   conformance across elementwise ops (S3), index-width hazards (S4)
-  and declared-vs-inferred contract mismatches (S5), plus concrete
-  ``audit_schedule_buffers`` bounds audits of compiled
-  :mod:`repro.sparse.schedule` plans and a runtime differential
+  and declared-vs-inferred contract mismatches (S5), plus the one
+  concrete auditor of compiled :mod:`repro.sparse.schedule` plans
+  (``audit_schedule_buffers``: E4 write disjointness and level order,
+  S1-S3 bounds, segments and sizes) and a runtime differential
   contract checker;
+* :mod:`repro.analysis.frontend` — the front end lint, domains,
+  effects and shapes share: each module parsed and comment-tokenized
+  once per process, pins, decorators, registry and drivers;
 * :mod:`repro.analysis.baseline` — fingerprinted finding baselines so
   ``repro analyze <checker> --baseline FILE`` fails only on *new*
   findings (the CI regression gate).
@@ -51,7 +53,7 @@ machinery:
 All checkers are exposed as ``python -m repro analyze
 {hazards,conservation,lint,domains,effects,shapes}`` (``--format
 json`` for machine consumption), combined under ``python -m repro
-analyze all``, and run in CI.
+analyze all`` (``--plans`` adds the plan audit), and run in CI.
 """
 
 from .baseline import (
@@ -73,8 +75,6 @@ from .domains import (
 from .effects import (
     EffectFinding,
     FunctionEffects,
-    audit_refactor_schedule,
-    audit_triangular_schedule,
     check_effects_paths,
     check_effects_source,
     check_effects_tree,
@@ -120,8 +120,6 @@ __all__ = [
     "check_effects_tree",
     "collect_effect_summaries",
     "summary_for",
-    "audit_triangular_schedule",
-    "audit_refactor_schedule",
     "ShapeContractError",
     "ShapeFinding",
     "check_shapes_source",

@@ -68,19 +68,19 @@ domains``).
 from __future__ import annotations
 
 import ast
-import io
-import os
 import re
-import tokenize
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from .frontend import (FUNCTIONS, SCOPES, Finding, Module, Registry,
+                       call_name, decorators, finalize, literal_keywords,
+                       package_modules, parsed, path_modules, source_modules)
 
 __all__ = [
     "Domain",
     "DomainFinding",
     "DomainSyntaxError",
     "FunctionContract",
-    "ContractRegistry",
     "parse_domain",
     "check_domains_source",
     "check_domains_paths",
@@ -95,7 +95,6 @@ KINDS = ("perm", "index", "vec", "matrix")
 
 _SPACE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_:.\-]*$")
 _DOMAIN_RE = re.compile(r"^\s*(perm|index|vec|matrix)\s*\[\s*([^\[\]]+?)\s*\]\s*$")
-_COMMENT_RE = re.compile(r"#\s*domain:\s*(.+?)\s*$")
 _NAMED_RE = re.compile(r"^(\w+)\s*=\s*(.+)$")
 
 # Functions that return their input unchanged (domain-wise).  Attribute
@@ -130,17 +129,8 @@ class Domain:
         return "%s[%s]" % (self.kind, self.s1 or "?")
 
 
-@dataclass(frozen=True)
-class DomainFinding:
+class DomainFinding(Finding):
     """One diagnostic: ``path:line CODE message``."""
-
-    path: str
-    line: int
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return "%s:%d %s %s" % (self.path, self.line, self.code, self.message)
 
 
 def _is_var(space: Optional[str]) -> bool:
@@ -209,61 +199,22 @@ class FunctionContract:
         )
 
 
-class ContractRegistry:
-    """Contracts collected across a set of sources, keyed by name.
-
-    Call sites are matched by the simple callee name (``f(...)`` or
-    ``obj.f(...)``).  When several decorated functions share a name the
-    registry only answers if their declarations agree (e.g. ``factor``
-    on both ``KLU`` and ``Basker``); otherwise the name is ambiguous
-    and call sites against it are skipped.
-    """
-
-    def __init__(self) -> None:
-        self._by_name: Dict[str, List[FunctionContract]] = {}
-        # contracts keyed by AST node identity, for checking bodies
-        self._by_node: Dict[int, FunctionContract] = {}
-
-    def add(self, contract: FunctionContract, node: ast.AST) -> None:
-        self._by_name.setdefault(contract.name, []).append(contract)
-        self._by_node[id(node)] = contract
-
-    def lookup(self, name: str) -> Optional[FunctionContract]:
-        group = self._by_name.get(name)
-        if not group:
-            return None
-        first = group[0]
-        key = first.signature_key()
-        for other in group[1:]:
-            if other.signature_key() != key:
-                return None  # ambiguous name, disagreeing declarations
-        return first
-
-    def for_node(self, node: ast.AST) -> Optional[FunctionContract]:
-        return self._by_node.get(id(node))
-
-
-def _decorator_is_domains(dec: ast.expr) -> bool:
-    if not isinstance(dec, ast.Call):
-        return False
-    fn = dec.func
-    if isinstance(fn, ast.Name):
-        return fn.id == "domains"
-    if isinstance(fn, ast.Attribute):
-        return fn.attr == "domains"
-    return False
-
-
 def _collect_contracts(
-    tree: ast.Module, relpath: str, registry: ContractRegistry, findings: List[DomainFinding]
+    module: Module,
+    registry: Registry,
+    by_node: Dict[int, FunctionContract],
+    findings: List[DomainFinding],
 ) -> None:
-    """Pass 1: read every ``@domains(...)`` declaration in *tree*."""
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    """Pass 1: read every ``@domains(...)`` declaration in *module*."""
+    relpath = module.path
+
+    def d5(line: int, message: str) -> None:
+        findings.append(DomainFinding(relpath, line, "D5", message))
+
+    for node in ast.walk(module.tree):
+        if not isinstance(node, FUNCTIONS):
             continue
-        for dec in node.decorator_list:
-            if not _decorator_is_domains(dec):
-                continue
+        for dec in decorators(node, "domains"):
             arg_names = [a.arg for a in node.args.posonlyargs + node.args.args]
             is_method = bool(arg_names) and arg_names[0] in ("self", "cls")
             order = tuple(arg_names[1:] if is_method else arg_names)
@@ -272,51 +223,36 @@ def _collect_contracts(
             } | {"returns"}
             params: Dict[str, Optional[Domain]] = {}
             returns: Optional[Domain] = None
-            for kw in dec.keywords:
-                if kw.arg is None:
-                    findings.append(
-                        DomainFinding(relpath, dec.lineno, "D5",
-                                      "@domains does not accept ** expansion")
-                    )
-                    continue
-                if not (isinstance(kw.value, ast.Constant)
-                        and isinstance(kw.value.value, str)):
-                    findings.append(
-                        DomainFinding(relpath, kw.value.lineno, "D5",
-                                      "@domains values must be string literals")
-                    )
-                    continue
-                if kw.arg not in valid_names:
-                    findings.append(
-                        DomainFinding(
-                            relpath, kw.value.lineno, "D5",
-                            "@domains declares %r which is not a parameter of %s()"
-                            % (kw.arg, node.name))
-                    )
-                    continue
-                try:
-                    dom = parse_domain(kw.value.value)
-                except DomainSyntaxError as exc:
-                    findings.append(
-                        DomainFinding(relpath, kw.value.lineno, "D5", str(exc))
-                    )
-                    continue
-                if kw.arg == "returns":
-                    returns = dom
+            for name, value, kw in literal_keywords(dec):
+                if name is None:
+                    d5(dec.lineno, "@domains does not accept ** expansion")
+                elif not isinstance(value, str):
+                    d5(kw.value.lineno, "@domains values must be string literals")
+                elif name not in valid_names:
+                    d5(kw.value.lineno,
+                       "@domains declares %r which is not a parameter of %s()"
+                       % (name, node.name))
                 else:
-                    params[kw.arg] = dom
-            registry.add(
-                FunctionContract(
-                    name=node.name, path=relpath, line=node.lineno,
-                    params=params, returns=returns,
-                    is_method=is_method, param_order=order,
-                ),
-                node,
+                    try:
+                        dom = parse_domain(value)
+                    except DomainSyntaxError as exc:
+                        d5(kw.value.lineno, str(exc))
+                        continue
+                    if name == "returns":
+                        returns = dom
+                    else:
+                        params[name] = dom
+            contract = FunctionContract(
+                name=node.name, path=relpath, line=node.lineno,
+                params=params, returns=returns,
+                is_method=is_method, param_order=order,
             )
+            registry.add(node.name, contract)
+            by_node[id(node)] = contract
 
 
 def _scan_comments(
-    source: str, relpath: str, findings: List[DomainFinding]
+    module: Module, findings: List[DomainFinding]
 ) -> Tuple[Dict[int, Domain], List[Tuple[int, str, Domain]]]:
     """Pre-scan ``# domain:`` comments.
 
@@ -327,20 +263,7 @@ def _scan_comments(
     """
     trailing: Dict[int, Domain] = {}
     named: List[Tuple[int, str, Domain]] = []
-    # Real COMMENT tokens only — the marker appearing inside a
-    # docstring or string literal is prose, not a declaration.
-    comments: List[Tuple[int, str]] = []
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT:
-                comments.append((tok.start[0], tok.string))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return trailing, named  # the AST pass reports the syntax error
-    for lineno, text in comments:
-        m = _COMMENT_RE.search(text)
-        if m is None:
-            continue
-        payload = m.group(1)
+    for lineno, payload in module.pins("domain"):
         nm = _NAMED_RE.match(payload)
         try:
             if nm is not None and nm.group(1) not in KINDS:
@@ -350,7 +273,7 @@ def _scan_comments(
                 if dom is not None:
                     trailing[lineno] = dom
         except DomainSyntaxError as exc:
-            findings.append(DomainFinding(relpath, lineno, "D5", str(exc)))
+            findings.append(DomainFinding(module.path, lineno, "D5", str(exc)))
     return trailing, named
 
 
@@ -360,7 +283,7 @@ class _FunctionChecker(ast.NodeVisitor):
     def __init__(
         self,
         relpath: str,
-        registry: ContractRegistry,
+        registry: Registry,
         trailing: Dict[int, Domain],
         named: List[Tuple[int, str, Domain]],
         findings: List[DomainFinding],
@@ -526,11 +449,7 @@ class _FunctionChecker(ast.NodeVisitor):
         kw_doms = {kw.arg: self.infer(kw.value) for kw in node.keywords}
 
         func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
+        name = call_name(node)
 
         # Domain-preserving wrappers.
         if name in _PASSTHROUGH_ARG0 and node.args:
@@ -546,9 +465,7 @@ class _FunctionChecker(ast.NodeVisitor):
         if name == "compose" and len(node.args) >= 2:
             return self._transfer_compose(node, arg_doms[0], arg_doms[1])
 
-        if name is None:
-            return None
-        contract = self.registry.lookup(name)
+        contract = self.registry.resolve(name)
         if contract is None:
             return None
         return self._check_call(node, contract, arg_doms, kw_doms)
@@ -731,84 +648,38 @@ class _FunctionChecker(ast.NodeVisitor):
 # drivers
 
 
-def _package_root() -> str:
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _iter_sources(root: str) -> Iterable[Tuple[str, str]]:
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for fname in sorted(filenames):
-            if fname.endswith(".py"):
-                full = os.path.join(dirpath, fname)
-                rel = os.path.relpath(full, root)
-                yield full, rel.replace(os.sep, "/")
-
-
-@dataclass
-class _ParsedSource:
-    relpath: str
-    tree: ast.Module
-    trailing: Dict[int, Domain]
-    named: List[Tuple[int, str, Domain]]
-
-
-def _parse_sources(
-    sources: Sequence[Tuple[str, str]],
-    registry: ContractRegistry,
-    findings: List[DomainFinding],
-) -> List[_ParsedSource]:
-    parsed: List[_ParsedSource] = []
-    for source, relpath in sources:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            findings.append(
-                DomainFinding(relpath, exc.lineno or 0, "D5",
-                              "syntax error: %s" % exc.msg))
+def _analyze(
+    modules: Sequence[Module], report_for: Optional[Set[str]] = None
+) -> List[DomainFinding]:
+    """Collect contracts from every module, then check the bodies of the
+    modules in *report_for* (all of them when None)."""
+    registry = Registry(FunctionContract.signature_key)
+    by_node: Dict[int, FunctionContract] = {}
+    findings: List[DomainFinding] = []
+    scanned = []
+    for module in parsed(modules, "D5", findings, DomainFinding):
+        scanned.append((module, *_scan_comments(module, findings)))
+        _collect_contracts(module, registry, by_node, findings)
+    for module, trailing, named in scanned:
+        if report_for is not None and module.path not in report_for:
             continue
-        trailing, named = _scan_comments(source, relpath, findings)
-        _collect_contracts(tree, relpath, registry, findings)
-        parsed.append(_ParsedSource(relpath, tree, trailing, named))
-    return parsed
-
-
-def _function_span_comments(
-    parsed: _ParsedSource, node: ast.AST
-) -> Tuple[Dict[int, Domain], List[Tuple[int, str, Domain]]]:
-    lo = node.lineno
-    hi = getattr(node, "end_lineno", None) or 10**9
-    trailing = {ln: d for ln, d in parsed.trailing.items() if lo <= ln <= hi}
-    named = [(ln, n, d) for ln, n, d in parsed.named if lo <= ln <= hi]
-    return trailing, named
-
-
-def _check_parsed(
-    parsed_sources: Sequence[_ParsedSource],
-    registry: ContractRegistry,
-    findings: List[DomainFinding],
-) -> None:
-    for parsed in parsed_sources:
         # module top level (skips nested function/class bodies)
-        top = _FunctionChecker(
-            parsed.relpath, registry, parsed.trailing, parsed.named, findings)
-        top.run_body(
-            [s for s in parsed.tree.body
-             if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))])
-        # every function and method, each in its own environment
-        for node in ast.walk(parsed.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        _FunctionChecker(module.path, registry, trailing, named, findings).run_body(
+            [s for s in module.tree.body
+             if not isinstance(s, SCOPES)])
+        # every function and method, each in its own environment, seeing
+        # the comments inside its own span
+        for node in ast.walk(module.tree):
+            if not isinstance(node, FUNCTIONS):
                 continue
-            trailing, named = _function_span_comments(parsed, node)
+            lo, hi = node.lineno, getattr(node, "end_lineno", None) or 10**9
             checker = _FunctionChecker(
-                parsed.relpath, registry, trailing, named, findings,
-                contract=registry.for_node(node))
+                module.path, registry,
+                {ln: d for ln, d in trailing.items() if lo <= ln <= hi},
+                [(ln, n, d) for ln, n, d in named if lo <= ln <= hi],
+                findings, contract=by_node.get(id(node)))
             checker.run_body(node.body)
-
-
-def _finalize(findings: List[DomainFinding]) -> List[DomainFinding]:
-    unique = sorted(set(findings), key=lambda f: (f.path, f.line, f.code, f.message))
-    return unique
+    return finalize(findings, report_for)
 
 
 def check_domains_source(
@@ -822,12 +693,7 @@ def check_domains_source(
     pair in *extra_sources*; findings are reported for all of them.
     Mostly a unit-test entry point.
     """
-    registry = ContractRegistry()
-    findings: List[DomainFinding] = []
-    pairs = [(source, relpath)] + list(extra_sources or ())
-    parsed = _parse_sources(pairs, registry, findings)
-    _check_parsed(parsed, registry, findings)
-    return _finalize(findings)
+    return _analyze(source_modules(source, relpath, extra_sources))
 
 
 def check_domains_paths(
@@ -840,34 +706,9 @@ def check_domains_paths(
     only for the given files — this is how the seeded-violation fixtures
     are checked without muddying the tree-wide gate.
     """
-    root = package_root or _package_root()
-    registry = ContractRegistry()
-    tree_findings: List[DomainFinding] = []
-    package_sources = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            package_sources.append((fh.read(), rel))
-    _parse_sources(package_sources, registry, tree_findings)
-
-    findings: List[DomainFinding] = []
-    target_sources = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            target_sources.append((fh.read(), path))
-    parsed_targets = _parse_sources(target_sources, registry, findings)
-    _check_parsed(parsed_targets, registry, findings)
-    return _finalize(findings)
+    return _analyze(path_modules(paths, package_root), report_for=set(paths))
 
 
 def check_domains_tree(root: Optional[str] = None) -> List[DomainFinding]:
     """Check every module of the package — the CI gate."""
-    root = root or _package_root()
-    registry = ContractRegistry()
-    findings: List[DomainFinding] = []
-    sources = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    parsed = _parse_sources(sources, registry, findings)
-    _check_parsed(parsed, registry, findings)
-    return _finalize(findings)
+    return _analyze(package_modules(root))

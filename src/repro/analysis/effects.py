@@ -63,12 +63,9 @@ analyzer cannot resolve — declared key lists built by helpers, emission
 wrappers forwarding parameters — makes the corresponding check *open*
 and silent, so an unannotated module produces no false positives.
 
-Plan-level E4 complements the AST rule for the compiled replay plans of
-:mod:`repro.sparse.schedule`: :func:`audit_triangular_schedule` and
-:func:`audit_refactor_schedule` verify that within every level/stage the
-finalized columns are unique and the post-grouping scatter targets are
-pairwise disjoint (the symbolic precondition for running a level's
-gather/scatter in parallel).
+Plan-level E4 (the write disjointness and level order of the compiled
+:mod:`repro.sparse.schedule` plans) is reported by the one plan auditor,
+:func:`repro.analysis.shapes.audit_schedule_buffers`.
 
 Entry points mirror :mod:`repro.analysis.domains`:
 :func:`check_effects_source`, :func:`check_effects_paths` (fixtures;
@@ -80,12 +77,14 @@ treated as kernel modules), :func:`check_effects_tree` (the CI gate,
 from __future__ import annotations
 
 import ast
-import io
-import os
-import re
-import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+from .frontend import (FUNCTIONS, MUTABLE_CONSTRUCTORS, Finding, Module,
+                       Registry, call_name, decorators, finalize, in_packages,
+                       literal_keywords, name_bindings, package_modules,
+                       param_names, parsed, path_modules, source_modules,
+                       walk_own)
 
 __all__ = [
     "EffectFinding",
@@ -94,15 +93,12 @@ __all__ = [
     "check_effects_paths",
     "check_effects_tree",
     "collect_effect_summaries",
-    "audit_triangular_schedule",
-    "audit_refactor_schedule",
+    "summary_for",
     "EFFECT_KERNEL_DIRS",
 ]
 
 # Packages whose code is destined for the real shared-memory backend.
 EFFECT_KERNEL_DIRS = ("core", "solvers", "sparse", "ordering", "graph", "parallel")
-
-_PIN_RE = re.compile(r"#\s*effects:\s*(.+?)\s*$")
 
 # Method names that mutate their receiver in place.
 _MUTATOR_METHODS = {
@@ -125,28 +121,13 @@ _BROADCAST_MAKERS = {"broadcast_to", "as_strided"}
 _DEFAULT_DISPATCH = {"parallel_map"}
 # Value expressions that alias argument 0 (may return the same buffer).
 _ALIAS_ARG0_CALLS = {"asarray", "asanyarray", "ascontiguousarray", "require"}
-# Constructors whose module-level use creates mutable state (R6 / E3).
-_MUTABLE_CONSTRUCTORS = {
-    "dict", "list", "set", "defaultdict", "OrderedDict", "deque",
-    "Counter", "bytearray",
-}
-
 # Emission kwargs: read-side and write-side key lists.
 _READ_KWARGS = ("reads", "chunk_reads")
 _WRITE_KWARGS = ("writes", "final_writes")
 
 
-@dataclass(frozen=True)
-class EffectFinding:
+class EffectFinding(Finding):
     """One diagnostic: ``path:line CODE message``."""
-
-    path: str
-    line: int
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return "%s:%d %s %s" % (self.path, self.line, self.code, self.message)
 
 
 @dataclass
@@ -201,21 +182,15 @@ class _ModulePins:
     global_ok_lines: Set[int] = field(default_factory=set)
 
 
-def _scan_pins(source: str, relpath: str, findings: List[EffectFinding]) -> _ModulePins:
-    """Collect ``# effects:`` pins from real COMMENT tokens."""
+def _scan_pins(module: Module, findings: List[EffectFinding]) -> _ModulePins:
+    """Collect the module's ``# effects:`` pins."""
     pins = _ModulePins()
-    try:
-        toks = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return pins  # the AST pass reports the syntax error
-    for tok in toks:
-        if tok.type != tokenize.COMMENT:
-            continue
-        m = _PIN_RE.search(tok.string)
-        if m is None:
-            continue
-        lineno = tok.start[0]
-        payload = m.group(1).split()
+
+    def e0(line: int, message: str) -> None:
+        findings.append(EffectFinding(module.path, line, "E0", message))
+
+    for lineno, text in module.pins("effects"):
+        payload = text.split()
         if not payload:
             continue
         kind, rest = payload[0], payload[1:]
@@ -232,35 +207,25 @@ def _scan_pins(source: str, relpath: str, findings: List[EffectFinding]) -> _Mod
                     continue
                 pins.blocks[name] = pins.blocks.get(name, frozenset()) | fams_set
             if not ok:
-                findings.append(EffectFinding(
-                    relpath, lineno, "E0",
-                    "malformed '# effects: blocks' pin (expected NAME=FAM[|FAM...] ...)"))
+                e0(lineno, "malformed '# effects: blocks' pin "
+                           "(expected NAME=FAM[|FAM...] ...)")
         elif kind == "emitter":
             if rest:
                 pins.emitters.update(rest)
             else:
-                findings.append(EffectFinding(
-                    relpath, lineno, "E0", "'# effects: emitter' names no emitters"))
+                e0(lineno, "'# effects: emitter' names no emitters")
         elif kind == "dispatch":
             if rest:
                 pins.dispatch.update(rest)
             else:
-                findings.append(EffectFinding(
-                    relpath, lineno, "E0", "'# effects: dispatch' names no functions"))
+                e0(lineno, "'# effects: dispatch' names no functions")
         elif kind == "ordered":
             pins.ordered_lines.add(lineno)
         elif kind == "global-ok":
             pins.global_ok_lines.add(lineno)
         else:
-            findings.append(EffectFinding(
-                relpath, lineno, "E0",
-                "unknown '# effects:' pin kind %r" % kind))
+            e0(lineno, "unknown '# effects:' pin kind %r" % kind)
     return pins
-
-
-def _is_effect_kernel(relpath: str) -> bool:
-    parts = relpath.replace(os.sep, "/").split("/")
-    return any(p in parts[:-1] for p in EFFECT_KERNEL_DIRS)
 
 
 def _base_name(node: ast.expr) -> Optional[str]:
@@ -273,10 +238,7 @@ def _base_name(node: ast.expr) -> Optional[str]:
         if isinstance(node, (ast.Subscript, ast.Attribute, ast.Starred)):
             node = node.value
         elif isinstance(node, ast.Call):
-            fn = node.func
-            name = fn.id if isinstance(fn, ast.Name) else (
-                fn.attr if isinstance(fn, ast.Attribute) else None)
-            if name in _ALIAS_ARG0_CALLS and node.args:
+            if call_name(node) in _ALIAS_ARG0_CALLS and node.args:
                 node = node.args[0]
             else:
                 return None
@@ -284,71 +246,31 @@ def _base_name(node: ast.expr) -> Optional[str]:
             return None
 
 
-def _call_name(node: ast.Call) -> Optional[str]:
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
-
-
-def _walk_own(node: ast.AST) -> Iterable[ast.AST]:
-    """Walk a subtree without descending into nested function/class
-    bodies or lambdas."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-                            ast.ClassDef)) and cur is not node:
-            continue
-        stack.extend(ast.iter_child_nodes(cur))
-
-
-def _decorator_is_effects(dec: ast.expr) -> bool:
-    if not isinstance(dec, ast.Call):
-        return False
-    fn = dec.func
-    if isinstance(fn, ast.Name):
-        return fn.id == "effects"
-    if isinstance(fn, ast.Attribute):
-        return fn.attr == "effects"
-    return False
-
-
 def _parse_effects_decorator(
     node: ast.AST, relpath: str, findings: List[EffectFinding]
 ) -> Optional[dict]:
-    for dec in node.decorator_list:
-        if not _decorator_is_effects(dec):
-            continue
-        pure = False
-        mutates: List[str] = []
-        ok = True
-        for kw in dec.keywords:
-            if kw.arg == "pure":
-                if isinstance(kw.value, ast.Constant) and isinstance(kw.value.value, bool):
-                    pure = kw.value.value
-                else:
-                    ok = False
-            elif kw.arg == "mutates":
-                if isinstance(kw.value, (ast.Tuple, ast.List)) and all(
-                    isinstance(e, ast.Constant) and isinstance(e.value, str)
-                    for e in kw.value.elts
-                ):
-                    mutates = [e.value for e in kw.value.elts]
-                else:
-                    ok = False
-            else:
-                ok = False
-        if not ok:
-            findings.append(EffectFinding(
-                relpath, dec.lineno, "E0",
-                "@effects accepts pure=<bool literal> and "
-                "mutates=<tuple of string literals> only"))
-            return None
-        return {"pure": pure, "mutates": tuple(mutates), "line": dec.lineno}
-    return None
+    decs = decorators(node, "effects")
+    if not decs:
+        return None
+    dec = decs[0]
+    pure = False
+    mutates: Tuple[str, ...] = ()
+    ok = True
+    for name, value, _kw in literal_keywords(dec):
+        if name == "pure" and isinstance(value, bool):
+            pure = value
+        elif name == "mutates" and isinstance(value, (tuple, list)) and all(
+                isinstance(e, str) for e in value):
+            mutates = tuple(value)
+        else:
+            ok = False
+    if not ok:
+        findings.append(EffectFinding(
+            relpath, dec.lineno, "E0",
+            "@effects accepts pure=<bool literal> and "
+            "mutates=<tuple of string literals> only"))
+        return None
+    return {"pure": pure, "mutates": mutates, "line": dec.lineno}
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +282,7 @@ class _ModuleInfo:
     relpath: str
     tree: ast.Module
     pins: _ModulePins
+    kernel: bool  # destined for the real shared-memory backend
     mutable_globals: Dict[str, int] = field(default_factory=dict)  # name -> def line
     module_names: Set[str] = field(default_factory=set)
     functions: List[Tuple[ast.AST, FunctionEffects]] = field(default_factory=list)
@@ -371,32 +294,19 @@ def _is_mutable_value(value: ast.expr) -> bool:
                           ast.SetComp, ast.DictComp)):
         return True
     if isinstance(value, ast.Call):
-        name = _call_name(value)
-        return name in _MUTABLE_CONSTRUCTORS
+        return call_name(value) in MUTABLE_CONSTRUCTORS
     return False
 
 
 def _collect_module_globals(info: _ModuleInfo) -> None:
-    for stmt in info.tree.body:
-        targets: List[ast.expr] = []
-        value = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        else:
-            continue
-        for t in targets:
-            if not isinstance(t, ast.Name):
-                continue
-            info.module_names.add(t.id)
-            if (
-                _is_mutable_value(value)
-                and t.id != "__all__"
-                and not (t.id.startswith("__") and t.id.endswith("__"))
-                and stmt.lineno not in info.pins.global_ok_lines
-            ):
-                info.mutable_globals[t.id] = stmt.lineno
+    for stmt, name in name_bindings(info.tree.body):
+        info.module_names.add(name)
+        if (
+            _is_mutable_value(stmt.value)
+            and not (name.startswith("__") and name.endswith("__"))
+            and stmt.lineno not in info.pins.global_ok_lines
+        ):
+            info.mutable_globals[name] = stmt.lineno
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +328,14 @@ class _FnCollector:
         self.info = info
         self.findings = findings
         self.kernel = kernel
-        a = fn.args
-        params = tuple(
-            x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
-        ) + ((a.vararg.arg,) if a.vararg else ()) + ((a.kwarg.arg,) if a.kwarg else ())
+        params = param_names(fn)
         self.eff = FunctionEffects(
             name=fn.name, path=info.relpath, line=fn.lineno, params=params,
             is_method=bool(params) and params[0] in ("self", "cls"),
             declared=_parse_effects_decorator(fn, info.relpath, findings),
         )
         self.locals: Set[str] = set(params)
-        for node in _walk_own(fn):
+        for node in walk_own(fn):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 self.locals.add(node.id)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not fn:
@@ -589,7 +496,7 @@ class _FnCollector:
                 self.param_alias[t.id] = set(roots)
             else:
                 self.param_alias.pop(t.id, None)
-            if isinstance(value, ast.Call) and _call_name(value) in _BROADCAST_MAKERS:
+            if isinstance(value, ast.Call) and call_name(value) in _BROADCAST_MAKERS:
                 self.broadcast_names.add(t.id)
             else:
                 self.broadcast_names.discard(t.id)
@@ -611,7 +518,7 @@ class _FnCollector:
                 self._expr(child)
 
     def _expr(self, node: ast.expr) -> None:
-        for sub in _walk_own(node):
+        for sub in walk_own(node):
             if isinstance(sub, ast.Call):
                 self._call(sub)
             elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
@@ -619,7 +526,7 @@ class _FnCollector:
                     self.eff.global_reads.add(sub.id)
 
     def _call(self, node: ast.Call) -> None:
-        name = _call_name(node)
+        name = call_name(node)
         line = node.lineno
         # receiver-mutating methods
         if isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATOR_METHODS:
@@ -681,7 +588,7 @@ def _copies_value(value: ast.expr) -> bool:
     """True for expressions that produce a fresh buffer even though the
     root name peels through (``x.copy()``, ``np.array(x)``)."""
     if isinstance(value, ast.Call):
-        name = _call_name(value)
+        name = call_name(value)
         if name in ("copy", "astype", "array", "deepcopy", "tolist"):
             return True
     return False
@@ -691,30 +598,30 @@ def _copies_value(value: ast.expr) -> bool:
 # Emission sites: E1 (declared vs inferred) and E4 (loop-varying keys)
 
 
+def _is_emission(node: ast.AST, pins: _ModulePins) -> bool:
+    """A task-emission call: ``SimTask(...)``, ``<emitter>.add(...)`` or
+    ``<emitter>(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    if isinstance(fn, ast.Name):
+        return fn.id == "SimTask" or fn.id in pins.emitters
+    if isinstance(fn, ast.Attribute):
+        return fn.attr == "SimTask" or (
+            fn.attr == "add" and isinstance(fn.value, ast.Name)
+            and fn.value.id in pins.emitters)
+    return False
+
+
 def _emission_calls(stmt: ast.stmt, pins: _ModulePins) -> List[ast.Call]:
-    """Direct task-emission calls in *stmt* (not inside nested defs):
-    ``SimTask(...)``, ``<emitter>.add(...)``, ``<emitter>(...)``."""
-    out = []
-    for node in _walk_own(stmt):
-        if not isinstance(node, ast.Call):
-            continue
-        fn = node.func
-        if isinstance(fn, ast.Name):
-            if fn.id == "SimTask" or fn.id in pins.emitters:
-                out.append(node)
-        elif isinstance(fn, ast.Attribute):
-            if fn.attr == "SimTask":
-                out.append(node)
-            elif fn.attr == "add" and isinstance(fn.value, ast.Name) \
-                    and fn.value.id in pins.emitters:
-                out.append(node)
-    return out
+    """Direct task-emission calls in *stmt* (not inside nested defs)."""
+    return [node for node in walk_own(stmt) if _is_emission(node, pins)]
 
 
 def _calls_emitting_fn(stmt: ast.stmt, emitting_names: Set[str]) -> bool:
-    for node in _walk_own(stmt):
+    for node in walk_own(stmt):
         if isinstance(node, ast.Call):
-            name = _call_name(node)
+            name = call_name(node)
             if name is not None and name in emitting_names:
                 return True
     return False
@@ -771,7 +678,7 @@ def _resolve_families(
                 walk(v, depth + 1)
             return
         if isinstance(e, ast.Call):
-            name = _call_name(e)
+            name = call_name(e)
             if name in ("list", "tuple", "sorted", "set"):
                 for a in e.args:
                     walk(a, depth + 1)
@@ -815,7 +722,7 @@ class _EmissionChecker:
         }
         # Name -> every expr ever assigned to it in this function
         self.env: Dict[str, List[ast.expr]] = {}
-        for node in _walk_own(fn):
+        for node in walk_own(fn):
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Name):
                 self.env.setdefault(node.targets[0].id, []).append(node.value)
@@ -956,7 +863,7 @@ class _EmissionChecker:
         reads: List[Tuple[int, str, FrozenSet[str]]] = []
         writes: List[Tuple[int, str, FrozenSet[str]]] = []
         for stmt in region:
-            for node in _walk_own(stmt):
+            for node in walk_own(stmt):
                 if not isinstance(node, ast.Subscript):
                     continue
                 base = _base_name(node.value)
@@ -994,31 +901,7 @@ def _fmt(fams: Iterable[str]) -> str:
 # Interprocedural propagation
 
 
-class _Registry:
-    def __init__(self) -> None:
-        self.by_name: Dict[str, List[FunctionEffects]] = {}
-
-    def add(self, eff: FunctionEffects) -> None:
-        self.by_name.setdefault(eff.name, []).append(eff)
-
-    def resolve(self, name: str) -> Optional[FunctionEffects]:
-        group = self.by_name.get(name)
-        if not group:
-            return None
-        sig = group[0].signature()
-        for other in group[1:]:
-            if other.signature() != sig:
-                return None  # ambiguous: disagreeing summaries
-        return group[0]
-
-    def emitting_names(self) -> Set[str]:
-        return {
-            name for name, group in self.by_name.items()
-            if group and all(e.emits for e in group)
-        }
-
-
-def _propagate(registry: _Registry, functions: List[FunctionEffects]) -> None:
+def _propagate(registry: Registry, functions: List[FunctionEffects]) -> None:
     for _ in range(30):
         changed = False
         for f in functions:
@@ -1028,25 +911,21 @@ def _propagate(registry: _Registry, functions: List[FunctionEffects]) -> None:
                     continue
                 mutated = set(callee.mutates)
                 pos_params = list(callee.params)
+                # caller params reaching a mutated callee param: through
+                # the receiver, positional arguments, then keywords
+                hits: List[FrozenSet[str]] = []
                 if callee.is_method and call.recv_roots is not None:
                     if "self" in mutated or "cls" in mutated:
-                        for p in call.recv_roots:
-                            if p not in f.mutates:
-                                f.mutates[p] = call.line
-                                changed = True
+                        hits.append(call.recv_roots)
                     pos_params = pos_params[1:]
-                for i, roots in enumerate(call.arg_roots):
-                    if i < len(pos_params) and pos_params[i] in mutated:
-                        for p in roots:
-                            if p not in f.mutates:
-                                f.mutates[p] = call.line
-                                changed = True
-                for kw_name, roots in call.kw_roots.items():
-                    if kw_name in mutated:
-                        for p in roots:
-                            if p not in f.mutates:
-                                f.mutates[p] = call.line
-                                changed = True
+                hits += [roots for i, roots in enumerate(call.arg_roots)
+                         if i < len(pos_params) and pos_params[i] in mutated]
+                hits += [roots for kw_name, roots in call.kw_roots.items()
+                         if kw_name in mutated]
+                for p in (p for roots in hits for p in roots):
+                    if p not in f.mutates:
+                        f.mutates[p] = call.line
+                        changed = True
                 for g, line in callee.global_writes.items():
                     if g not in f.global_writes:
                         f.global_writes[g] = call.line
@@ -1069,7 +948,6 @@ def _propagate(registry: _Registry, functions: List[FunctionEffects]) -> None:
 def _check_declarations(
     functions: List[Tuple[_ModuleInfo, ast.AST, FunctionEffects]],
     findings: List[EffectFinding],
-    kernel_paths: Set[str],
 ) -> None:
     for info, _node, eff in functions:
         if eff.declared is not None:
@@ -1082,7 +960,7 @@ def _check_declarations(
                         info.relpath, eff.line, "E2",
                         "%s() is declared %s but mutates parameter %r "
                         "(line %d)" % (eff.name, label, p, line)))
-        if info.relpath in kernel_paths:
+        if info.kernel:
             # Only writes performed by this function's own statements
             # (the snapshot) — transitive writes would re-report the
             # same defect at every caller.
@@ -1099,40 +977,21 @@ def _check_declarations(
 # drivers
 
 
-def _package_root() -> str:
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _iter_sources(root: str) -> Iterable[Tuple[str, str]]:
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for fname in sorted(filenames):
-            if fname.endswith(".py"):
-                full = os.path.join(dirpath, fname)
-                rel = os.path.relpath(full, root)
-                yield full, rel.replace(os.sep, "/")
-
-
 def _parse_modules(
-    sources: Sequence[Tuple[str, str]],
+    modules: Sequence[Module],
     findings: List[EffectFinding],
-    kernel_override: Optional[Set[str]] = None,
+    targets: Optional[Set[str]],
 ) -> List[_ModuleInfo]:
     infos: List[_ModuleInfo] = []
-    for source, relpath in sources:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            findings.append(EffectFinding(
-                relpath, exc.lineno or 0, "E0", "syntax error: %s" % exc.msg))
-            continue
-        pins = _scan_pins(source, relpath, findings)
-        info = _ModuleInfo(relpath=relpath, tree=tree, pins=pins)
+    for module in parsed(modules, "E0", findings, EffectFinding):
+        relpath, tree = module.path, module.tree
+        pins = _scan_pins(module, findings)
+        kernel = in_packages(relpath, EFFECT_KERNEL_DIRS) or (
+            targets is not None and relpath in targets)
+        info = _ModuleInfo(relpath=relpath, tree=tree, pins=pins, kernel=kernel)
         _collect_module_globals(info)
-        kernel = _is_effect_kernel(relpath) or (
-            kernel_override is not None and relpath in kernel_override)
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, FUNCTIONS):
                 collector = _FnCollector(node, info, findings, kernel)
                 eff = collector.run()
                 info.functions.append((node, eff))
@@ -1144,58 +1003,39 @@ def _parse_modules(
                     info.accessed_families |= pins.blocks[base]
         # direct emission marks (before propagation)
         for node, eff in info.functions:
-            for stmt in ast.walk(node):
-                if isinstance(stmt, ast.Call) and _emission_calls_direct(stmt, pins):
-                    eff.emits = True
-                    break
+            eff.emits = any(_is_emission(sub, pins) for sub in ast.walk(node))
         infos.append(info)
     return infos
 
 
-def _emission_calls_direct(node: ast.Call, pins: _ModulePins) -> bool:
-    fn = node.func
-    if isinstance(fn, ast.Name):
-        return fn.id == "SimTask" or fn.id in pins.emitters
-    if isinstance(fn, ast.Attribute):
-        return fn.attr == "SimTask" or (
-            fn.attr == "add" and isinstance(fn.value, ast.Name)
-            and fn.value.id in pins.emitters)
-    return False
-
-
 def _analyze(
-    sources: Sequence[Tuple[str, str]],
-    report_for: Optional[Set[str]] = None,
-    kernel_override: Optional[Set[str]] = None,
+    modules: Sequence[Module], targets: Optional[Set[str]] = None,
 ) -> Tuple[List[EffectFinding], List[FunctionEffects]]:
+    """Findings and propagated summaries over *modules*.  With *targets*
+    (a set of paths), findings are reported only for those modules,
+    which are checked as kernel modules wherever they live."""
     findings: List[EffectFinding] = []
-    infos = _parse_modules(sources, findings, kernel_override)
+    infos = _parse_modules(modules, findings, targets)
 
-    registry = _Registry()
+    registry = Registry(FunctionEffects.signature)
     flat: List[Tuple[_ModuleInfo, ast.AST, FunctionEffects]] = []
     for info in infos:
         for node, eff in info.functions:
-            registry.add(eff)
+            registry.add(eff.name, eff)
             flat.append((info, node, eff))
     _propagate(registry, [eff for _i, _n, eff in flat])
+    _check_declarations(flat, findings)
 
-    kernel_paths = {
-        info.relpath for info in infos
-        if _is_effect_kernel(info.relpath) or (
-            kernel_override is not None and info.relpath in kernel_override)
+    emitting = {
+        name for name, group in registry.by_name.items()
+        if all(e.emits for e in group)
     }
-    _check_declarations(flat, findings, kernel_paths)
-
-    emitting = registry.emitting_names()
     for info in infos:
         for node, _eff in info.functions:
             _EmissionChecker(node, info, emitting, findings).run()
 
-    if report_for is not None:
-        findings = [f for f in findings if f.path in report_for]
-    unique = sorted(set(findings), key=lambda f: (f.path, f.line, f.code, f.message))
     summaries = [eff for _i, _n, eff in flat]
-    return unique, summaries
+    return finalize(findings, targets), summaries
 
 
 def check_effects_source(
@@ -1206,10 +1046,7 @@ def check_effects_source(
     """Check a single source string (plus optional companions).  The
     primary source is treated as a kernel module so every finding class
     is live — the unit-test entry point."""
-    pairs = [(source, relpath)] + list(extra_sources or ())
-    findings, _ = _analyze(
-        pairs, report_for={relpath}, kernel_override={relpath})
-    return findings
+    return _analyze(source_modules(source, relpath, extra_sources), {relpath})[0]
 
 
 def check_effects_paths(
@@ -1220,29 +1057,12 @@ def check_effects_paths(
     files are treated as kernel modules (this is the fixture entry
     point — a seeded violation must fire regardless of where the
     fixture happens to live on disk)."""
-    root = package_root or _package_root()
-    sources: List[Tuple[str, str]] = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    targets: Set[str] = set()
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), path))
-        targets.add(path)
-    findings, _ = _analyze(sources, report_for=targets, kernel_override=targets)
-    return findings
+    return _analyze(path_modules(paths, package_root), set(paths))[0]
 
 
 def check_effects_tree(root: Optional[str] = None) -> List[EffectFinding]:
     """Check every module of the package — the CI gate."""
-    root = root or _package_root()
-    sources = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    findings, _ = _analyze(sources)
-    return findings
+    return _analyze(package_modules(root))[0]
 
 
 def collect_effect_summaries(root: Optional[str] = None) -> List[FunctionEffects]:
@@ -1251,13 +1071,7 @@ def collect_effect_summaries(root: Optional[str] = None) -> List[FunctionEffects
     The differential soundness tests look functions up by
     ``(path, name)`` and assert dynamically observed mutations are a
     subset of ``summary.mutates``."""
-    root = root or _package_root()
-    sources = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    _findings, summaries = _analyze(sources)
-    return summaries
+    return _analyze(package_modules(root))[1]
 
 
 def summary_for(
@@ -1271,101 +1085,3 @@ def summary_for(
                        % (path_suffix, name, len(hits)))
     return hits[0]
 
-
-__all__.append("summary_for")
-
-
-# ---------------------------------------------------------------------------
-# Plan-level E4: disjointness audits on compiled schedules
-
-
-def audit_triangular_schedule(sched, label: str = "<TriangularSchedule>"):
-    """Symbolically verify per-level disjointness of a compiled
-    :class:`repro.sparse.schedule.TriangularSchedule`.
-
-    Every column is finalized in exactly one level, the post-grouping
-    scatter targets of a vectorized level (``seg_tgt``) are pairwise
-    distinct, and every scatter lands in a strictly later level — the
-    write-disjointness precondition for executing a level's columns as
-    parallel same-level tasks.  Scalar (narrow) levels replay
-    sequentially, so only their level-ordering is checked.  Returns a
-    list of E4 :class:`EffectFinding`.
-    """
-    import numpy as np
-
-    findings: List[EffectFinding] = []
-    level_of = np.full(sched.n, -1, dtype=np.int64)
-    for lv_idx, lv in enumerate(sched.levels):
-        for j in np.asarray(lv.cols, dtype=np.int64):
-            j = int(j)
-            if level_of[j] >= 0:
-                findings.append(EffectFinding(
-                    label, lv_idx, "E4",
-                    "column %d finalized in levels %d and %d — parallel "
-                    "column tasks would write the same x entry"
-                    % (j, int(level_of[j]), lv_idx)))
-            level_of[j] = lv_idx
-    uncovered = np.flatnonzero(level_of < 0)
-    if uncovered.size:
-        findings.append(EffectFinding(
-            label, 0, "E4",
-            "column %d is never finalized by any level" % int(uncovered[0])))
-
-    def check_targets(lv_idx, tgt, require_unique):
-        tgt = np.asarray(tgt, dtype=np.int64)
-        if not tgt.size:
-            return
-        if require_unique and np.unique(tgt).size != tgt.size:
-            findings.append(EffectFinding(
-                label, lv_idx, "E4",
-                "level %d has duplicate post-grouping scatter targets — "
-                "the reduceat segments are not disjoint" % lv_idx))
-        bad = tgt[level_of[tgt] <= lv_idx]
-        if bad.size:
-            findings.append(EffectFinding(
-                label, lv_idx, "E4",
-                "level %d scatters into row %d of level %d — an update "
-                "targets a row finalized no later than its producer"
-                % (lv_idx, int(bad[0]), int(level_of[int(bad[0])]))))
-
-    for lv_idx, lv in enumerate(sched.levels):
-        if lv.scalar_cols is not None:
-            for (_j, _dj, _lo, _hi, rows) in lv.scalar_cols:
-                check_targets(lv_idx, rows, require_unique=False)
-        else:
-            check_targets(lv_idx, lv.seg_tgt, require_unique=True)
-    return findings
-
-
-def audit_refactor_schedule(sched, label: str = "<RefactorSchedule>"):
-    """Per-stage disjointness audit of a compiled
-    :class:`repro.sparse.schedule.RefactorSchedule`: every column is
-    finalized in exactly one stage and within a stage the grouped
-    workspace scatter targets and L-destination slots are pairwise
-    distinct.  Returns a list of E4 :class:`EffectFinding`."""
-    import numpy as np
-
-    findings: List[EffectFinding] = []
-    seen_cols: Set[int] = set()
-    for st_idx, st in enumerate(sched.stages):
-        cols = [int(c) for c in st.cols]
-        for j in cols:
-            if j in seen_cols:
-                findings.append(EffectFinding(
-                    label, st_idx, "E4",
-                    "column %d finalized in more than one stage" % j))
-            seen_cols.add(j)
-        if np.unique(st.cols).size != st.cols.size:
-            findings.append(EffectFinding(
-                label, st_idx, "E4",
-                "stage %d finalizes a column twice" % st_idx))
-        if st.seg_tgt.size and np.unique(st.seg_tgt).size != st.seg_tgt.size:
-            findings.append(EffectFinding(
-                label, st_idx, "E4",
-                "stage %d has duplicate post-grouping scatter targets "
-                "in the update workspace" % st_idx))
-        if st.l_dst.size and np.unique(st.l_dst).size != st.l_dst.size:
-            findings.append(EffectFinding(
-                label, st_idx, "E4",
-                "stage %d writes an Lx slot twice" % st_idx))
-    return findings

@@ -41,12 +41,14 @@ nonzero when any are found, which is what CI gates on.
 from __future__ import annotations
 
 import ast
-import io
 import os
 import re
-import tokenize
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
+
+from .frontend import (FUNCTIONS, MUTABLE_CONSTRUCTORS, Module, in_packages,
+                       load_file, load_source, name_bindings, package_modules,
+                       param_names, parsed, walk_own)
 
 __all__ = [
     "LintFinding", "lint_source", "lint_paths", "lint_tree",
@@ -86,21 +88,6 @@ class LintFinding:
         return f"{self.path}:{self.line} {self.rule} {self.message}"
 
 
-def _is_kernel_module(relpath: str) -> bool:
-    parts = relpath.replace(os.sep, "/").split("/")
-    return any(p in parts[:-1] for p in KERNEL_DIRS)
-
-
-def _is_deterministic_module(relpath: str) -> bool:
-    parts = relpath.replace(os.sep, "/").split("/")
-    return any(p in parts[:-1] for p in DETERMINISTIC_DIRS)
-
-
-def _is_r6_module(relpath: str) -> bool:
-    parts = relpath.replace(os.sep, "/").split("/")
-    return any(p in parts[:-1] for p in R6_DIRS)
-
-
 def _check_wall_clocks(tree: ast.AST, path: str, out: List[LintFinding]) -> None:
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -120,37 +107,19 @@ def _check_wall_clocks(tree: ast.AST, path: str, out: List[LintFinding]) -> None
                     ))
 
 
-def _function_params(fn: ast.AST) -> List[str]:
-    a = fn.args
-    params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
-    if a.vararg:
-        params.append(a.vararg.arg)
-    if a.kwarg:
-        params.append(a.kwarg.arg)
-    return params
-
-
-def _own_body_nodes(fn: ast.AST) -> Iterable[ast.AST]:
-    """Walk a function body without descending into nested functions
-    (those are linted on their own)."""
-    stack = list(fn.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
+# A function's own body: nested functions are linted on their own.
+_OWN_BODY_STOP = FUNCTIONS + (ast.Lambda,)
 
 
 def _check_ledger_flow(tree: ast.AST, path: str, out: List[LintFinding]) -> None:
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        params = set(_function_params(fn))
+        params = set(param_names(fn))
         # Names whose counters this function increments, with first line.
         incremented: dict = {}
         counter_attr_ids = set()  # id() of Name nodes that are counter receivers
-        for node in _own_body_nodes(fn):
+        for node in walk_own(fn.body, _OWN_BODY_STOP):
             target = None
             if isinstance(node, ast.AugAssign):
                 target = node.target
@@ -173,7 +142,7 @@ def _check_ledger_flow(tree: ast.AST, path: str, out: List[LintFinding]) -> None
             if name in params or name == "self":
                 continue
             escapes = False
-            for node in _own_body_nodes(fn):
+            for node in walk_own(fn.body, _OWN_BODY_STOP):
                 if (
                     isinstance(node, ast.Name)
                     and node.id == name
@@ -286,25 +255,7 @@ def _check_nondeterminism(tree: ast.AST, path: str, out: List[LintFinding]) -> N
                 ))
 
 
-_GLOBAL_OK_RE = re.compile(r"#\s*effects:\s*global-ok\b")
-# Constructors whose bare module-level call creates shared mutable state.
-_R6_CONSTRUCTORS = {
-    "dict", "list", "set", "defaultdict", "OrderedDict", "deque",
-    "Counter", "bytearray",
-}
-
-
-def _global_ok_lines(source: str) -> Set[int]:
-    """Lines carrying a ``# effects: global-ok`` pin (real comments)."""
-    lines: Set[int] = set()
-    try:
-        toks = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in toks:
-            if tok.type == tokenize.COMMENT and _GLOBAL_OK_RE.search(tok.string):
-                lines.add(tok.start[0])
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        pass
-    return lines
+_GLOBAL_OK_RE = re.compile(r"global-ok\b")
 
 
 def _r6_is_mutable(value: ast.expr) -> bool:
@@ -314,86 +265,66 @@ def _r6_is_mutable(value: ast.expr) -> bool:
     return (
         isinstance(value, ast.Call)
         and isinstance(value.func, ast.Name)
-        and value.func.id in _R6_CONSTRUCTORS
+        and value.func.id in MUTABLE_CONSTRUCTORS
     )
 
 
 def _check_module_state(
-    tree: ast.AST, source: str, path: str, out: List[LintFinding]
+    tree: ast.AST, ok_lines: Set[int], path: str, out: List[LintFinding]
 ) -> None:
-    ok_lines = _global_ok_lines(source)
     scopes = [("module", tree.body)]
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             scopes.append((f"class '{node.name}'", node.body))
     for where, body in scopes:
-        for stmt in body:
-            targets: List[ast.expr] = []
-            value = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            else:
+        for stmt, name in name_bindings(body):
+            if not _r6_is_mutable(stmt.value) or stmt.lineno in ok_lines \
+                    or (name.startswith("__") and name.endswith("__")):
                 continue
-            if not _r6_is_mutable(value) or stmt.lineno in ok_lines:
-                continue
-            for t in targets:
-                if not isinstance(t, ast.Name):
-                    continue
-                if t.id == "__all__" or (
-                    t.id.startswith("__") and t.id.endswith("__")
-                ):
-                    continue
-                out.append(LintFinding(
-                    path, stmt.lineno, "R6",
-                    f"mutable {where}-level state '{t.id}' in a kernel "
-                    "package — process-unsafe shared state; pass it "
-                    "explicitly or pin the line '# effects: global-ok'",
-                ))
+            out.append(LintFinding(
+                path, stmt.lineno, "R6",
+                f"mutable {where}-level state '{name}' in a kernel "
+                "package — process-unsafe shared state; pass it "
+                "explicitly or pin the line '# effects: global-ok'",
+            ))
+
+
+def _lint_module(module: Module, out: List[LintFinding]) -> None:
+    tree, relpath = module.tree, module.path
+    if in_packages(relpath, KERNEL_DIRS):
+        _check_wall_clocks(tree, relpath, out)
+        _check_ledger_flow(tree, relpath, out)
+    if in_packages(relpath, DETERMINISTIC_DIRS):
+        _check_nondeterminism(tree, relpath, out)
+    if in_packages(relpath, R6_DIRS):
+        ok_lines = {line for line, pin in module.pins("effects")
+                    if _GLOBAL_OK_RE.match(pin)}
+        _check_module_state(tree, ok_lines, relpath, out)
+    _check_bare_except(tree, relpath, out)
+    _check_mutable_defaults(tree, relpath, out)
+
+
+def _lint_modules(modules: Sequence[Module]) -> List[LintFinding]:
+    out: List[LintFinding] = []
+    for module in parsed(modules, "R0", out, LintFinding):
+        _lint_module(module, out)
+    out.sort(key=lambda f: (f.path, f.line, f.rule))
+    return out
 
 
 def lint_source(source: str, relpath: str = "<string>") -> List[LintFinding]:
     """Lint one module's source.  ``relpath`` (relative to the package
     root, e.g. ``core/numeric.py``) decides whether the kernel-only
     rules R1/R2 apply."""
-    out: List[LintFinding] = []
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        out.append(LintFinding(relpath, exc.lineno or 0, "R0", f"syntax error: {exc.msg}"))
-        return out
-    if _is_kernel_module(relpath):
-        _check_wall_clocks(tree, relpath, out)
-        _check_ledger_flow(tree, relpath, out)
-    if _is_deterministic_module(relpath):
-        _check_nondeterminism(tree, relpath, out)
-    if _is_r6_module(relpath):
-        _check_module_state(tree, source, relpath, out)
-    _check_bare_except(tree, relpath, out)
-    _check_mutable_defaults(tree, relpath, out)
-    out.sort(key=lambda f: (f.path, f.line, f.rule))
-    return out
+    return _lint_modules([load_source(source, relpath)])
 
 
 def lint_paths(paths: Sequence[str], root: str) -> List[LintFinding]:
-    out: List[LintFinding] = []
-    for p in paths:
-        rel = os.path.relpath(p, root)
-        with open(p, "r", encoding="utf-8") as fh:
-            out.extend(lint_source(fh.read(), rel))
-    out.sort(key=lambda f: (f.path, f.line, f.rule))
-    return out
+    """Lint explicit files, reported relative to ``root``."""
+    return _lint_modules([load_file(p, os.path.relpath(p, root)) for p in paths])
 
 
 def lint_tree(root: Optional[str] = None) -> List[LintFinding]:
     """Lint every ``.py`` file under ``root`` (default: the installed
     ``repro`` package directory)."""
-    if root is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    paths = []
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for fn in sorted(filenames):
-            if fn.endswith(".py"):
-                paths.append(os.path.join(dirpath, fn))
-    return lint_paths(sorted(paths), root)
+    return _lint_modules(package_modules(root))

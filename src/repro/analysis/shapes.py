@@ -65,16 +65,16 @@ from __future__ import annotations
 
 import ast
 import inspect
-import io
-import os
 import re
-import tokenize
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..errors import AnalysisError
+from .frontend import (Finding, Module, Registry, decorators, finalize,
+                       in_packages, literal_keywords, package_modules, parsed,
+                       path_modules, source_modules)
 
 __all__ = [
     "SHAPE_KERNEL_DIRS",
@@ -96,15 +96,8 @@ class ShapeContractError(AnalysisError):
     """A runtime value violated its declared shape contract."""
 
 
-@dataclass(frozen=True)
-class ShapeFinding:
-    path: str
-    line: int
-    code: str
-    message: str
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return "%s:%d %s %s" % (self.path, self.line, self.code, self.message)
+class ShapeFinding(Finding):
+    """One diagnostic: ``path:line CODE message``."""
 
 
 # ======================================================================
@@ -526,23 +519,16 @@ class _Contract:
     is_classmethod: bool
 
 
-def _decorator_is(dec: ast.expr, name: str) -> bool:
-    if not isinstance(dec, ast.Call):
-        return False
-    fn = dec.func
-    return (isinstance(fn, ast.Name) and fn.id == name) or (
-        isinstance(fn, ast.Attribute) and fn.attr == name)
-
-
 def _parse_shapes_decorator(
     node: ast.FunctionDef,
     relpath: str,
     in_class: bool,
     findings: List[ShapeFinding],
 ) -> Optional[_Contract]:
-    dec = next((d for d in node.decorator_list if _decorator_is(d, "shapes")), None)
-    if dec is None:
+    decs = decorators(node, "shapes")
+    if not decs:
         return None
+    dec = decs[0]
     params = [a.arg for a in node.args.posonlyargs + node.args.args]
     is_classmethod = any(
         isinstance(d, ast.Name) and d.id == "classmethod"
@@ -553,37 +539,27 @@ def _parse_shapes_decorator(
     kwonly = {a.arg for a in node.args.kwonlyargs}
     specs: Dict[str, _Spec] = {}
     returns: Optional[_Spec] = None
-    ok = True
-    for kw in dec.keywords:
-        if kw.arg is None or not (
-            isinstance(kw.value, ast.Constant) and isinstance(kw.value.value, str)
-        ):
-            findings.append(ShapeFinding(
-                relpath, dec.lineno, "S5",
-                "malformed @shapes declaration on %r: values must be "
-                "string literals" % node.name))
-            ok = False
+    errors: List[str] = []
+    for name, value, _kw in literal_keywords(dec):
+        if name is None or not isinstance(value, str):
+            errors.append("malformed @shapes declaration on %r: values must "
+                          "be string literals" % node.name)
             continue
         try:
-            spec = parse_shape_spec(kw.value.value)
+            spec = parse_shape_spec(value)
         except _SpecError as exc:
-            findings.append(ShapeFinding(
-                relpath, dec.lineno, "S5",
-                "malformed @shapes declaration on %r: %s in %r"
-                % (node.name, exc, kw.value.value)))
-            ok = False
+            errors.append("malformed @shapes declaration on %r: %s in %r"
+                          % (node.name, exc, value))
             continue
-        if kw.arg == "returns":
+        if name == "returns":
             returns = spec
-        elif kw.arg in params or kw.arg in kwonly:
-            specs[kw.arg] = spec
+        elif name in params or name in kwonly:
+            specs[name] = spec
         else:
-            findings.append(ShapeFinding(
-                relpath, dec.lineno, "S5",
-                "@shapes on %r declares unknown parameter %r"
-                % (node.name, kw.arg)))
-            ok = False
-    if not ok and not specs and returns is None:
+            errors.append("@shapes on %r declares unknown parameter %r"
+                          % (node.name, name))
+    findings.extend(ShapeFinding(relpath, dec.lineno, "S5", msg) for msg in errors)
+    if errors and not specs and returns is None:
         return None
     return _Contract(
         name=node.name,
@@ -597,23 +573,15 @@ def _parse_shapes_decorator(
     )
 
 
-class _Registry:
-    """Name -> contract; ambiguous names resolve to nothing."""
-
-    def __init__(self) -> None:
-        self._by_name: Dict[str, List[_Contract]] = {}
-
-    def add(self, contract: _Contract) -> None:
-        self._by_name.setdefault(contract.name, []).append(contract)
-
-    def resolve(self, name: str) -> Optional[_Contract]:
-        lst = self._by_name.get(name)
-        if lst and len(lst) == 1:
-            return lst[0]
-        return None
-
-    def all(self) -> List[_Contract]:
-        return [c for lst in self._by_name.values() for c in lst]
+def _contract_key(contract: _Contract):
+    """What two same-name contracts must share to resolve."""
+    return (
+        tuple(contract.params),
+        tuple(sorted((p, spec.text) for p, spec in contract.specs.items())),
+        contract.returns.text if contract.returns is not None else None,
+        contract.is_method,
+        contract.is_classmethod,
+    )
 
 
 def _contract_dim_resolver(contract: _Contract) -> Dict[str, Dim]:
@@ -662,30 +630,17 @@ def _val_from_spec(spec: _Spec, pname: str,
 # Pins
 # ======================================================================
 
-_PIN_RE = re.compile(r"#\s*shapes:\s*(.+?)\s*$")
-
-
-def _scan_pins(source: str, relpath: str,
-               findings: List[ShapeFinding]) -> Set[int]:
+def _scan_pins(module: Module, findings: List[ShapeFinding]) -> Set[int]:
     """Line numbers carrying ``# shapes: ignore``."""
     ignore: Set[int] = set()
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            m = _PIN_RE.search(tok.string)
-            if not m:
-                continue
-            if m.group(1) == "ignore":
-                ignore.add(tok.start[0])
-            else:
-                findings.append(ShapeFinding(
-                    relpath, tok.start[0], "S5",
-                    "unknown '# shapes:' pin %r (only 'ignore' is "
-                    "supported)" % m.group(1)))
-    except tokenize.TokenError:
-        pass
+    for line, pin in module.pins("shapes"):
+        if pin == "ignore":
+            ignore.add(line)
+        else:
+            findings.append(ShapeFinding(
+                module.path, line, "S5",
+                "unknown '# shapes:' pin %r (only 'ignore' is "
+                "supported)" % pin))
     return ignore
 
 
@@ -705,7 +660,7 @@ class _ShapeInterp:
         relpath: str,
         fn: ast.FunctionDef,
         contract: Optional[_Contract],
-        registry: _Registry,
+        registry: Registry,
         findings: List[ShapeFinding],
         kernel: bool,
         summaries: Dict[str, _Val],
@@ -751,8 +706,7 @@ class _ShapeInterp:
         return ret
 
     def _emit(self, node: ast.AST, code: str, msg: str) -> None:
-        self.findings.append(ShapeFinding(
-            self.relpath, getattr(node, "lineno", self.fn.lineno), code, msg))
+        self._emit_line(getattr(node, "lineno", self.fn.lineno), code, msg)
 
     def _fresh_atom(self) -> Dim:
         self._fresh += 1
@@ -1822,46 +1776,24 @@ class _FnInfo:
     node: ast.FunctionDef
     contract: Optional[_Contract]
     kernel: bool
-    ignore_lines: Set[int]
-
-
-def _package_root() -> str:
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _iter_sources(root: str) -> Iterable[Tuple[str, str]]:
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for fname in sorted(filenames):
-            if fname.endswith(".py"):
-                full = os.path.join(dirpath, fname)
-                rel = os.path.relpath(full, root)
-                yield full, rel.replace(os.sep, "/")
-
-
-def _is_shape_kernel(relpath: str) -> bool:
-    parts = relpath.replace(os.sep, "/").split("/")
-    return any(p in parts[:-1] for p in SHAPE_KERNEL_DIRS)
 
 
 def _collect_functions(
-    sources: Sequence[Tuple[str, str]],
+    modules: Sequence[Module],
     findings: List[ShapeFinding],
-    registry: _Registry,
-    kernel_override: Optional[Set[str]] = None,
-) -> List[_FnInfo]:
+    registry: Registry,
+    targets: Optional[Set[str]] = None,
+) -> Tuple[List[_FnInfo], Dict[str, Set[int]]]:
+    """Every function (with its contract) and each module's
+    ``# shapes: ignore`` lines."""
     infos: List[_FnInfo] = []
-    for source, relpath in sources:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            findings.append(ShapeFinding(
-                relpath, exc.lineno or 0, "S5",
-                "syntax error: %s" % exc.msg))
-            continue
-        ignore = _scan_pins(source, relpath, findings)
-        kernel = _is_shape_kernel(relpath) or (
-            kernel_override is not None and relpath in kernel_override)
+    ignore_by_path: Dict[str, Set[int]] = {}
+    for module in parsed(modules, "S5", findings, ShapeFinding):
+        relpath = module.path
+        ignore = _scan_pins(module, findings)
+        ignore_by_path.setdefault(relpath, set()).update(ignore)
+        kernel = in_packages(relpath, SHAPE_KERNEL_DIRS) or (
+            targets is not None and relpath in targets)
 
         def visit(body: Sequence[ast.stmt], in_class: bool) -> None:
             for node in body:
@@ -1869,9 +1801,8 @@ def _collect_functions(
                     contract = _parse_shapes_decorator(
                         node, relpath, in_class, findings)
                     if contract is not None:
-                        registry.add(contract)
-                    infos.append(_FnInfo(relpath, node, contract, kernel,
-                                         ignore))
+                        registry.add(contract.name, contract)
+                    infos.append(_FnInfo(relpath, node, contract, kernel))
                     visit(node.body, in_class=False)
                 elif isinstance(node, ast.AsyncFunctionDef):
                     visit(node.body, in_class=False)
@@ -1883,8 +1814,8 @@ def _collect_functions(
                         if isinstance(sub, ast.stmt):
                             visit([sub], in_class)
 
-        visit(tree.body, in_class=False)
-    return infos
+        visit(module.tree.body, in_class=False)
+    return infos, ignore_by_path
 
 
 _SUMMARY_FLAGS = ("kind", "dtype", "sorted", "unique", "nonneg")
@@ -1900,13 +1831,15 @@ def _flags_only(v: _Val) -> _Val:
 
 
 def _analyze(
-    sources: Sequence[Tuple[str, str]],
-    report_for: Optional[Set[str]] = None,
-    kernel_override: Optional[Set[str]] = None,
+    modules: Sequence[Module], targets: Optional[Set[str]] = None,
 ) -> List[ShapeFinding]:
+    """Findings over *modules*.  With *targets* (a set of paths),
+    findings are reported only for those modules, which are checked as
+    kernel code wherever they live."""
     findings: List[ShapeFinding] = []
-    registry = _Registry()
-    infos = _collect_functions(sources, findings, registry, kernel_override)
+    registry = Registry(_contract_key)
+    infos, ignore_by_path = _collect_functions(
+        modules, findings, registry, targets)
 
     # Pass 1: infer per-function return summaries (flags only) for
     # unannotated single-definition functions, propagated call-graph
@@ -1932,30 +1865,13 @@ def _analyze(
 
     # Pass 2: emit findings.
     for info in infos:
-        if report_for is not None and info.relpath not in report_for:
+        if targets is not None and info.relpath not in targets:
             continue
         interp = _ShapeInterp(info.relpath, info.node, info.contract, registry,
                               findings, info.kernel, summaries)
         interp.run()
         interp.check_returns(info.node.lineno)
-
-    ignore_by_path: Dict[str, Set[int]] = {}
-    for info in infos:
-        ignore_by_path.setdefault(info.relpath, set()).update(info.ignore_lines)
-    out = []
-    seen: Set[Tuple[str, int, str, str]] = set()
-    for f in findings:
-        if report_for is not None and f.path not in report_for:
-            continue
-        if f.line in ignore_by_path.get(f.path, ()):
-            continue
-        key = (f.path, f.line, f.code, f.message)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(f)
-    out.sort(key=lambda f: (f.path, f.line, f.code))
-    return out
+    return finalize(findings, targets, ignore_by_path)
 
 
 def check_shapes_source(
@@ -1964,62 +1880,41 @@ def check_shapes_source(
     extra_sources: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> List[ShapeFinding]:
     """Check one source string (treated as kernel code so S4 fires)."""
-    sources = [(source, relpath)] + list(extra_sources or [])
-    return _analyze(sources, report_for={relpath},
-                    kernel_override={relpath})
+    return _analyze(source_modules(source, relpath, extra_sources), {relpath})
 
 
 def check_shapes_paths(paths: Sequence[str]) -> List[ShapeFinding]:
     """Check explicit files against the package's contracts.
 
     The package sources contribute contracts and summaries; findings
-    are reported only for the given files, which are treated as kernel
-    code (so fixtures exercise the int64-discipline rules)."""
-    root = _package_root()
-    sources: List[Tuple[str, str]] = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    targets: Set[str] = set()
-    for p in paths:
-        rel = os.path.basename(p)
-        with open(p, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-        targets.add(rel)
-    return _analyze(sources, report_for=targets, kernel_override=targets)
+    are reported only for the given files, under the paths as given,
+    and the files are treated as kernel code (so fixtures exercise the
+    int64-discipline rules)."""
+    return _analyze(path_modules(paths), set(paths))
 
 
 def check_shapes_tree(root: Optional[str] = None) -> List[ShapeFinding]:
     """Check every module of the package tree."""
-    root = root or _package_root()
-    sources: List[Tuple[str, str]] = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    return _analyze(sources)
+    return _analyze(package_modules(root))
 
 
 def collect_shape_contracts(
     root: Optional[str] = None,
 ) -> Dict[str, List[Tuple[str, int]]]:
     """Map of contract name -> [(relpath, line)] across the tree."""
-    root = root or _package_root()
-    sources: List[Tuple[str, str]] = []
-    for full, rel in _iter_sources(root):
-        with open(full, "r", encoding="utf-8") as fh:
-            sources.append((fh.read(), rel))
-    findings: List[ShapeFinding] = []
-    registry = _Registry()
-    _collect_functions(sources, findings, registry)
-    out: Dict[str, List[Tuple[str, int]]] = {}
-    for c in registry.all():
-        out.setdefault(c.name, []).append((c.relpath, c.line))
-    return out
+    registry = Registry(_contract_key)
+    _collect_functions(package_modules(root), [], registry)
+    return {name: [(c.relpath, c.line) for c in group]
+            for name, group in registry.by_name.items()}
 
 
 # ======================================================================
-# Plan-level buffer audits (concrete, in the style of the E4 audits)
+# Plan-level audits: one concrete auditor for every compiled plan
 # ======================================================================
+
+# One code per property: write disjointness, exactly-once finalization
+# and level order are E4; index bounds and permutations S1; segment
+# structure and position maps S2; size consistency S3.
 
 
 def _aud(findings: List[ShapeFinding], label: str, code: str,
@@ -2040,11 +1935,34 @@ def _chk_index(findings: List[ShapeFinding], label: str, where: str,
 
 def _chk_perm(findings: List[ShapeFinding], label: str, where: str,
               arr: np.ndarray, n: int) -> None:
-    if arr.size != n or (n and np.bincount(
-            arr, minlength=n).max(initial=0) != 1) or (
-            n and (int(arr.min()) < 0 or int(arr.max()) >= n)):
+    if arr.size != n or (n and (int(arr.min()) < 0 or int(arr.max()) >= n)) \
+            or (n and np.bincount(arr, minlength=n).max(initial=0) != 1):
         _aud(findings, label, "S1",
              "%s: not a permutation of range(%d)" % (where, n))
+
+
+def _chk_size(findings: List[ShapeFinding], label: str, got: int, want: int,
+              msg: str) -> None:
+    """S3 unless a count or size *got* equals *want* (``msg % (got, want)``)."""
+    if got != want:
+        _aud(findings, label, "S3", msg % (got, want))
+
+
+def _chk_distinct(findings: List[ShapeFinding], label: str, arr: np.ndarray,
+                  msg: str) -> None:
+    """E4 when the write targets in *arr* are not pairwise distinct."""
+    if arr.size and np.unique(arr).size != arr.size:
+        _aud(findings, label, "E4", msg)
+
+
+def _chk_finalized(findings: List[ShapeFinding], label: str,
+                   counts: np.ndarray, unit: str) -> None:
+    """E4 unless every column is finalized by exactly one level/stage."""
+    for bad, what in ((counts > 1, "more than once"),
+                      (counts == 0, "by no %s" % unit)):
+        if np.any(bad):
+            _aud(findings, label, "E4", "columns finalized %s: %r"
+                 % (what, np.flatnonzero(bad)[:8].tolist()))
 
 
 def _chk_segments(findings: List[ShapeFinding], label: str, where: str,
@@ -2064,9 +1982,8 @@ def _chk_segments(findings: List[ShapeFinding], label: str, where: str,
                  "%s: segment starts not strictly increasing" % where)
         _chk_index(findings, label, where + " seg_starts", seg_starts,
                    max(ent_size, 1))
-        if seg_tgt.size and np.unique(seg_tgt).size != seg_tgt.size:
-            _aud(findings, label, "S2",
-                 "%s: duplicate scatter targets within one level" % where)
+        _chk_distinct(findings, label, seg_tgt,
+                      "%s: duplicate scatter targets within one level" % where)
         _chk_index(findings, label, where + " seg_tgt", seg_tgt, tgt_extent)
 
 
@@ -2078,12 +1995,14 @@ def _audit_triangular(sched, label: str) -> List[ShapeFinding]:
              "diag_idx has shape %r, expected (%d,)"
              % (sched.diag_idx.shape, n))
     _chk_index(findings, label, "diag_idx", sched.diag_idx, nnz, lo=-1)
+    counts = np.zeros(n, dtype=np.int64)
+    level_of = np.full(n, -1, dtype=np.int64)
     for s, lv in enumerate(sched.levels):
         where = "level %d" % s
         _chk_index(findings, label, where + " cols", lv.cols, n)
-        if lv.cols.size and np.unique(lv.cols).size != lv.cols.size:
-            _aud(findings, label, "S2",
-                 "%s: duplicate columns within a level" % where)
+        cols = lv.cols[(lv.cols >= 0) & (lv.cols < n)]
+        counts += np.bincount(cols, minlength=n)
+        level_of[cols] = s
         if lv.scalar_cols is not None:
             for j, dj, lo, hi, rows in lv.scalar_cols:
                 if not (0 <= j < n):
@@ -2103,22 +2022,32 @@ def _audit_triangular(sched, label: str) -> List[ShapeFinding]:
             continue
         _chk_index(findings, label, where + " diag_idx", lv.diag_idx, nnz,
                    lo=-1)
-        if lv.counts.size != lv.cols.size:
-            _aud(findings, label, "S3",
-                 "%s: %d counts for %d columns"
-                 % (where, lv.counts.size, lv.cols.size))
+        _chk_size(findings, label, lv.counts.size, lv.cols.size,
+                  where + ": %d counts for %d columns")
         if lv.counts.size and int(lv.counts.min()) < 0:
             _aud(findings, label, "S2", "%s: negative entry count" % where)
-        if int(lv.counts.sum()) != lv.ent_val_idx.size:
-            _aud(findings, label, "S3",
-                 "%s: counts sum to %d but %d entries staged"
-                 % (where, int(lv.counts.sum()), lv.ent_val_idx.size))
+        _chk_size(findings, label, int(lv.counts.sum()), lv.ent_val_idx.size,
+                  where + ": counts sum to %d but %d entries staged")
         _chk_index(findings, label, where + " ent_val_idx", lv.ent_val_idx,
                    nnz)
         _chk_perm(findings, label, where + " ent_order", lv.ent_order,
                   lv.ent_val_idx.size)
         _chk_segments(findings, label, where, lv.seg_starts, lv.seg_tgt,
                       lv.ent_val_idx.size, n)
+    _chk_finalized(findings, label, counts, "level")
+    # Level order: every update lands in a row finalized strictly later.
+    for s, lv in enumerate(sched.levels):
+        tgt = lv.seg_tgt if lv.scalar_cols is None else np.concatenate(
+            [np.asarray(rows, dtype=np.int64) for *_, rows in lv.scalar_cols]
+            or [np.zeros(0, dtype=np.int64)])
+        tgt = tgt[(tgt >= 0) & (tgt < n)]
+        early = tgt[level_of[tgt] <= s]
+        if early.size:
+            row = int(early[0])
+            _aud(findings, label, "E4",
+                 "level %d scatters into row %d of level %d — an update "
+                 "targets a row finalized no later than its producer"
+                 % (s, row, int(level_of[row])))
     return findings
 
 
@@ -2137,65 +2066,46 @@ def _audit_refactor(sched, label: str) -> List[ShapeFinding]:
             _aud(findings, label, "S3",
                  "%s is not a monotone pointer array of length %d ending "
                  "at %d" % (name, n + 1, sz))
-    if sched.a_scatter.size != sched.a_indices.size:
-        _aud(findings, label, "S3",
-             "a_scatter has %d entries for %d input values"
-             % (sched.a_scatter.size, sched.a_indices.size))
+    _chk_size(findings, label, sched.a_scatter.size, sched.a_indices.size,
+              "a_scatter has %d entries for %d input values")
     _chk_index(findings, label, "a_scatter", sched.a_scatter, wtotal)
-    if sched.a_scatter.size and np.unique(
-            sched.a_scatter).size != sched.a_scatter.size:
-        _aud(findings, label, "S2",
-             "a_scatter provably contains duplicate workspace positions")
-    if sched.ux_src.size != u_nnz:
-        _aud(findings, label, "S3",
-             "ux_src has %d entries for %d U values"
-             % (sched.ux_src.size, u_nnz))
+    _chk_distinct(findings, label, sched.a_scatter,
+                  "a_scatter provably contains duplicate workspace positions")
+    _chk_size(findings, label, sched.ux_src.size, u_nnz,
+              "ux_src has %d entries for %d U values")
     _chk_index(findings, label, "ux_src", sched.ux_src, wtotal)
-    if sched.l_diag_dst.size != n:
-        _aud(findings, label, "S3",
-             "l_diag_dst has %d entries for %d unit diagonals"
-             % (sched.l_diag_dst.size, n))
+    _chk_size(findings, label, sched.l_diag_dst.size, n,
+              "l_diag_dst has %d entries for %d unit diagonals")
     _chk_index(findings, label, "l_diag_dst", sched.l_diag_dst, l_nnz)
-    seen_cols = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
     for s, stage in enumerate(sched.stages):
         where = "stage %d" % s
         _chk_index(findings, label, where + " cols", stage.cols, n)
-        if stage.cols.size:
-            seen_cols[stage.cols] += 1
-        if stage.piv_wpos.size != stage.cols.size:
-            _aud(findings, label, "S3",
-                 "%s: %d pivot positions for %d columns"
-                 % (where, stage.piv_wpos.size, stage.cols.size))
+        counts += np.bincount(
+            stage.cols[(stage.cols >= 0) & (stage.cols < n)], minlength=n)
+        _chk_size(findings, label, stage.piv_wpos.size, stage.cols.size,
+                  where + ": %d pivot positions for %d columns")
         _chk_index(findings, label, where + " piv_wpos", stage.piv_wpos,
                    wtotal)
         if stage.l_counts.size and int(stage.l_counts.min()) < 0:
             _aud(findings, label, "S2", "%s: negative l_counts" % where)
-        if int(stage.l_counts.sum()) != stage.l_dst.size:
-            _aud(findings, label, "S3",
-                 "%s: l_counts sum to %d but %d L slots staged"
-                 % (where, int(stage.l_counts.sum()), stage.l_dst.size))
+        _chk_size(findings, label, int(stage.l_counts.sum()), stage.l_dst.size,
+                  where + ": l_counts sum to %d but %d L slots staged")
         _chk_index(findings, label, where + " l_dst", stage.l_dst, l_nnz)
-        if stage.l_dst.size and np.unique(
-                stage.l_dst).size != stage.l_dst.size:
-            _aud(findings, label, "S2",
-                 "%s: duplicate L destinations within a stage" % where)
-        if stage.l_src.size != stage.l_dst.size:
-            _aud(findings, label, "S3",
-                 "%s: %d L sources for %d destinations"
-                 % (where, stage.l_src.size, stage.l_dst.size))
+        _chk_distinct(findings, label, stage.l_dst,
+                      "%s: duplicate L destinations within a stage" % where)
+        _chk_size(findings, label, stage.l_src.size, stage.l_dst.size,
+                  where + ": %d L sources for %d destinations")
         _chk_index(findings, label, where + " l_src", stage.l_src, wtotal)
         _chk_index(findings, label, where + " op_src_wpos",
                    stage.op_src_wpos, wtotal)
-        if stage.op_len.size != stage.op_src_wpos.size:
-            _aud(findings, label, "S3",
-                 "%s: %d op lengths for %d ops"
-                 % (where, stage.op_len.size, stage.op_src_wpos.size))
+        _chk_size(findings, label, stage.op_len.size, stage.op_src_wpos.size,
+                  where + ": %d op lengths for %d ops")
         if stage.op_len.size and int(stage.op_len.min()) < 0:
             _aud(findings, label, "S2", "%s: negative op_len" % where)
-        if int(stage.op_len.sum()) != stage.ent_lval_idx.size:
-            _aud(findings, label, "S3",
-                 "%s: op_len sums to %d but %d entries staged"
-                 % (where, int(stage.op_len.sum()), stage.ent_lval_idx.size))
+        _chk_size(findings, label, int(stage.op_len.sum()),
+                  stage.ent_lval_idx.size,
+                  where + ": op_len sums to %d but %d entries staged")
         _chk_index(findings, label, where + " ent_lval_idx",
                    stage.ent_lval_idx, l_nnz)
         _chk_perm(findings, label, where + " ent_order", stage.ent_order,
@@ -2203,38 +2113,41 @@ def _audit_refactor(sched, label: str) -> List[ShapeFinding]:
         _chk_segments(findings, label, where, stage.seg_starts,
                       stage.seg_tgt, stage.ent_lval_idx.size, wtotal)
         if stage.op_group is not None:
-            if stage.op_group.size != stage.op_len.size:
-                _aud(findings, label, "S3",
-                     "%s: %d op groups for %d ops"
-                     % (where, stage.op_group.size, stage.op_len.size))
+            _chk_size(findings, label, stage.op_group.size, stage.op_len.size,
+                      where + ": %d op groups for %d ops")
             _chk_index(findings, label, where + " op_group", stage.op_group,
                        int(getattr(sched, "n_groups", 1)))
-    if np.any(seen_cols > 1):
-        _aud(findings, label, "S2",
-             "columns finalized more than once across stages: %r"
-             % np.flatnonzero(seen_cols > 1)[:8].tolist())
-    if np.any(seen_cols == 0) and sched.stages:
-        _aud(findings, label, "S1",
-             "columns never finalized by any stage: %r"
-             % np.flatnonzero(seen_cols == 0)[:8].tolist())
+    if sched.stages:
+        _chk_finalized(findings, label, counts, "stage")
     return findings
 
 
 def audit_schedule_buffers(plan, label: Optional[str] = None
                            ) -> List[ShapeFinding]:
-    """Concrete bounds audit of a compiled schedule's index buffers.
+    """Concrete audit of a compiled schedule — the one plan auditor.
 
     Accepts a :class:`~repro.sparse.schedule.TriangularSchedule`,
     :class:`~repro.sparse.schedule.RefactorSchedule`,
     :class:`~repro.sparse.schedule.BlockedRefactorSchedule` or
     :class:`~repro.sparse.schedule.BTFSolveSchedule` (with its
-    transposed system, once compiled) and checks
-    every gather/scatter/segment array against the actual workspace
-    extents of the plan: indices in bounds, ``ent_order`` a valid
-    permutation, ``seg_starts`` strictly increasing from 0, ``seg_tgt``
-    duplicate-free per level/stage, counts consistent with staged entry
-    totals.  Returns a (possibly empty) list of findings; an empty list
-    means every buffer access the replay will perform is in bounds.
+    transposed system, once compiled) and checks every
+    gather/scatter/segment array against the actual workspace extents
+    of the plan, one finding code per property:
+
+    * E4 — write disjointness and level order: scatter targets and L
+      destinations distinct within each level/stage, every column
+      finalized exactly once, and every triangular update landing in a
+      level strictly after its producer's (the precondition for running
+      a level in parallel);
+    * S1 — indices in bounds, ``ent_order``/``row_perm``/``t_order``
+      valid permutations;
+    * S2 — ``seg_starts`` strictly increasing from 0, nonnegative
+      counts, position maps and block boundaries well formed;
+    * S3 — counts and sizes consistent with the staged entry totals.
+
+    Returns a (possibly empty) list of findings; an empty list means
+    every buffer access the replay will perform is in bounds and every
+    level's writes may run in parallel.
     """
     if hasattr(plan, "levels") and hasattr(plan, "kind"):
         return _audit_triangular(plan, label or "tri:%s" % plan.kind)
@@ -2245,12 +2158,10 @@ def audit_schedule_buffers(plan, label: Optional[str] = None
         sched = plan.schedule
         findings = _audit_triangular(sched, lab)
         n = int(plan.n)
-        if sched.n != 2 * n:
-            _aud(findings, lab, "S3", "triangular system has %d columns, "
-                 "expected 2n = %d" % (sched.n, 2 * n))
-        if plan.gather.size != sched.nnz:
-            _aud(findings, lab, "S3", "gather has %d entries for %d values"
-                 % (plan.gather.size, sched.nnz))
+        _chk_size(findings, lab, sched.n, 2 * n,
+                  "triangular system has %d columns, expected 2n = %d")
+        _chk_size(findings, lab, plan.gather.size, sched.nnz,
+                  "gather has %d entries for %d values")
         _chk_index(findings, lab, "gather", plan.gather, int(plan.src_size))
         _chk_perm(findings, lab, "row_perm", np.asarray(plan.row_perm), n)
         for name, arr in (("y_pos", plan.y_pos), ("x_src", plan.x_src)):
@@ -2261,19 +2172,16 @@ def audit_schedule_buffers(plan, label: Optional[str] = None
         if plan.t_schedule is not None:
             # The transposed system: same size, T's values reordered.
             findings.extend(_audit_triangular(plan.t_schedule, lab + ":T"))
-            if plan.t_schedule.n != 2 * n:
-                _aud(findings, lab, "S3", "transposed system has %d columns, "
-                     "expected 2n = %d" % (plan.t_schedule.n, 2 * n))
+            _chk_size(findings, lab, plan.t_schedule.n, 2 * n,
+                      "transposed system has %d columns, expected 2n = %d")
             _chk_perm(findings, lab, "t_order", plan.t_order, sched.nnz)
         return findings
     if hasattr(plan, "schedule") and hasattr(plan, "d_gather"):
         lab = label or "blocked"
         findings = _audit_refactor(plan.schedule, lab)
         sched = plan.schedule
-        if plan.d_gather.size != sched.a_indices.size:
-            _aud(findings, lab, "S3",
-                 "d_gather has %d entries for %d block values"
-                 % (plan.d_gather.size, sched.a_indices.size))
+        _chk_size(findings, lab, plan.d_gather.size, sched.a_indices.size,
+                  "d_gather has %d entries for %d block values")
         if plan.d_gather.size and int(plan.d_gather.min()) < 0:
             _aud(findings, lab, "S1", "d_gather contains negative indices")
         for name, ptr in (("l_ptr", plan.l_ptr), ("u_ptr", plan.u_ptr)):

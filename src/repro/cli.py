@@ -17,13 +17,13 @@ Small utilities a downstream user reaches for first:
   solver, the interprocedural effect checker that verifies declared
   task read/write sets and process-safety, and the symbolic
   shape/bounds/dtype checker over the vectorized kernels; ``all`` runs
-  every checker in one pass with a unified report (``--plans`` additionally
-  audits compiled gather/scatter schedules for same-level write
-  disjointness).  All subcommands accept ``--format json`` for machine
-  consumption and exit nonzero on findings; ``--baseline FILE``
-  suppresses fingerprinted legacy findings so only regressions fail
-  (the CI gate), ``--write-baseline FILE`` freezes the current
-  findings.
+  every checker in one pass with a unified report (``--plans`` adds the
+  audit of the compiled gather/scatter plans, for same-level write
+  disjointness, level order and buffer bounds, as one more section).
+  All subcommands accept ``--format json`` for machine consumption and
+  exit nonzero on findings; ``--baseline FILE`` suppresses
+  fingerprinted legacy findings so only regressions fail (the CI gate),
+  ``--write-baseline FILE`` freezes the current findings.
 * ``bench`` — wall-clock microbenchmarks (factor/refactor/solve/reach
   plus the Xyce refactorization sequence), written to
   ``BENCH_wallclock.json``; ``--check`` gates speedup ratios against
@@ -162,39 +162,13 @@ def _solver_plans(A: CSC):
         yield label, num.solve_plan, num.refactor_plan.schedule
 
 
-def _plan_audit_findings(args):
-    """``analyze effects --plans``: symbolic disjointness audits of the
-    compiled triangular/refactor schedules and of the KLU and Basker BTF
-    solve (both directions) and blocked refactor plans for the selected
-    matrices."""
-    from .analysis import audit_refactor_schedule, audit_triangular_schedule
-    from .solvers.gp import ensure_refactor_schedule, gp_factor
-    from .sparse.schedule import compile_triangular_schedule
+def _plan_findings(args):
+    """``--plans``: finding dicts of the one plan auditor over every
+    compiled plan of the selected matrices — the triangular and refactor
+    schedules of one ``gp_factor``, and the KLU and Basker BTF solve
+    plans (both directions) and blocked refactor plans."""
+    import dataclasses
 
-    findings = []
-    for name, A in _analysis_matrices(args):
-        res = gp_factor(A)
-        findings.extend(audit_triangular_schedule(
-            compile_triangular_schedule(res.L, "lower"), label=f"{name}:L"))
-        findings.extend(audit_triangular_schedule(
-            compile_triangular_schedule(res.U, "upper"), label=f"{name}:U"))
-        findings.extend(audit_refactor_schedule(
-            ensure_refactor_schedule(res, A), label=f"{name}:refactor"))
-        for solver, solve, refactor in _solver_plans(A):
-            findings.extend(audit_triangular_schedule(
-                solve.schedule, label=f"{name}:{solver}-solve"))
-            findings.extend(audit_triangular_schedule(
-                solve.t_schedule, label=f"{name}:{solver}-solve-T"))
-            findings.extend(audit_refactor_schedule(
-                refactor.schedule, label=f"{name}:{solver}-refactor"))
-    return findings
-
-
-def _shape_plan_findings(args):
-    """``analyze shapes --plans``: concrete buffer-bounds audits of the
-    compiled triangular/refactor schedules and of the KLU and Basker BTF
-    solve (both directions) and blocked refactor plans for the selected
-    matrices."""
     from .analysis import audit_schedule_buffers
     from .solvers.gp import ensure_refactor_schedule, gp_factor
     from .sparse.schedule import compile_triangular_schedule
@@ -202,107 +176,98 @@ def _shape_plan_findings(args):
     findings = []
     for name, A in _analysis_matrices(args):
         res = gp_factor(A)
-        findings.extend(audit_schedule_buffers(
-            compile_triangular_schedule(res.L, "lower"), label=f"{name}:L"))
-        findings.extend(audit_schedule_buffers(
-            compile_triangular_schedule(res.U, "upper"), label=f"{name}:U"))
-        findings.extend(audit_schedule_buffers(
-            ensure_refactor_schedule(res, A), label=f"{name}:refactor"))
+        plans = [(compile_triangular_schedule(res.L, "lower"), "L"),
+                 (compile_triangular_schedule(res.U, "upper"), "U"),
+                 (ensure_refactor_schedule(res, A), "refactor")]
         for solver, solve, refactor in _solver_plans(A):
-            findings.extend(audit_schedule_buffers(
-                solve, label=f"{name}:{solver}-solve"))
-            findings.extend(audit_schedule_buffers(
-                refactor, label=f"{name}:{solver}-refactor"))
-    return findings
+            plans += [(solve, f"{solver}-solve"), (refactor, f"{solver}-refactor")]
+        for plan, lab in plans:
+            findings.extend(audit_schedule_buffers(plan, label=f"{name}:{lab}"))
+    return [dataclasses.asdict(f) for f in findings]
 
 
 def _tree_findings(checker: str, args):
     """Finding dicts of one file-tree checker (lint/domains/effects/shapes)."""
     import dataclasses
 
-    from .analysis import (
-        check_domains_paths,
-        check_domains_tree,
-        check_effects_paths,
-        check_effects_tree,
-        check_shapes_paths,
-        check_shapes_tree,
-        lint_tree,
-    )
+    from . import analysis
 
     if checker == "lint":
-        findings = lint_tree()
-    elif checker == "domains":
-        findings = check_domains_paths(args.path) if args.path \
-            else check_domains_tree()
-    elif checker == "effects":
-        findings = check_effects_paths(args.path) if args.path \
-            else check_effects_tree()
-        if args.plans:
-            findings = list(findings) + _plan_audit_findings(args)
-    else:  # shapes
-        findings = check_shapes_paths(args.path) if args.path \
-            else check_shapes_tree()
-        if args.plans:
-            findings = list(findings) + _shape_plan_findings(args)
+        findings = analysis.lint_tree()
+    elif args.path:
+        findings = getattr(analysis, f"check_{checker}_paths")(args.path)
+    else:
+        findings = getattr(analysis, f"check_{checker}_tree")()
     return [dataclasses.asdict(f) for f in findings]
+
+
+def _dag_findings(args, checkers):
+    """Race-check (``hazards``) and ledger/schedule-check
+    (``conservation``) Basker's task DAG for every selected (matrix,
+    thread count).  Yields ``(config, pairs_checked, docs)`` per
+    configuration, with ``docs`` mapping each requested checker to its
+    finding dicts."""
+    from .analysis import check_conservation, check_hazards, check_schedule
+
+    for name, A in _analysis_matrices(args):
+        for p in args.threads:
+            num = Basker(n_threads=p, pipeline_columns=args.pipeline).factor(A)
+            config = {"matrix": name, "threads": p, "tasks": len(num.tasks)}
+            pairs, docs = None, {}
+            if "hazards" in checkers:
+                rep = check_hazards(num.tasks)
+                pairs = rep.n_pairs_checked
+                docs["hazards"] = [
+                    {"matrix": name, "threads": p, "kind": h.kind,
+                     "message": h.message}
+                    for h in rep.hazards
+                ]
+            if "conservation" in checkers:
+                rep1 = check_conservation(num.tasks, num.ledger, num.overhead_ledger)
+                rep2 = check_schedule(num.tasks, num.schedule(SANDY_BRIDGE))
+                docs["conservation"] = [
+                    {"matrix": name, "threads": p, "kind": "conservation",
+                     "message": str(f)}
+                    for f in list(rep1.findings) + list(rep2.findings)
+                ]
+            yield config, pairs, docs
+
+
+def _save_baseline(args, groups) -> None:
+    """``--write-baseline FILE``: bless the findings of each checker."""
+    from .analysis import write_baseline_many
+
+    if args.write_baseline:
+        n = write_baseline_many(args.write_baseline, groups)
+        print(f"wrote baseline {args.write_baseline} ({n} fingerprint(s))",
+              file=sys.stderr)
 
 
 def _analyze_all(args, base_fps) -> int:
     """``analyze all``: every checker in one pass, one report, one exit
     code.  File-tree checkers run over the whole tree; hazards and
-    conservation share one factorization per (matrix, threads) pair."""
+    conservation share one factorization per (matrix, threads) pair;
+    ``--plans`` adds the plan audit as one more section."""
     import json
 
-    from .analysis import (
-        apply_baseline,
-        check_conservation,
-        check_hazards,
-        check_schedule,
-        write_baseline_many,
-    )
+    from .analysis import apply_baseline
 
     as_json = args.format == "json"
+    groups = {c: _tree_findings(c, args)
+              for c in ("lint", "domains", "effects", "shapes")}
+    groups["hazards"], groups["conservation"], configs = [], [], []
+    for config, _pairs, docs in _dag_findings(args, ("hazards", "conservation")):
+        groups["hazards"].extend(docs["hazards"])
+        groups["conservation"].extend(docs["conservation"])
+        configs.append(config)
+    if args.plans:
+        groups["plans"] = _plan_findings(args)
     sections = {}
-    all_docs = {}
-    for checker in ("lint", "domains", "effects", "shapes"):
-        docs = _tree_findings(checker, args)
+    for checker, docs in groups.items():
         new, suppressed = apply_baseline(checker, docs, base_fps)
         sections[checker] = {"ok": not new, "findings": new,
                              "suppressed": suppressed}
-        all_docs[checker] = docs
-
-    hz_docs, cons_docs, configs = [], [], []
-    for name, A in _analysis_matrices(args):
-        for p in args.threads:
-            solver = Basker(n_threads=p, pipeline_columns=args.pipeline)
-            num = solver.factor(A)
-            rep = check_hazards(num.tasks)
-            hz_docs.extend(
-                {"matrix": name, "threads": p, "kind": h.kind,
-                 "message": h.message}
-                for h in rep.hazards
-            )
-            sched = num.schedule(SANDY_BRIDGE)
-            rep1 = check_conservation(num.tasks, num.ledger, num.overhead_ledger)
-            rep2 = check_schedule(num.tasks, sched)
-            cons_docs.extend(
-                {"matrix": name, "threads": p, "kind": "conservation",
-                 "message": str(f)}
-                for f in list(rep1.findings) + list(rep2.findings)
-            )
-            configs.append({"matrix": name, "threads": p,
-                            "tasks": len(num.tasks)})
-    for checker, docs in (("hazards", hz_docs), ("conservation", cons_docs)):
-        new, suppressed = apply_baseline(checker, docs, base_fps)
-        sections[checker] = {"ok": not new, "findings": new,
-                             "suppressed": suppressed}
-        all_docs[checker] = docs
-
-    if args.write_baseline:
-        n = write_baseline_many(args.write_baseline, all_docs)
-        print(f"wrote baseline {args.write_baseline} ({n} fingerprint(s))",
-              file=sys.stderr)
+    _save_baseline(args, groups)
     ok = all(sec["ok"] for sec in sections.values())
     if as_json:
         print(json.dumps({
@@ -329,14 +294,7 @@ def _analyze_all(args, base_fps) -> int:
 def _cmd_analyze(args) -> int:
     import json
 
-    from .analysis import (
-        apply_baseline,
-        check_conservation,
-        check_hazards,
-        check_schedule,
-        load_baseline,
-        write_baseline,
-    )
+    from .analysis import apply_baseline, load_baseline
 
     as_json = args.format == "json"
     base_fps = load_baseline(args.baseline) if args.baseline else set()
@@ -346,11 +304,10 @@ def _cmd_analyze(args) -> int:
 
     if args.checker in ("lint", "domains", "effects", "shapes"):
         docs = _tree_findings(args.checker, args)
+        if args.plans and args.checker == "shapes":
+            docs += _plan_findings(args)
         new, suppressed = apply_baseline(args.checker, docs, base_fps)
-        if args.write_baseline:
-            n = write_baseline(args.write_baseline, args.checker, docs)
-            print(f"wrote baseline {args.write_baseline} ({n} fingerprint(s))",
-                  file=sys.stderr)
+        _save_baseline(args, {args.checker: docs})
         if as_json:
             print(json.dumps({
                 "checker": args.checker,
@@ -366,72 +323,33 @@ def _cmd_analyze(args) -> int:
             print(f"{args.checker}: {len(new)} finding(s){tail}")
         return 1 if new else 0
 
+    hazards = args.checker == "hazards"
     failures = 0
     configs = []
     all_docs = []
-    for name, A in _analysis_matrices(args):
-        for p in args.threads:
-            solver = Basker(n_threads=p, pipeline_columns=args.pipeline)
-            num = solver.factor(A)
-            if args.checker == "hazards":
-                rep = check_hazards(num.tasks)
-                docs = [
-                    {"matrix": name, "threads": p, "kind": h.kind,
-                     "message": h.message}
-                    for h in rep.hazards
-                ]
-                new, suppressed = apply_baseline(args.checker, docs, base_fps)
-                all_docs.extend(docs)
-                if as_json:
-                    configs.append({
-                        "matrix": name, "threads": p,
-                        "tasks": len(num.tasks),
-                        "pairs_checked": rep.n_pairs_checked,
-                        "ok": not new,
-                        "findings": new,
-                        "suppressed": suppressed,
-                    })
-                else:
-                    status = "OK" if not new else f"{len(new)} HAZARD(S)"
-                    if suppressed:
-                        status += f" (+{len(suppressed)} suppressed)"
-                    print(f"{name:16s} p={p:<3d} {len(num.tasks):5d} tasks, "
-                          f"{rep.n_pairs_checked:6d} pairs: {status}")
-                    for d in new:
-                        print(f"    [{d['kind']}] {d['message']}")
-                failures += bool(new)
-            else:
-                sched = num.schedule(SANDY_BRIDGE)
-                rep1 = check_conservation(num.tasks, num.ledger, num.overhead_ledger)
-                rep2 = check_schedule(num.tasks, sched)
-                docs = [
-                    {"matrix": name, "threads": p, "kind": "conservation",
-                     "message": str(f)}
-                    for f in list(rep1.findings) + list(rep2.findings)
-                ]
-                new, suppressed = apply_baseline(args.checker, docs, base_fps)
-                all_docs.extend(docs)
-                if as_json:
-                    configs.append({
-                        "matrix": name, "threads": p,
-                        "tasks": len(num.tasks),
-                        "ok": not new,
-                        "findings": new,
-                        "suppressed": suppressed,
-                    })
-                else:
-                    status = "OK" if not new else f"{len(new)} FINDING(S)"
-                    if suppressed:
-                        status += f" (+{len(suppressed)} suppressed)"
-                    print(f"{name:16s} p={p:<3d} {len(num.tasks):5d} tasks: "
-                          f"{status}")
-                    for d in new:
-                        print(f"    {d['message']}")
-                failures += bool(new)
-    if args.write_baseline:
-        n = write_baseline(args.write_baseline, args.checker, all_docs)
-        print(f"wrote baseline {args.write_baseline} ({n} fingerprint(s))",
-              file=sys.stderr)
+    for config, pairs, found in _dag_findings(args, (args.checker,)):
+        docs = found[args.checker]
+        new, suppressed = apply_baseline(args.checker, docs, base_fps)
+        all_docs.extend(docs)
+        failures += bool(new)
+        if as_json:
+            extra = {"pairs_checked": pairs} if hazards else {}
+            configs.append({**config, **extra, "ok": not new,
+                            "findings": new, "suppressed": suppressed})
+            continue
+        status = "OK" if not new else \
+            f"{len(new)} {'HAZARD(S)' if hazards else 'FINDING(S)'}"
+        if suppressed:
+            status += f" (+{len(suppressed)} suppressed)"
+        head = (f"{config['matrix']:16s} p={config['threads']:<3d} "
+                f"{config['tasks']:5d} tasks")
+        if hazards:
+            head += f", {pairs:6d} pairs"
+        print(f"{head}: {status}")
+        for d in new:
+            print(f"    [{d['kind']}] {d['message']}" if hazards
+                  else f"    {d['message']}")
+    _save_baseline(args, {args.checker: all_docs})
     if as_json:
         print(json.dumps({
             "checker": args.checker,
@@ -922,9 +840,10 @@ def main(argv=None) -> int:
                         "against the package contracts instead of the whole "
                         "tree (repeatable)")
     p.add_argument("--plans", action="store_true",
-                   help="effects/shapes only: also audit compiled triangular/"
-                        "refactor schedules and the KLU/Basker BTF solve "
-                        "plans (E4 write disjointness, S1/S2 buffer bounds)")
+                   help="shapes/all only: also audit the compiled "
+                        "triangular/refactor schedules and the KLU/Basker "
+                        "BTF solve plans (E4 write disjointness and level "
+                        "order, S1 bounds, S2 segments, S3 sizes)")
     p.add_argument("--baseline",
                    help="suppress findings fingerprinted in this baseline JSON; "
                         "exit nonzero only on new findings")

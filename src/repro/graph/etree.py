@@ -14,6 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..errors import StructureError
 from ..sparse.csc import CSC
 
 __all__ = [
@@ -28,7 +29,7 @@ __all__ = [
 def symmetric_pattern(A: CSC) -> CSC:
     """Pattern of ``A + A.T`` with unit values (graph symmetrization)."""
     if A.n_rows != A.n_cols:
-        raise ValueError("requires a square matrix")
+        raise StructureError("requires a square matrix")
     At = A.transpose()
     col_a = np.repeat(np.arange(A.n_cols), np.diff(A.indptr))
     col_b = np.repeat(np.arange(At.n_cols), np.diff(At.indptr))
@@ -133,7 +134,7 @@ def postorder(parent: np.ndarray) -> np.ndarray:
                 k += 1
                 stack.pop()
     if k != n:
-        raise ValueError("parent array contains a cycle")
+        raise StructureError("parent array contains a cycle")
     return post
 
 

@@ -20,6 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from ..contracts import domains
+from ..errors import StructureError
 from ..sparse.csc import CSC
 
 __all__ = [
@@ -278,7 +279,7 @@ def mwcm_row_permutation(A: CSC) -> np.ndarray:
     permutation.
     """
     if A.n_rows != A.n_cols:
-        raise ValueError("diagonal matching requires a square matrix")
+        raise StructureError("diagonal matching requires a square matrix")
     match_col, _ = mwcm(A)
     n = A.n_rows
     p = np.full(n, -1, dtype=np.int64)

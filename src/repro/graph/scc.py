@@ -12,6 +12,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..errors import StructureError
 from ..sparse.csc import CSC
 
 __all__ = ["tarjan_scc", "scc_of_matrix"]
@@ -94,7 +95,7 @@ def scc_of_matrix(A: CSC) -> Tuple[int, np.ndarray, np.ndarray]:
     figure.  ``order`` is the concatenated vertex permutation.
     """
     if A.n_rows != A.n_cols:
-        raise ValueError("SCC ordering requires a square matrix")
+        raise StructureError("SCC ordering requires a square matrix")
     n = A.n_rows
     n_comp, comp = tarjan_scc(n, A.indptr, A.indices)
 

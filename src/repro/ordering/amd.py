@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..contracts import domains
+from ..errors import StructureError
 from ..graph.etree import symmetric_pattern
 from ..obs.tracer import get_tracer
 from ..sparse.csc import CSC
@@ -41,7 +42,7 @@ def amd_order(A: CSC, dense_cutoff: float = 10.0) -> np.ndarray:
 def _amd_order(A: CSC, dense_cutoff: float = 10.0) -> np.ndarray:
     n = A.n_cols
     if A.n_rows != n:
-        raise ValueError("AMD requires a square matrix")
+        raise StructureError("AMD requires a square matrix")
     if n == 0:
         return np.empty(0, dtype=np.int64)
     if n == 1:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..contracts import domains
+from ..errors import StructureError
 from ..obs.tracer import get_tracer
 from ..graph.matching import mwcm_row_permutation
 from ..graph.scc import scc_of_matrix
@@ -95,7 +96,7 @@ def btf(A: CSC, use_mwcm: bool = True) -> BTFResult:
 @domains(A="matrix[global]")
 def _btf_impl(A: CSC, use_mwcm: bool = True) -> BTFResult:
     if A.n_rows != A.n_cols:
-        raise ValueError("BTF requires a square matrix")
+        raise StructureError("BTF requires a square matrix")
     n = A.n_rows
     if n == 0:
         return BTFResult(

@@ -22,6 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..contracts import domains
+from ..errors import StructureError
 from ..graph.etree import symmetric_pattern
 from ..obs.tracer import get_tracer
 from ..sparse.csc import CSC
@@ -374,9 +375,9 @@ def nested_dissection(A: CSC, nleaves: int) -> NDPartition:
 @domains(A="matrix[S]")
 def _nested_dissection(A: CSC, nleaves: int) -> NDPartition:
     if A.n_rows != A.n_cols:
-        raise ValueError("nested dissection requires a square matrix")
+        raise StructureError("nested dissection requires a square matrix")
     if nleaves < 1 or (nleaves & (nleaves - 1)) != 0:
-        raise ValueError("nleaves must be a power of two")
+        raise StructureError("nleaves must be a power of two")
     n = A.n_rows
     B = symmetric_pattern(A) if n else A
     adj = _build_adjacency(B) if n else []

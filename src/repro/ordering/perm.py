@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..contracts import domains, effects
+from ..errors import StructureError
 
 __all__ = ["invert", "compose", "is_permutation", "identity", "apply_to_vector", "random_permutation"]
 
@@ -67,7 +68,7 @@ def compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.int64)
     q = np.asarray(q, dtype=np.int64)
     if p.size != q.size:
-        raise ValueError("size mismatch")
+        raise StructureError("size mismatch")
     return p[q]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..contracts import domains
+from ..errors import StructureError
 from ..graph.etree import symmetric_pattern
 from ..sparse.csc import CSC
 
@@ -35,7 +36,7 @@ def rcm_order(A: CSC) -> np.ndarray:
     """
     n = A.n_cols
     if A.n_rows != n:
-        raise ValueError("RCM requires a square matrix")
+        raise StructureError("RCM requires a square matrix")
     if n == 0:
         return np.empty(0, dtype=np.int64)
     B = symmetric_pattern(A)

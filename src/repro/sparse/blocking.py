@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..contracts import effects, shapes
+from ..errors import StructureError
 from ..graph.etree import etree, symbolic_cholesky_counts, symmetric_pattern
 from .csc import CSC
 
@@ -129,7 +130,7 @@ def detect_dense_tail(
     """
     n = A.n_cols
     if A.n_rows != n:
-        raise ValueError("dense-tail detection requires a square matrix")
+        raise StructureError("dense-tail detection requires a square matrix")
     switch = n
     density = 0.0
     if n >= min_cols and min_cols > 0:

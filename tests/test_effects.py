@@ -9,8 +9,8 @@ Four layers:
 * differential soundness — run real kernels under snapshotting and
   require the dynamically observed mutations to be a subset of the
   static summaries,
-* the symbolic plan audits and the hazard regression on the task DAGs
-  whose read/write declarations this PR added.
+* the plan auditor's E4 (write disjointness) audits and the hazard
+  regression on the declared task DAGs.
 """
 
 import copy
@@ -23,8 +23,7 @@ import pytest
 
 from repro.analysis import (
     apply_baseline,
-    audit_refactor_schedule,
-    audit_triangular_schedule,
+    audit_schedule_buffers,
     check_effects_paths,
     check_effects_source,
     check_effects_tree,
@@ -376,7 +375,7 @@ class TestDifferentialSoundness:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic plan audits
+# Plan audits: write disjointness (E4)
 # ---------------------------------------------------------------------------
 
 class TestPlanAudits:
@@ -389,19 +388,19 @@ class TestPlanAudits:
         A, res = factored
         for M, kind in ((res.L, "lower"), (res.U, "upper")):
             sched = compile_triangular_schedule(M, kind)
-            assert audit_triangular_schedule(sched, label=kind) == []
+            assert audit_schedule_buffers(sched, label=kind) == []
 
     def test_refactor_schedule_clean(self, factored):
         A, res = factored
         sched = ensure_refactor_schedule(res, A)
-        assert audit_refactor_schedule(sched, label="refactor") == []
+        assert audit_schedule_buffers(sched, label="refactor") == []
 
     def test_corrupted_refactor_schedule_is_flagged(self, factored):
         A, res = factored
         sched = copy.deepcopy(ensure_refactor_schedule(res, A))
         stage = next(s for s in sched.stages if len(s.seg_tgt) >= 2)
         stage.seg_tgt[1] = stage.seg_tgt[0]  # two segments, one target
-        finds = audit_refactor_schedule(sched, label="corrupt")
+        finds = audit_schedule_buffers(sched, label="corrupt")
         assert finds and all(f.code == "E4" for f in finds)
 
     def test_corrupted_triangular_schedule_is_flagged(self, factored):
@@ -415,8 +414,28 @@ class TestPlanAudits:
                 break
         if not corrupted:
             pytest.skip("no vectorized level wide enough to corrupt")
-        finds = audit_triangular_schedule(sched, label="corrupt")
+        finds = audit_schedule_buffers(sched, label="corrupt")
         assert finds and all(f.code == "E4" for f in finds)
+
+    def test_column_in_two_levels_is_flagged(self, factored):
+        A, res = factored
+        sched = copy.deepcopy(compile_triangular_schedule(res.L, "lower"))
+        # level 1 re-finalizes a level-0 column and drops one of its own
+        sched.levels[1].cols[0] = sched.levels[0].cols[0]
+        finds = audit_schedule_buffers(sched, label="corrupt")
+        assert finds and all(f.code == "E4" for f in finds)
+        messages = " ".join(f.message for f in finds)
+        assert "more than once" in messages and "by no level" in messages
+
+    def test_update_into_an_earlier_level_is_flagged(self, factored):
+        A, res = factored
+        sched = copy.deepcopy(compile_triangular_schedule(res.L, "lower"))
+        lv = next(lv for lv in sched.levels[1:]
+                  if lv.scalar_cols is None and lv.seg_tgt.size)
+        lv.seg_tgt[0] = sched.levels[0].cols[0]  # scatter back into level 0
+        finds = audit_schedule_buffers(sched, label="corrupt")
+        assert [f.code for f in finds] == ["E4"]
+        assert "no later than its producer" in finds[0].message
 
 
 # ---------------------------------------------------------------------------

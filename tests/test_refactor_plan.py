@@ -183,19 +183,20 @@ def test_invalidate_caches_drops_refactor_plan(solver, prefix):
 
 
 def test_plan_audits_cover_the_replayed_refactor_plan():
-    """``analyze {effects,shapes} --plans`` audit the blocked schedule
-    KLU and Basker replay, and a corrupted copy trips both audits."""
-    from repro.analysis import audit_refactor_schedule, audit_schedule_buffers
+    """``analyze {shapes,all} --plans`` audits the blocked schedule KLU
+    and Basker replay, and a corrupted copy trips the audit with E4."""
+    from repro.analysis import audit_schedule_buffers
     from repro.cli import _solver_plans
 
     plans = {solver: refactor for solver, _, refactor in _solver_plans(get_matrix("circuit_4"))}
     assert set(plans) == {"klu", "basker"}
     for plan in plans.values():
         assert isinstance(plan, BlockedRefactorSchedule)
-        assert audit_refactor_schedule(plan.schedule) == []
+        assert audit_schedule_buffers(plan.schedule) == []
         assert audit_schedule_buffers(plan) == []
         bad = copy.deepcopy(plan)
         stage = next(st for st in bad.schedule.stages if st.seg_tgt.size >= 2)
         stage.seg_tgt[1] = stage.seg_tgt[0]
-        assert audit_refactor_schedule(bad.schedule) != []
+        finds = audit_schedule_buffers(bad.schedule)
+        assert finds and all(f.code == "E4" for f in finds)
         assert audit_schedule_buffers(bad) != []

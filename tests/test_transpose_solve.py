@@ -140,23 +140,23 @@ def test_forward_solves_leave_the_transpose_uncompiled():
 
 
 def test_plan_audits_cover_the_transposed_system():
-    """``analyze {effects,shapes} --plans`` audit the transposed system
-    of the KLU and Basker solve plans, and a corrupted copy trips both
-    audits."""
-    from repro.analysis import audit_schedule_buffers, audit_triangular_schedule
+    """``analyze {shapes,all} --plans`` audits the transposed system of
+    the KLU and Basker solve plans, and corrupted copies trip it: E4 for
+    a shared scatter target, S1 for a broken value order."""
+    from repro.analysis import audit_schedule_buffers
     from repro.cli import _solver_plans
 
     plans = {solver: solve for solver, solve, _ in _solver_plans(get_matrix("circuit_4"))}
     assert set(plans) == {"klu", "basker"}
     for plan in plans.values():
         assert plan.t_schedule is not None
-        assert audit_triangular_schedule(plan.t_schedule) == []
+        assert audit_schedule_buffers(plan.t_schedule) == []
         assert audit_schedule_buffers(plan) == []
         bad = copy.deepcopy(plan)
         lv = next(lv for lv in bad.t_schedule.levels
                   if lv.scalar_cols is None and lv.seg_tgt.size >= 2)
         lv.seg_tgt[1] = lv.seg_tgt[0]  # two segments, one target
-        finds = audit_triangular_schedule(bad.t_schedule)
+        finds = audit_schedule_buffers(bad.t_schedule)
         assert finds and all(f.code == "E4" for f in finds)
         bad = copy.deepcopy(plan)
         bad.t_order[1] = bad.t_order[0]  # a value read twice, one never
