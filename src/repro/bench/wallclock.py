@@ -257,59 +257,6 @@ def _klu_refactor_reference(klu: KLU, A: CSC, numeric):
     )
 
 
-def _aggregate_phase_spans(tracer, machine) -> Dict[str, dict]:
-    """Aggregate a traced run's spans by name into the phase table.
-
-    ``modeled_s``/``wall_s`` are inclusive per span, so nested names
-    (``order.*`` inside ``symbolic``) overlap their parents by design.
-    Spans that never captured wall time (leaf spans created without a
-    ``with`` block) keep ``wall_s`` null — not a silent 0.0 — so
-    modeled and wall views count the same spans, with ``wall_count``
-    recording the coverage gap.
-    """
-    from ..obs import modeled_times
-
-    times = modeled_times(tracer, machine)
-    spans: Dict[str, dict] = {}
-    for sp in tracer.spans:
-        rec = spans.setdefault(
-            sp.name,
-            {"count": 0, "modeled_s": 0.0, "wall_s": None, "wall_count": 0},
-        )
-        rec["count"] += 1
-        rec["modeled_s"] += times[sp.sid][1]
-        wall = sp.wall_seconds
-        if wall is not None:
-            rec["wall_s"] = (rec["wall_s"] or 0.0) + wall
-            rec["wall_count"] += 1
-    return spans
-
-
-def _phase_breakdown(name: str, seed: int) -> dict:
-    """Per-phase modeled + wall seconds from one traced KLU pipeline run.
-
-    One analyze/factor/refactor/solve pass under a wall-clock-enabled
-    :class:`~repro.obs.Tracer` (outside the timed best-of loops), then
-    spans are aggregated by name via :func:`_aggregate_phase_spans`.
-    """
-    from ..obs import Tracer, tracing
-    from ..parallel.machine import SANDY_BRIDGE
-
-    A = get_matrix(name)
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal(A.n_rows)
-    klu = KLU()
-    tracer = Tracer(wall_clock=time.perf_counter)
-    with tracing(tracer):
-        sym = klu.analyze(A)
-        num = klu.factor(A, symbolic=sym)
-        A2 = CSC(A.n_rows, A.n_cols, A.indptr, A.indices, A.data * 1.01)
-        num = klu.refactor_fast(A2, num)
-        klu.solve(num, b)
-    spans = _aggregate_phase_spans(tracer, SANDY_BRIDGE)
-    return {"matrix": name, "machine": SANDY_BRIDGE.name, "spans": spans}
-
-
 def _bench_xyce_sequence(n_matrices: int) -> dict:
     """The §V-F workload: one fixed-pattern Jacobian sequence, KLU
     values-only refactorization, seed loop vs schedule replay."""
@@ -414,7 +361,6 @@ def run_wallclock(
             "seed": seed,
         },
         "cases": cases,
-        "phases": _phase_breakdown(matrices[0], seed),
         "summary": {
             "xyce_refactor_speedup": cases["xyce_refactor_sequence"]["speedup"],
             "min_refactor_speedup": min(refac_sp) if refac_sp else None,

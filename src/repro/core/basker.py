@@ -20,7 +20,6 @@ side.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -31,12 +30,11 @@ import numpy as np
 
 from ..contracts import domains
 from ..errors import SingularMatrixError, StructureError
-from ..obs.tracer import NULL_TRACER, get_tracer, tracing
+from ..obs.tracer import get_tracer
 from ..parallel.ledger import CostLedger
 from ..resilience.faults import fault_values as _fault_values
 from ..parallel.machine import MachineModel, SANDY_BRIDGE
 from ..parallel.sim import Schedule, SimTask, simulate
-from ..parallel.threads import parallel_map
 from ..solvers.gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor
 from ..solvers.triangular import btf_factors, btf_solve, drop_solve_plan
 from ..sparse.csc import CSC
@@ -51,28 +49,6 @@ from .structure import BaskerSymbolic
 from .symbolic import DEFAULT_ND_THRESHOLD, analyze as symbolic_analyze
 
 __all__ = ["Basker", "BaskerNumeric"]
-
-
-def _factor_fine_block(b_idx: int, splits, B: CSC, pivot_tol: float,
-                       static_perturb: float):
-    """One fine-BTF block's Gilbert–Peierls factorization.
-
-    Module-level (not a closure) so the payload shipped to
-    :func:`~repro.parallel.threads.parallel_map` stays picklable for a
-    process backend — the effect checker's E3 gate.
-    """
-    lo, hi = int(splits[b_idx]), int(splits[b_idx + 1])
-    blk = B.submatrix(lo, hi, lo, hi)
-    led = CostLedger()
-    # Span-free: workers only compute.  The main thread records one
-    # post-hoc numeric.gp.fine leaf per block carrying ``led``, so any
-    # inline span emission here would double-count under the ledger
-    # conservation check.
-    with tracing(NULL_TRACER):
-        lu = gp_factor(
-            blk, pivot_tol=pivot_tol, static_perturb=static_perturb, ledger=led
-        )
-    return b_idx, lo, hi, lu, led
 
 
 @dataclass
@@ -180,29 +156,21 @@ class Basker:
         self,
         n_threads: int = 4,
         pivot_tol: float = GP_DEFAULT_PIVOT_TOL,
-        use_btf: bool = True,
         nd_threshold: int = DEFAULT_ND_THRESHOLD,
         static_perturb: float = 0.0,
         nd_leaves: int | None = None,
         supernodal_separators: bool = False,
         pipeline_columns: int | None = None,
-        real_threads: bool = False,
     ):
         if n_threads < 1 or (n_threads & (n_threads - 1)) != 0:
             raise StructureError("n_threads must be a power of two (paper §III-C)")
         self.n_threads = n_threads
         self.pivot_tol = float(pivot_tol)
-        self.use_btf = use_btf
         self.nd_threshold = int(nd_threshold)
         self.static_perturb = float(static_perturb)
         self.nd_leaves = nd_leaves
         self.supernodal_separators = bool(supernodal_separators)
         self.pipeline_columns = pipeline_columns
-        # Run the embarrassingly parallel fine-BTF phase on a real
-        # ThreadPoolExecutor.  Results are identical; wall-clock speedup
-        # is NOT expected under CPython's GIL (see DESIGN.md) — the
-        # option exists to exercise the real code path.
-        self.real_threads = bool(real_threads)
 
     # ------------------------------------------------------------------
     @domains(A="matrix[global]")
@@ -212,7 +180,6 @@ class Basker:
             A,
             self.n_threads,
             nd_threshold=self.nd_threshold,
-            use_btf=self.use_btf,
             nd_leaves=self.nd_leaves,
         )
 
@@ -241,29 +208,23 @@ class Basker:
             fine_lu: Dict[int, GPResult] = {}
             nd_numeric: Dict[int, NDNumericBlock] = {}
 
-            # Fine-BTF blocks: embarrassingly parallel Gilbert–Peierls.
+            # Fine-BTF blocks: embarrassingly parallel Gilbert–Peierls,
+            # one task per block on its statically mapped thread.
             if symbolic.fine_plan is not None:
                 plan = symbolic.fine_plan
-                results = parallel_map(
-                    functools.partial(
-                        _factor_fine_block, splits=splits, B=B,
-                        pivot_tol=self.pivot_tol,
-                        static_perturb=self.static_perturb,
-                    ),
-                    list(plan.block_ids),
-                    n_threads=self.n_threads if self.real_threads else 1,
-                )
-                for (b_idx, lo, hi, lu, led), thread in zip(results, plan.thread_of):
+                for b_idx, thread in zip(plan.block_ids, plan.thread_of):
+                    lo, hi = int(splits[b_idx]), int(splits[b_idx + 1])
+                    blk = B.submatrix(lo, hi, lo, hi)
+                    led = CostLedger()
+                    with tr.span("numeric.gp.fine") as fsp:
+                        if tr.enabled:
+                            fsp.set(block=b_idx, n=hi - lo, thread=thread)
+                        lu = gp_factor(blk, pivot_tol=self.pivot_tol,
+                                       static_perturb=self.static_perturb, ledger=led)
+                    fsp.attach(led)
                     fine_lu[b_idx] = lu
                     row_perm[lo:hi] = row_perm[lo:hi][lu.row_perm]
                     total.add(led)
-                    if tr.enabled:
-                        # Leaf span per fine block, recorded post hoc on
-                        # the main thread (span creation is not
-                        # thread-safe; the workers only compute).
-                        tr.span("numeric.gp.fine").set(
-                            block=b_idx, n=hi - lo, thread=thread
-                        ).attach(led)
                     builder.add(
                         ("fine", b_idx), led, deps=[], thread=thread,
                         working_set=12.0 * (lu.L.nnz + lu.U.nnz) + 8.0 * (hi - lo),

@@ -3,10 +3,11 @@
 This module builds the :class:`~repro.core.structure.BaskerSymbolic`
 plan:
 
-* **Algorithm 2 (fine BTF)** — AMD-order every small diagonal block,
-  estimate its factor size and flop count from the symbolic Cholesky
-  counts of its symmetrized pattern, and statically partition the
-  blocks over the threads by operation count (LPT greedy).
+* **Algorithm 2 (fine BTF)** — AMD-order every small diagonal block
+  (KLU's front end, :func:`repro.solvers.klu.amd_blocks`), estimate its
+  factor size and flop count from the symbolic Cholesky counts of its
+  symmetrized pattern, and statically partition the blocks over the
+  threads by operation count (LPT greedy).
 
 * **Algorithm 3 (fine ND)** — for each large irreducible block: local
   MWCM, nested dissection with exactly ``p`` leaves, per-node AMD
@@ -35,11 +36,10 @@ from ..errors import StructureError
 from ..graph.etree import etree, symbolic_cholesky_counts, symmetric_pattern
 from ..graph.matching import mwcm_row_permutation
 from ..obs.tracer import get_tracer
-from ..ordering.amd import amd_order
-from ..ordering.btf import BTFResult, btf
 from ..ordering.nd import NDPartition, nested_dissection
 from ..ordering.perm import compose
 from ..parallel.ledger import CostLedger
+from ..solvers.klu import amd_blocks, btf_permuted
 from ..sparse.csc import CSC
 from .structure import BaskerSymbolic, FineBTFPlan, NDBlockPlan
 
@@ -101,21 +101,20 @@ class _Envelope:
 # ----------------------------------------------------------------------
 
 
-@domains(B="matrix[btf]", splits="index[btf]",
-         row_pre="perm[global->btf]", col_perm="perm[global->btf]")
+@domains(B="matrix[btf]", splits="index[btf]", p="perm[btf->btf]")
 def _fine_btf_symbolic(
     B: CSC,
     splits: np.ndarray,
     fine_ids: List[int],
     n_threads: int,
-    row_pre: np.ndarray,
-    col_perm: np.ndarray,
+    p: np.ndarray,
     ledger: CostLedger,
 ) -> FineBTFPlan:
-    """AMD + count estimate per small block; LPT partition over threads.
+    """Count estimate per small block; LPT partition over threads.
 
-    ``row_pre`` / ``col_perm`` are updated in place with the per-block
-    AMD permutations (applied symmetrically inside each block range).
+    ``p`` is the blocks' AMD ordering (:func:`~repro.solvers.klu.amd_blocks`
+    over the fine ranges of ``B``); the estimates are the symbolic
+    Cholesky counts of each AMD-ordered block's symmetrized pattern.
     """
     est_nnz: List[int] = []
     est_ops: List[float] = []
@@ -126,12 +125,8 @@ def _fine_btf_symbolic(
             est_nnz.append(1)
             est_ops.append(1.0)
             continue
-        blk = B.submatrix(lo, hi, lo, hi)
-        p = amd_order(blk)
-        ledger.dfs_steps += 4 * blk.nnz
-        row_pre[lo:hi] = row_pre[lo:hi][p]
-        col_perm[lo:hi] = col_perm[lo:hi][p]
-        blk_amd = blk.permute(p, p)
+        pa = p[lo:hi] - lo  # domain: perm[local:block->local:block]
+        blk_amd = B.submatrix(lo, hi, lo, hi).permute(pa, pa)
         sym = symmetric_pattern(blk_amd)
         parent = etree(sym)
         counts = symbolic_cholesky_counts(sym, parent)
@@ -398,7 +393,6 @@ def analyze(
     A: CSC,
     n_threads: int,
     nd_threshold: int = DEFAULT_ND_THRESHOLD,
-    use_btf: bool = True,
     nd_leaves: int | None = None,
 ) -> BaskerSymbolic:
     """Full symbolic analysis: coarse BTF + Algorithms 2 and 3.
@@ -426,16 +420,7 @@ def analyze(
     tr = get_tracer()
     with tr.span("symbolic") as sp:
         ledger = CostLedger()
-        if use_btf:
-            res = btf(A)
-        else:
-            ident = np.arange(n, dtype=np.int64)
-            res = BTFResult(ident, ident.copy(), np.array([0, n], dtype=np.int64), True)
-        ledger.dfs_steps += A.nnz
-
-        B = A.permute(res.row_perm, res.col_perm)  # domain: matrix[btf]
-        row_pre = res.row_perm.copy()  # domain: perm[global->btf]
-        col_perm = res.col_perm.copy()  # domain: perm[global->btf]
+        res, B = btf_permuted(A, ledger)  # domain: matrix[btf]
         splits = res.block_splits  # domain: index[btf]
 
         fine_ids: List[int] = []
@@ -447,9 +432,15 @@ def analyze(
             else:
                 fine_ids.append(b)
 
+        # Algorithm 2 line 2: AMD on every fine block (KLU's front end).
+        fine_ranges = [(int(splits[b]), int(splits[b + 1])) for b in fine_ids]
+        p = amd_blocks(B, fine_ranges, ledger)  # domain: perm[btf->btf]
+        row_pre = res.row_perm[p]  # domain: perm[global->btf]
+        col_perm = res.col_perm[p]  # domain: perm[global->btf]
+
         fine_plan = None
         if fine_ids:
-            fine_plan = _fine_btf_symbolic(B, splits, fine_ids, n_threads, row_pre, col_perm, ledger)
+            fine_plan = _fine_btf_symbolic(B, splits, fine_ids, n_threads, p, ledger)
 
         nd_plans: List[NDBlockPlan] = []
         for b in nd_ids:
@@ -465,14 +456,7 @@ def analyze(
             D2 = D1.permute(q, q)  # domain: matrix[nd]
             # Per-node AMD refinement (local symmetric perms keep the
             # separator property intact).
-            r = np.arange(Dblk.n_rows, dtype=np.int64)  # domain: perm[nd->nd]
-            for t in range(part.n_nodes):
-                t0, t1 = part.node_range(t)
-                if t1 - t0 > 1:
-                    blk = D2.submatrix(t0, t1, t0, t1)
-                    pa = amd_order(blk)
-                    ledger.dfs_steps += 4 * blk.nnz
-                    r[t0:t1] = r[t0:t1][pa]
+            r = amd_blocks(D2, [part.node_range(t) for t in range(part.n_nodes)], ledger)
             local_row = compose(compose(pm2, q), r)  # perm[local:block->nd], inferred
             local_col = compose(q, r)  # perm[local:block->nd], inferred
             D3 = Dblk.permute(local_row, local_col)  # domain: matrix[nd]

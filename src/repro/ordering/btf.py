@@ -71,21 +71,15 @@ class BTFResult:
 
 
 @domains(A="matrix[global]")
-def btf(A: CSC, use_mwcm: bool = True) -> BTFResult:
+def btf(A: CSC) -> BTFResult:
     """Compute the block triangular form of a square matrix.
 
-    Parameters
-    ----------
-    A
-        Square sparse matrix.
-    use_mwcm
-        Apply the bottleneck MWCM first (the paper's Pm1).  Disable to
-        study the effect of the matching (the diagonal must already be
-        zero-free for the BTF to be meaningful then).
+    The bottleneck MWCM (the paper's Pm1) is applied first, so the
+    permuted diagonal is zero-free with large entries.
     """
     tr = get_tracer()
     with tr.span("order.btf") as sp:
-        res = _btf_impl(A, use_mwcm)
+        res = _btf_impl(A)
         if tr.enabled:
             sp.set(n_blocks=res.n_blocks, largest_block=res.largest_block)
             tr.metrics.set_gauge("btf.n_blocks", res.n_blocks)
@@ -94,7 +88,7 @@ def btf(A: CSC, use_mwcm: bool = True) -> BTFResult:
 
 
 @domains(A="matrix[global]")
-def _btf_impl(A: CSC, use_mwcm: bool = True) -> BTFResult:
+def _btf_impl(A: CSC) -> BTFResult:
     if A.n_rows != A.n_cols:
         raise StructureError("BTF requires a square matrix")
     n = A.n_rows
@@ -106,14 +100,9 @@ def _btf_impl(A: CSC, use_mwcm: bool = True) -> BTFResult:
             True,
         )
 
-    if use_mwcm:
-        pm = mwcm_row_permutation(A)
-        A1 = A.permute(row_perm=pm)
-        matched = all(A1.get(j, j) != 0.0 for j in range(n))
-    else:
-        pm = np.arange(n, dtype=np.int64)
-        A1 = A
-        matched = True
+    pm = mwcm_row_permutation(A)
+    A1 = A.permute(row_perm=pm)
+    matched = all(A1.get(j, j) != 0.0 for j in range(n))
 
     n_comp, comp, order = scc_of_matrix(A1)
 

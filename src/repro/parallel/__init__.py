@@ -3,7 +3,6 @@
 from .ledger import CostLedger
 from .machine import MachineModel, SANDY_BRIDGE, XEON_PHI
 from .sim import Schedule, SimTask, simulate
-from .threads import parallel_map
 
 __all__ = [
     "CostLedger",
@@ -13,5 +12,4 @@ __all__ = [
     "SimTask",
     "Schedule",
     "simulate",
-    "parallel_map",
 ]

@@ -12,7 +12,7 @@ breaking, and tiered degradation under overload.  See ``docs/API.md``
 from .admission import ModeledQueue, TokenBucket
 from .breaker import BreakerConfig, CircuitBreaker
 from .cache import CacheEntry, Lease, PatternCache, pattern_key
-from .client import ServeClient, ThreadedServeClient
+from .client import ServeClient
 from .policy import RetryPolicy, estimate_request_seconds
 from .service import (
     REJECT_REASONS,
@@ -34,7 +34,6 @@ __all__ = [
     "PatternCache",
     "pattern_key",
     "ServeClient",
-    "ThreadedServeClient",
     "RetryPolicy",
     "estimate_request_seconds",
     "REJECT_REASONS",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Tuple
+from typing import Deque, Tuple
 
 __all__ = ["TokenBucket", "ModeledQueue"]
 
@@ -137,13 +137,3 @@ class ModeledQueue:
             "rejected": self.rejected,
             "peak_depth": self.peak_depth,
         }
-
-
-def make_tenant_buckets(
-    tenants: Dict[str, Tuple[float, float]],
-) -> Dict[str, TokenBucket]:
-    """Build one bucket per tenant from ``{name: (capacity, refill)}``."""
-    return {
-        name: TokenBucket(capacity=cap, refill_per_s=rate)
-        for name, (cap, rate) in sorted(tenants.items())
-    }

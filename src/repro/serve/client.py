@@ -1,21 +1,13 @@
-"""In-process clients for :class:`~repro.serve.service.SolverService`.
+"""In-process client for :class:`~repro.serve.service.SolverService`.
 
-Two clients share one call shape, so code written against the
-deterministic in-process client runs unchanged against the thread-pool
-variant:
+:class:`ServeClient` is direct, synchronous and bit-deterministic: this
+is what the traffic simulator and the CI soak drive.  The service's
+internal locking (admission, queue, cache, breakers, metrics) keeps
+every invariant intact when clients submit from several threads; the
+modeled *ordering* then follows thread interleaving, so results are
+correct and typed but not byte-reproducible.
 
-* :class:`ServeClient` — direct, synchronous, bit-deterministic.  This
-  is what the traffic simulator and the CI soak drive.
-* :class:`ThreadedServeClient` — submits through a
-  ``concurrent.futures.ThreadPoolExecutor``.  The service's internal
-  locking (admission, queue, cache, breakers, metrics) keeps every
-  invariant intact under concurrent submission; modeled *ordering*
-  follows thread interleaving, so results are correct and typed but not
-  byte-reproducible.  Exists to prove the envelope is actually
-  concurrency-safe, and as the template for a real multi-worker
-  deployment.
-
-Both clients re-raise the service's typed errors unchanged — a caller
+The client re-raises the service's typed errors unchanged — a caller
 sees exactly :class:`~repro.errors.AdmissionRejectedError`,
 :class:`~repro.errors.DeadlineExceededError`,
 :class:`~repro.errors.CircuitOpenError`, or the final solve failure.
@@ -23,7 +15,6 @@ sees exactly :class:`~repro.errors.AdmissionRejectedError`,
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -31,7 +22,7 @@ import numpy as np
 from ..sparse.csc import CSC
 from .service import SolveRequest, SolveResponse, SolverService
 
-__all__ = ["ServeClient", "ThreadedServeClient"]
+__all__ = ["ServeClient"]
 
 
 class ServeClient:
@@ -54,46 +45,3 @@ class ServeClient:
         return self.service.submit(SolveRequest(
             tenant=self.tenant, A=A, b=b, arrival_s=arrival_s,
             deadline_s=deadline_s, label=label))
-
-
-class ThreadedServeClient(ServeClient):
-    """Thread-pool client: same interface, futures under the hood.
-
-    ``solve`` stays synchronous (submit + wait) so the two clients are
-    drop-in interchangeable; ``solve_async`` exposes the future for
-    callers that want real overlap.  Use as a context manager or call
-    :meth:`shutdown`.
-    """
-
-    def __init__(self, service: SolverService, tenant: str,
-                 max_workers: int = 4):
-        super().__init__(service, tenant)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers,
-            thread_name_prefix=f"serve-{tenant}")
-
-    def solve_async(
-        self,
-        A: CSC,
-        b: np.ndarray,
-        arrival_s: float = 0.0,
-        deadline_s: Optional[float] = None,
-        label: str = "",
-    ) -> Future:
-        return self._pool.submit(
-            super().solve, A, b, arrival_s=arrival_s,
-            deadline_s=deadline_s, label=label)
-
-    def solve(self, A, b, arrival_s=0.0, deadline_s=None, label=""):
-        return self.solve_async(
-            A, b, arrival_s=arrival_s, deadline_s=deadline_s,
-            label=label).result()
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ThreadedServeClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()

@@ -30,9 +30,8 @@ deployments and stays off in reproducibility tests.
 
 Thread safety: admission, queue accounting, cache, breakers, and the
 flight recorder are all mutated under ``self._lock`` or their own
-locks, so the optional thread-pool client
-(:class:`repro.serve.client.ThreadedServeClient`) can drive one service
-instance from many threads.  Modeled *ordering* under threads follows
+locks, so clients on many threads (a caller's own thread pool) can
+drive one service instance.  Modeled *ordering* under threads follows
 submission interleaving (not bit-reproducible); the single-threaded
 simulator is the bit-deterministic configuration.
 """

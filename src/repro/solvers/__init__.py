@@ -3,7 +3,7 @@
 from .gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor
 from .klu import KLU, KLUNumeric, KLUSymbolic
 from .supernodal import SolverFailure, SupernodalLU, SupernodalNumeric, SupernodalSymbolic, slu_mt
-from .triangular import lu_solve, lu_solve_factors
+from .triangular import lu_solve_factors
 
 __all__ = [
     "gp_factor",
@@ -17,6 +17,5 @@ __all__ = [
     "SupernodalNumeric",
     "SolverFailure",
     "slu_mt",
-    "lu_solve",
     "lu_solve_factors",
 ]

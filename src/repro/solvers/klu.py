@@ -17,7 +17,7 @@ with fresh values (re-pivoting each time, reusing all orderings).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,46 @@ from ..sparse.schedule import (
 from .gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor, gp_refactor
 from .triangular import btf_solve, drop_solve_plan
 
-__all__ = ["KLUSymbolic", "KLUNumeric", "KLU"]
+__all__ = ["KLUSymbolic", "KLUNumeric", "KLU", "btf_permuted", "amd_blocks"]
+
+
+# ----------------------------------------------------------------------
+# The BTF front end shared by KLU and Basker
+# ----------------------------------------------------------------------
+
+
+@domains(A="matrix[global]")
+def btf_permuted(A: CSC, ledger: CostLedger) -> Tuple[BTFResult, CSC]:
+    """Coarse BTF of ``A`` (MWCM + SCC) and the permuted matrix.
+
+    Charges the matching and SCC traversals (order ``nnz``) to
+    ``ledger``.  The second result is ``A[row_perm][:, col_perm]`` of
+    the returned :class:`BTFResult`: block upper triangular, diagonal
+    blocks delimited by its ``block_splits``.
+    """
+    res = btf(A)
+    ledger.dfs_steps += A.nnz  # matching + SCC traversals, order nnz
+    return res, A.permute(res.row_perm, res.col_perm)
+
+
+@domains(B="matrix[S]", returns="perm[S->S]")
+def amd_blocks(B: CSC, ranges: Sequence[Tuple[int, int]],
+               ledger: CostLedger) -> np.ndarray:
+    """AMD-order the diagonal blocks ``B[lo:hi, lo:hi]`` of ``ranges``.
+
+    Returns the block-diagonal local permutation ``p``: identity outside
+    the ranges, ``lo + amd_order(block)`` on each, so ``perm[p]`` applies
+    every block's ordering symmetrically to a row or column permutation.
+    Charges ``4 * nnz`` per ordered block.
+    """
+    p = np.arange(B.n_rows, dtype=np.int64)
+    for lo, hi in ranges:
+        if hi - lo <= 1:
+            continue
+        blk = B.submatrix(lo, hi, lo, hi)
+        ledger.dfs_steps += 4 * blk.nnz
+        p[lo:hi] = p[lo:hi][amd_order(blk)]
+    return p
 
 
 @dataclass
@@ -165,14 +204,12 @@ class KLU:
     def __init__(
         self,
         pivot_tol: float = GP_DEFAULT_PIVOT_TOL,
-        use_btf: bool = True,
         scale: str | None = None,
         static_perturb: float = 0.0,
     ):
         if scale not in (None, "max", "sum"):
             raise StructureError("scale must be None, 'max' or 'sum'")
         self.pivot_tol = float(pivot_tol)
-        self.use_btf = use_btf
         self.scale = scale
         self.static_perturb = float(static_perturb)
 
@@ -198,26 +235,12 @@ class KLU:
         tr = get_tracer()
         with tr.span("symbolic") as sp:
             led = CostLedger()
-            if self.use_btf:
-                res = btf(A)
-            else:
-                ident = np.arange(n, dtype=np.int64)
-                res = BTFResult(ident, ident.copy(), np.array([0, n], dtype=np.int64), True)
-            led.dfs_steps += A.nnz  # matching + SCC traversals, order nnz
-
-            B = A.permute(res.row_perm, res.col_perm)  # domain: matrix[btf]
-            row_pre = res.row_perm.copy()  # domain: perm[global->btf]
-            col_perm = res.col_perm.copy()  # domain: perm[global->btf]
+            res, B = btf_permuted(A, led)  # domain: matrix[btf]
             splits = res.block_splits
-            for k in range(res.n_blocks):
-                lo, hi = int(splits[k]), int(splits[k + 1])
-                if hi - lo <= 1:
-                    continue
-                blk = B.submatrix(lo, hi, lo, hi)
-                p = amd_order(blk)
-                led.dfs_steps += 4 * blk.nnz
-                row_pre[lo:hi] = row_pre[lo:hi][p]
-                col_perm[lo:hi] = col_perm[lo:hi][p]
+            ranges = [(int(splits[k]), int(splits[k + 1])) for k in range(res.n_blocks)]
+            p = amd_blocks(B, ranges, led)  # domain: perm[btf->btf]
+            row_pre = res.row_perm[p]  # domain: perm[global->btf]
+            col_perm = res.col_perm[p]  # domain: perm[global->btf]
             sp.attach(led)
         return KLUSymbolic(n=n, btf_result=res, row_perm_pre=row_pre, col_perm=col_perm, ledger=led)
 

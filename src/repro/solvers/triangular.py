@@ -27,7 +27,7 @@ from ..sparse.csc import CSC
 from ..sparse.schedule import BTFSolveSchedule, triangular_schedule
 
 __all__ = [
-    "lu_solve", "lu_solve_factors", "btf_factors", "btf_solve", "btf_solve_plan",
+    "lu_solve_factors", "btf_factors", "btf_solve", "btf_solve_plan",
     "drop_solve_plan",
 ]
 
@@ -53,27 +53,6 @@ def lu_solve_factors(
         ledger.sparse_flops += k * (L.nnz + U.nnz)
         ledger.columns += k * 2 * L.n_cols
     return z
-
-
-@domains(row_perm="perm[A->B]", col_perm="perm[A->C]", b="vec[A]")
-@shapes(L="csc[n,n]", U="csc[n,n]", returns="f8[n]")
-def lu_solve(
-    L: CSC,
-    U: CSC,
-    row_perm: np.ndarray | None,
-    col_perm: np.ndarray | None,
-    b: np.ndarray,
-    ledger: CostLedger | None = None,
-) -> np.ndarray:
-    """Solve ``A x = b`` given ``A[row_perm][:, col_perm] = L U``."""
-    b = np.asarray(b, dtype=np.float64)
-    c = b[row_perm] if row_perm is not None else b
-    z = lu_solve_factors(L, U, c, ledger=ledger)
-    if col_perm is None:
-        return z
-    x = np.empty_like(z)
-    x[np.asarray(col_perm, dtype=np.int64)] = z
-    return x
 
 
 BlockFactors = List[Optional[Tuple[CSC, CSC]]]

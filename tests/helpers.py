@@ -574,3 +574,119 @@ def matmat_reference(A: CSC, B: CSC) -> CSC:
         indices = np.empty(0, dtype=np.int64)
         data = np.empty(0, dtype=np.float64)
     return CSC(A.n_rows, B.n_cols, indptr, indices, data)
+
+
+# ----------------------------------------------------------------------
+# Oracles for the shared BTF front end: KLU's and Basker's analyses as
+# they were before both called repro.solvers.klu.btf_permuted and
+# amd_blocks, each with its own BTF and per-block AMD loops.
+# ----------------------------------------------------------------------
+
+
+def klu_analyze_reference(A: CSC):
+    """``KLU.analyze``'s own loop: BTF, then AMD folded into both
+    permutations block by block."""
+    from repro.ordering.amd import amd_order
+    from repro.ordering.btf import btf
+    from repro.solvers.klu import KLUSymbolic
+
+    led = CostLedger()
+    res = btf(A)
+    led.dfs_steps += A.nnz
+    B = A.permute(res.row_perm, res.col_perm)
+    row_pre = res.row_perm.copy()
+    col_perm = res.col_perm.copy()
+    splits = res.block_splits
+    for k in range(res.n_blocks):
+        lo, hi = int(splits[k]), int(splits[k + 1])
+        if hi - lo <= 1:
+            continue
+        blk = B.submatrix(lo, hi, lo, hi)
+        p = amd_order(blk)
+        led.dfs_steps += 4 * blk.nnz
+        row_pre[lo:hi] = row_pre[lo:hi][p]
+        col_perm[lo:hi] = col_perm[lo:hi][p]
+    return KLUSymbolic(n=A.n_rows, btf_result=res, row_perm_pre=row_pre,
+                       col_perm=col_perm, ledger=led)
+
+
+def basker_analyze_reference(A: CSC, n_threads: int):
+    """``core.symbolic.analyze``'s own copy of the front end: BTF, AMD
+    inside the fine-block estimate loop, and a per-ND-node AMD loop."""
+    from repro.core.structure import BaskerSymbolic, FineBTFPlan
+    from repro.core.symbolic import DEFAULT_ND_THRESHOLD, _nd_block_symbolic
+    from repro.graph.etree import etree, symbolic_cholesky_counts, symmetric_pattern
+    from repro.graph.matching import mwcm_row_permutation
+    from repro.ordering.amd import amd_order
+    from repro.ordering.btf import btf
+    from repro.ordering.nd import nested_dissection
+    from repro.ordering.perm import compose
+
+    ledger = CostLedger()
+    res = btf(A)
+    ledger.dfs_steps += A.nnz
+    B = A.permute(res.row_perm, res.col_perm)
+    row_pre = res.row_perm.copy()
+    col_perm = res.col_perm.copy()
+    splits = res.block_splits
+    fine_ids, nd_ids = [], []
+    for b in range(res.n_blocks):
+        big = int(splits[b + 1] - splits[b]) >= DEFAULT_ND_THRESHOLD and n_threads > 1
+        (nd_ids if big else fine_ids).append(b)
+
+    fine_plan = None
+    if fine_ids:
+        est_nnz, est_ops = [], []
+        for b in fine_ids:
+            lo, hi = int(splits[b]), int(splits[b + 1])
+            nb = hi - lo
+            if nb == 1:
+                est_nnz.append(1)
+                est_ops.append(1.0)
+                continue
+            blk = B.submatrix(lo, hi, lo, hi)
+            p = amd_order(blk)
+            ledger.dfs_steps += 4 * blk.nnz
+            row_pre[lo:hi] = row_pre[lo:hi][p]
+            col_perm[lo:hi] = col_perm[lo:hi][p]
+            sym = symmetric_pattern(blk.permute(p, p))
+            counts = symbolic_cholesky_counts(sym, etree(sym))
+            ledger.dfs_steps += int(counts.sum())
+            est_nnz.append(int(2 * counts.sum() - nb))
+            est_ops.append(float((counts.astype(np.float64) ** 2).sum()))
+        loads = [0.0] * n_threads
+        thread_of = [0] * len(fine_ids)
+        for i in sorted(range(len(fine_ids)), key=lambda i: -est_ops[i]):
+            t = min(range(n_threads), key=lambda k: loads[k])
+            thread_of[i] = t
+            loads[t] += est_ops[i]
+        fine_plan = FineBTFPlan(block_ids=list(fine_ids), est_nnz=est_nnz,
+                                est_ops=est_ops, thread_of=thread_of)
+
+    nd_plans = []
+    for b in nd_ids:
+        lo, hi = int(splits[b]), int(splits[b + 1])
+        Dblk = B.submatrix(lo, hi, lo, hi)
+        pm2 = mwcm_row_permutation(Dblk)
+        D1 = Dblk.permute(row_perm=pm2)
+        ledger.dfs_steps += 2 * Dblk.nnz
+        part = nested_dissection(D1, nleaves=n_threads)
+        q = part.perm
+        D2 = D1.permute(q, q)
+        r = np.arange(Dblk.n_rows, dtype=np.int64)
+        for t in range(part.n_nodes):
+            t0, t1 = part.node_range(t)
+            if t1 - t0 > 1:
+                blk = D2.submatrix(t0, t1, t0, t1)
+                pa = amd_order(blk)
+                ledger.dfs_steps += 4 * blk.nnz
+                r[t0:t1] = r[t0:t1][pa]
+        local_row = compose(compose(pm2, q), r)
+        local_col = compose(q, r)
+        D3 = Dblk.permute(local_row, local_col)
+        row_pre[lo:hi] = row_pre[lo:hi][local_row]
+        col_perm[lo:hi] = col_perm[lo:hi][local_col]
+        nd_plans.append(_nd_block_symbolic(D3, part, b, lo, n_threads, ledger))
+    return BaskerSymbolic(n=A.n_rows, n_threads=n_threads, btf_result=res,
+                          row_perm_pre=row_pre, col_perm=col_perm,
+                          fine_plan=fine_plan, nd_plans=nd_plans, ledger=ledger)

@@ -279,17 +279,24 @@ class TestPipelineMode:
         assert t_pipe < t_block * 1.1
 
 
-class TestRealThreadBackend:
-    def test_identical_results_with_real_threads(self):
-        """The ThreadPool fine-BTF path is bit-identical to serial."""
-        rng = np.random.default_rng(30)
-        from repro.matrices import reduced_system
+class TestFineBlockTrace:
+    """Fine-BTF blocks are factored inside ``numeric.gp.fine`` spans, the
+    way KLU's blocks are inside ``numeric.gp.block``."""
 
-        A = reduced_system(30, rng=rng)
-        b = rng.standard_normal(A.n_rows)
-        num_serial = Basker(n_threads=4).factor(A)
-        num_threads = Basker(n_threads=4, real_threads=True).factor(A)
-        assert num_serial.factor_nnz == num_threads.factor_nnz
-        x1 = Basker(n_threads=4).solve(num_serial, b)
-        x2 = Basker(n_threads=4).solve(num_threads, b)
-        assert np.array_equal(x1, x2)
+    @pytest.mark.parametrize("name", ["Power0*+", "circuit_4"])
+    def test_every_span_timed_and_conserved(self, name):
+        import time
+
+        from repro.matrices import get_matrix
+        from repro.obs.tracer import Tracer, check_ledger_tree, tracing
+
+        A = get_matrix(name)
+        with tracing(Tracer(wall_clock=time.perf_counter)) as tr:
+            Basker(n_threads=16).factor(A)
+        assert [sp.name for sp in tr.spans if sp.wall_seconds is None] == []
+        assert check_ledger_tree(tr) == []
+        fine = {sp.sid for sp in tr.spans if sp.name == "numeric.gp.fine"}
+        assert fine
+        if name == "Power0*+":  # some fine blocks have a dense panel
+            assert any(sp.name == "numeric.gp.panel" and sp.parent_sid in fine
+                       for sp in tr.spans)

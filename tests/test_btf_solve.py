@@ -110,7 +110,7 @@ def _dying_pivot_pair():
 
 def test_pivot_fallback_recompiles_plan():
     A, A2 = _dying_pivot_pair()
-    klu = KLU(use_btf=False)
+    klu = KLU()
     b = np.arange(1.0, 7.0)
     with tracing(Tracer()) as tr:
         num = klu.factor(A)
@@ -126,10 +126,11 @@ def test_pivot_fallback_recompiles_plan():
 
 def test_carried_plan_recompiles_when_row_perm_changes():
     A, A2 = _dying_pivot_pair()
-    klu = KLU(use_btf=False)
+    klu = KLU()
     num = klu.factor(A)
     klu.solve(num, np.ones(6))
     fast = klu.refactor_fast(A2, num)
+    assert not np.array_equal(fast.row_perm, num.row_perm)  # re-pivoted
     fast.solve_plan = num.solve_plan  # force the stale plan onto it
     with tracing(Tracer()) as tr:
         x = klu.solve(fast, np.ones(6))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SingularMatrixError
 from repro.parallel import CostLedger
 from repro.solvers.gp import gp_factor
-from repro.solvers.triangular import lu_solve
+from repro.solvers.triangular import lu_solve_factors
 from repro.sparse import CSC, factorization_residual
 
 from .helpers import dense_residual, random_sparse, random_spd_like, to_scipy
@@ -109,7 +109,7 @@ class TestGPSolve:
         A = random_spd_like(50, 0.1, rng)
         b = rng.standard_normal(50)
         res = gp_factor(A)
-        x = lu_solve(res.L, res.U, res.row_perm, None, b)
+        x = lu_solve_factors(res.L, res.U, b[res.row_perm])
         x_ref = spla.spsolve(to_scipy(A).tocsc(), b)
         assert np.allclose(x, x_ref, atol=1e-8)
 
@@ -124,7 +124,7 @@ class TestGPSolve:
         except SingularMatrixError:
             pytest.skip("random matrix was singular")
         b = rng.standard_normal(20)
-        x = lu_solve(res.L, res.U, res.row_perm, None, b)
+        x = lu_solve_factors(res.L, res.U, b[res.row_perm])
         assert np.allclose(A.to_dense() @ x, b, atol=1e-6)
 
 

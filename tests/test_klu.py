@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from repro.ordering.amd import amd_order
 from repro.parallel import SANDY_BRIDGE, XEON_PHI
+from repro.solvers.gp import gp_factor
 from repro.solvers.klu import KLU
 from repro.sparse import CSC, solve_residual
 
@@ -89,15 +91,6 @@ class TestKLUFactorSolve:
         b = rng.standard_normal(A.n_rows)
         assert solve_residual(A2, klu.solve(num2, b), b) < 1e-10
 
-    def test_no_btf_mode(self):
-        rng = np.random.default_rng(5)
-        A = random_spd_like(30, 0.15, rng)
-        klu = KLU(use_btf=False)
-        num = klu.factor(A)
-        assert num.symbolic.n_blocks == 1
-        b = rng.standard_normal(30)
-        assert solve_residual(A, klu.solve(num, b), b) < 1e-12
-
     def test_rectangular_rejected(self):
         with pytest.raises(ValueError):
             KLU().analyze(CSC.empty(3, 4))
@@ -126,8 +119,10 @@ class TestKLUCosting:
         """The BTF structure skips off-diagonal work entirely."""
         rng = np.random.default_rng(8)
         A = _btf_rich_matrix(rng, nblocks=12, bsize=4)
-        with_btf = KLU(use_btf=True).factor(A)
-        without = KLU(use_btf=False).factor(A)
+        with_btf = KLU().factor(A)
+        # One block: Gilbert–Peierls on the AMD-ordered whole matrix.
+        p = amd_order(A)
+        without = gp_factor(A.permute(p, p))
         assert with_btf.ledger.sparse_flops <= without.ledger.sparse_flops * 1.05
 
 
@@ -179,7 +174,7 @@ class TestKLURefactorFast:
         rng = np.random.default_rng(22)
         d = rng.standard_normal((6, 6)) + 8 * np.eye(6)
         A = CSC.from_dense(d)
-        klu = KLU(use_btf=False)
+        klu = KLU()
         num = klu.factor(A)
         d2 = d.copy()
         d2[0, 0] = 0.0  # the reused (0,0) pivot dies
@@ -189,6 +184,7 @@ class TestKLURefactorFast:
                  np.where((A.indices == 0) & (np.repeat(np.arange(6), np.diff(A.indptr)) == 0),
                           0.0, A.data))
         fast = klu.refactor_fast(A2, num)
+        assert not np.array_equal(fast.row_perm, num.row_perm)  # re-pivoted
         b = rng.standard_normal(6)
         assert solve_residual(A2, klu.solve(fast, b), b) < 1e-10
 

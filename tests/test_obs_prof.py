@@ -439,6 +439,24 @@ def test_profiling_tracer_wall_samples():
     assert tr.samples == [("phase", CostLedger(columns=7), 1.0)]
 
 
+def test_profile_snapshot_wall_null_not_zero():
+    """A span that captured no wall time reports wall None, not 0.0."""
+    ticks = iter([0.0, 1.0])
+    tr = ProfilingTracer(machine=SANDY_BRIDGE, wall_clock=lambda: next(ticks))
+    with tracing(tr):
+        with tr.span("timed") as sp:
+            sp.attach(CostLedger(columns=3))
+            # A leaf span opened without ``with`` is legal but never
+            # captures wall time.
+            tr.span("ledger_only_leaf").attach(CostLedger(sparse_flops=50))
+        tr.harvest()
+    snap = tr.profile_snapshot()
+    assert snap["timed"]["wall"]["count"] == 1
+    leaf = snap["ledger_only_leaf"]
+    assert leaf["wall"] is None            # null, not 0.0
+    assert leaf["modeled"]["count"] == 1   # the modeled view still covers it
+
+
 def test_top_spans():
     tr = Tracer()
     with tracing(tr):
@@ -506,7 +524,7 @@ def test_run_profile_wall_clock_enables_calibration():
 
 
 # ----------------------------------------------------------------------
-# transient flight integration + bench phase-breakdown regression
+# transient flight integration
 
 
 def test_run_transient_records_flight():
@@ -521,44 +539,3 @@ def test_run_transient_records_flight():
                for r in recs)
     assert [r["step"] for r in recs] == list(range(len(recs)))
     assert flight.scan() == []   # clean transient: no anomalies
-
-
-def test_phase_breakdown_wall_null_not_zero():
-    """Spans that never captured wall time report wall_s null, not 0.0."""
-    import time
-
-    from repro.bench.wallclock import _aggregate_phase_spans
-
-    tr = Tracer(wall_clock=time.perf_counter)
-    with tracing(tr):
-        with tr.span("timed") as sp:
-            sp.attach(CostLedger(columns=3))
-            # A leaf span created without a ``with`` block is legal but
-            # never captures wall time — the old aggregation silently
-            # reported its wall as 0.0.
-            leaf = tr.span("ledger_only_leaf")
-            leaf.attach(CostLedger(sparse_flops=50))
-    spans = _aggregate_phase_spans(tr, SANDY_BRIDGE)
-    timed = spans["timed"]
-    assert timed["wall_count"] == timed["count"] == 1
-    assert timed["wall_s"] is not None and timed["wall_s"] > 0.0
-    leaf_rec = spans["ledger_only_leaf"]
-    assert leaf_rec["count"] == 1
-    assert leaf_rec["wall_count"] == 0
-    assert leaf_rec["wall_s"] is None      # null, not 0.0
-    assert leaf_rec["modeled_s"] > 0.0     # modeled view still covers it
-
-
-def test_phase_breakdown_real_run_consistent():
-    from repro.bench.wallclock import _phase_breakdown
-
-    doc = _phase_breakdown("circuit_4", seed=0)
-    spans = doc["spans"]
-    assert spans
-    for rec in spans.values():
-        assert rec["count"] >= 1
-        assert rec["wall_count"] <= rec["count"]
-        if rec["wall_count"] == 0:
-            assert rec["wall_s"] is None
-        else:
-            assert rec["wall_s"] is not None and rec["wall_s"] > 0.0

@@ -11,7 +11,6 @@ from repro.parallel import (
     SANDY_BRIDGE,
     XEON_PHI,
     SimTask,
-    parallel_map,
     simulate,
 )
 
@@ -278,19 +277,6 @@ class TestSimulate:
         tasks = [SimTask(tid=i, ledger=_led(sparse=1e6)) for i in range(3)]
         s = simulate(tasks, SANDY_BRIDGE, 4)
         assert 0.0 < s.parallel_efficiency <= 1.0
-
-
-class TestParallelMap:
-    def test_sequential_path(self):
-        assert parallel_map(lambda x: x * 2, [1, 2, 3], n_threads=1) == [2, 4, 6]
-
-    def test_threaded_path_preserves_order(self):
-        out = parallel_map(lambda x: x * x, list(range(20)), n_threads=4)
-        assert out == [x * x for x in range(20)]
-
-    def test_exceptions_propagate(self):
-        with pytest.raises(ZeroDivisionError):
-            parallel_map(lambda x: 1 // x, [1, 0, 2], n_threads=2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,7 @@
 circuit breaking, degradation tiers, and soak determinism."""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from repro.serve import (
     SolveRequest,
     SolverService,
     TenantSpec,
-    ThreadedServeClient,
     TokenBucket,
     pattern_key,
     run_soak,
@@ -474,23 +474,15 @@ class TestServiceEndToEnd:
                 with lock:
                     outcomes.append(("untyped", repr(exc)))
 
-        with ThreadedServeClient(service, "threads", max_workers=4) as client:
-            futures = [client._pool.submit(worker, "threads", k)
-                       for k in range(24)]
+        service.register_tenant("threads")
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(worker, "threads", k) for k in range(24)]
             for f in futures:
                 f.result()
         assert len(outcomes) == 24
         assert not [o for o in outcomes if o[0] == "untyped"]
         assert all(berr <= 1e-10 for kind, berr in outcomes if kind == "ok")
         assert service.queue.peak_depth <= cfg.queue_depth
-
-    def test_threaded_client_interface_matches_sync(self):
-        service = SolverService(ServeConfig())
-        A = small_matrix()
-        b = np.random.default_rng(0).standard_normal(A.n_rows)
-        with ThreadedServeClient(service, "acme") as client:
-            resp = client.solve(A, b)
-        assert componentwise_backward_error(A, resp.x, b) <= 1e-10
 
 
 # ----------------------------------------------------------------------

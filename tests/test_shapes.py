@@ -47,7 +47,7 @@ from repro.errors import StructureError
 from repro.matrices.suite import get_matrix, suite_names
 from repro.solvers.gp import ensure_refactor_schedule, gp_factor, gp_refactor
 from repro.solvers.klu import KLU
-from repro.solvers.triangular import lu_solve, lu_solve_factors
+from repro.solvers.triangular import lu_solve_factors
 from repro.sparse.csc import CSC
 from repro.sparse.ops import lower_solve, upper_solve
 from repro.sparse.schedule import compile_triangular_schedule
@@ -503,7 +503,7 @@ class TestRuntimeContracts:
         b = rng.standard_normal(n)
         y = contract_checked(lower_solve)(res.L, b[res.row_perm])
         x = contract_checked(upper_solve)(res.U, y)
-        z = contract_checked(lu_solve)(res.L, res.U, res.row_perm, None, b)
+        z = contract_checked(lu_solve_factors)(res.L, res.U, b[res.row_perm])
         assert np.allclose(x, z)
         assert np.allclose(A.matvec(x)[res.row_perm], b[res.row_perm])
 
