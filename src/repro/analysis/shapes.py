@@ -2112,11 +2112,6 @@ def _audit_refactor(sched, label: str) -> List[ShapeFinding]:
                   stage.ent_lval_idx.size)
         _chk_segments(findings, label, where, stage.seg_starts,
                       stage.seg_tgt, stage.ent_lval_idx.size, wtotal)
-        if stage.op_group is not None:
-            _chk_size(findings, label, stage.op_group.size, stage.op_len.size,
-                      where + ": %d op groups for %d ops")
-            _chk_index(findings, label, where + " op_group", stage.op_group,
-                       int(getattr(sched, "n_groups", 1)))
     if sched.stages:
         _chk_finalized(findings, label, counts, "stage")
     return findings

@@ -220,7 +220,9 @@ class Basker:
                         if tr.enabled:
                             fsp.set(block=b_idx, n=hi - lo, thread=thread)
                         lu = gp_factor(blk, pivot_tol=self.pivot_tol,
-                                       static_perturb=self.static_perturb, ledger=led)
+                                       static_perturb=self.static_perturb, ledger=led,
+                                       dense_plan=symbolic.dense_plans.get(b_idx))
+                    symbolic.dense_plans[b_idx] = lu.dense_plan
                     fsp.attach(led)
                     fine_lu[b_idx] = lu
                     row_perm[lo:hi] = row_perm[lo:hi][lu.row_perm]

@@ -341,14 +341,14 @@ def upper_offdiag_solve(
         for p in range(lo, hi):
             x[Ai[p]] = Ax[p]
         for j in pat:
+            rows = cols[j]  # first entry is the unit pivot
+            flops += len(rows) - 1  # counted by pattern, zero source or not
             xj = x[j]
             if xj == 0.0:
                 continue
-            rows = cols[j]  # first entry is the unit pivot
             base = Lp[j]
             for q in range(1, len(rows)):
                 x[rows[q]] -= Lx[base + q] * xj
-            flops += len(rows) - 1
         pat.sort()
         out_rows.append(pat)
         out_vals.append([x[i] for i in pat])
@@ -383,9 +383,12 @@ def sparse_product(L_ms: CSC, U_sj: CSC, ledger: CostLedger) -> CSC:
 
     One contributing thread's share of a reduction: the "multiple
     parallel sparse matrix-vector multiplication" phase of Figure 4(d).
-    An exactly zero ``U`` entry contributes neither terms nor flops;
-    the rest is :func:`~repro.sparse.ops.matmat`.
+    Flops count ``|L(:, s)|`` for every stored ``U(s, c)``, zero or not
+    (the pattern rule of every GP kernel here); an exactly zero ``U``
+    entry still adds no terms, so it stores nothing in the product.
+    The rest is :func:`~repro.sparse.ops.matmat`.
     """
+    stored = U_sj.indices
     keep = U_sj.data != 0.0
     if not keep.all():
         kept = np.zeros(keep.size + 1, dtype=np.int64)
@@ -393,7 +396,7 @@ def sparse_product(L_ms: CSC, U_sj: CSC, ledger: CostLedger) -> CSC:
         U_sj = CSC(U_sj.n_rows, U_sj.n_cols, kept[U_sj.indptr],
                    U_sj.indices[keep], U_sj.data[keep])
     P = matmat(L_ms, U_sj)
-    ledger.sparse_flops += int(np.diff(L_ms.indptr)[U_sj.indices].sum())
+    ledger.sparse_flops += int(np.diff(L_ms.indptr)[stored].sum())
     ledger.columns += int(np.count_nonzero(np.diff(P.indptr)))
     ledger.mem_words += P.nnz
     return P

@@ -18,6 +18,7 @@ import numpy as np
 from ..ordering.btf import BTFResult
 from ..ordering.nd import NDPartition
 from ..parallel.ledger import CostLedger
+from ..sparse.blocking import DensePlan
 
 __all__ = ["FineBTFPlan", "NDBlockPlan", "BaskerSymbolic"]
 
@@ -101,6 +102,10 @@ class BaskerSymbolic:
     fine_plan: Optional[FineBTFPlan]
     nd_plans: List[NDBlockPlan]
     ledger: CostLedger = field(default_factory=CostLedger)
+    # Fine blocks' dense-tail plans for the blocked gp_factor, by coarse
+    # block id, cached on first factorization (pattern-only, like
+    # ``KLUSymbolic.dense_plans``; gp_factor re-detects a stale plan).
+    dense_plans: Dict[int, Optional[DensePlan]] = field(default_factory=dict)
 
     @property
     def n_blocks(self) -> int:

@@ -40,7 +40,6 @@ class BTFResult:
     row_perm: np.ndarray
     col_perm: np.ndarray
     block_splits: np.ndarray
-    matched: bool  # True if the MWCM found a full matching
 
     @property
     def n_blocks(self) -> int:
@@ -97,12 +96,10 @@ def _btf_impl(A: CSC) -> BTFResult:
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             np.zeros(1, dtype=np.int64),
-            True,
         )
 
     pm = mwcm_row_permutation(A)
     A1 = A.permute(row_perm=pm)
-    matched = all(A1.get(j, j) != 0.0 for j in range(n))
 
     n_comp, comp, order = scc_of_matrix(A1)
 
@@ -113,4 +110,4 @@ def _btf_impl(A: CSC) -> BTFResult:
     sizes = np.bincount(comp, minlength=n_comp)
     splits = np.zeros(n_comp + 1, dtype=np.int64)
     splits[1:] = np.cumsum(sizes)
-    return BTFResult(row_perm, col_perm, splits, matched)
+    return BTFResult(row_perm, col_perm, splits)

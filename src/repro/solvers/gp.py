@@ -134,7 +134,8 @@ def gp_refactor(
     through a compiled :class:`~repro.sparse.schedule.RefactorSchedule`
     (cached on ``prior`` and propagated to the result, so sequences of
     same-pattern matrices compile once).  Values match the reference up
-    to summation order; ledger counts are identical.  Differences on
+    to summation order; ledger counts are identical, fixed by the
+    pattern when the schedule is compiled.  Differences on
     *failure* only: the reported singular column is the first in
     schedule order (not necessarily the smallest), and no partial costs
     are recorded (the reference loop records the columns it completed).
@@ -207,16 +208,18 @@ def gp_refactor_reference(
         # Sparse triangular solve along the *known* pattern: the rows
         # of U(:, k) above the diagonal are exactly the pivotal columns
         # that update column k, already in increasing (= topological
-        # for a fixed pivot order) order.
+        # for a fixed pivot order) order.  Every update is counted, zero
+        # source or not (the pattern rule of gp_factor); a zero source
+        # skips only the arithmetic.
         for t in range(urows.size - 1):  # last entry is the diagonal
             j = int(urows[t])
+            lo, hi = int(L.indptr[j]), int(L.indptr[j + 1])
+            led.sparse_flops += hi - lo - 1
             xj = x[j]
             if xj == 0.0:
                 continue
-            lo, hi = int(L.indptr[j]), int(L.indptr[j + 1])
             rows_view = L.indices[lo + 1 : hi]
             x[rows_view] -= Lx[lo + 1 : hi] * xj
-            led.sparse_flops += hi - lo - 1
         led.columns += 1
         # Split into U (pivotal rows) and L (below, divided by pivot).
         Ux[U.indptr[k] : U.indptr[k + 1]] = x[urows]

@@ -22,6 +22,17 @@ from ..errors import StructureError
 __all__ = ["CSC"]
 
 
+@shapes(starts="i8[m]", counts="i8[m]")
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``
+    without a Python loop."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    cum0 = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return np.repeat(starts - cum0, counts) + np.arange(total, dtype=np.int64)
+
+
 class CSC:
     """A sparse matrix in compressed-sparse-column format.
 
@@ -242,14 +253,8 @@ class CSC:
             counts = np.diff(a.indptr)[q]
             indptr = np.zeros(a.n_cols + 1, dtype=np.int64)
             indptr[1:] = np.cumsum(counts)
-            indices = np.empty(a.nnz, dtype=np.int64)
-            data = np.empty(a.nnz, dtype=np.float64)
-            for newj, oldj in enumerate(q):
-                lo, hi = a.indptr[oldj], a.indptr[oldj + 1]
-                nlo = indptr[newj]
-                indices[nlo : nlo + (hi - lo)] = a.indices[lo:hi]
-                data[nlo : nlo + (hi - lo)] = a.data[lo:hi]
-            a = CSC(a.n_rows, a.n_cols, indptr, indices, data)
+            src = _concat_ranges(a.indptr[q], counts)
+            a = CSC(a.n_rows, a.n_cols, indptr, a.indices[src], a.data[src])
         if row_perm is not None:
             p = np.asarray(row_perm, dtype=np.int64)
             # inverse map: old row r appears at new position inv[r]

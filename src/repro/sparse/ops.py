@@ -40,10 +40,11 @@ def lower_solve(L: CSC, b: np.ndarray, unit_diag: bool = True) -> np.ndarray:
     explicit unit diagonal, so the default matches them.
 
     Vectorized level-scheduled replay of :func:`lower_solve_reference`
-    (same results up to summation order; same error behavior).
+    (same results up to summation order; same error behavior on a
+    square ``L``).  A non-square ``L`` raises :class:`StructureError`.
     """
     if L.n_rows != L.n_cols:
-        return lower_solve_reference(L, b, unit_diag=unit_diag)
+        raise StructureError(f"lower solve needs a square L, got {L.n_rows}x{L.n_cols}")
     return triangular_schedule(L, "lower").solve(L, b, unit_diag=unit_diag)
 
 
@@ -53,10 +54,11 @@ def upper_solve(U: CSC, b: np.ndarray) -> np.ndarray:
     """Solve ``U x = b`` for dense ``b``, U upper triangular in CSC.
 
     Vectorized level-scheduled replay of :func:`upper_solve_reference`
-    (same results up to summation order; same error behavior).
+    (same results up to summation order; same error behavior on a
+    square ``U``).  A non-square ``U`` raises :class:`StructureError`.
     """
     if U.n_rows != U.n_cols:
-        return upper_solve_reference(U, b)
+        raise StructureError(f"upper solve needs a square U, got {U.n_rows}x{U.n_cols}")
     return triangular_schedule(U, "upper").solve(U, b, unit_diag=False)
 
 

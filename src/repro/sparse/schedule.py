@@ -42,10 +42,13 @@ direction, in one replay.
 values-only refactorization step behind ``refactor_fast`` of KLU, Basker
 and the supernodal solver.
 
-The replay keeps :class:`~repro.parallel.ledger.CostLedger` counts
-*identical* to the reference loops (updates whose source value is zero
-are counted out, exactly as the loops skip them); the reference
-implementations remain available as ``*_reference`` oracles.
+Every :class:`~repro.parallel.ledger.CostLedger` count follows from the
+patterns alone: an update costs ``|L(:, j)| - 1`` multiply-adds whatever
+its source value (the reference loops skip the arithmetic of an exactly
+zero source, never its count), as in a fresh factorization.  So the
+refactor schedule fixes each column group's ledger when it is compiled
+and a replay books it unchanged; the reference implementations remain
+available as ``*_reference`` oracles.
 
 Compilation is pattern-only and costs one pass over the factors;
 sequences of same-pattern matrices (the Xyce transient workload) compile
@@ -65,7 +68,7 @@ from ..errors import SingularMatrixError, StructureError, ZeroPivotError
 from ..obs.tracer import get_tracer
 from ..parallel.ledger import CostLedger
 from ..resilience.faults import active_plan as _fault_plan
-from .csc import CSC
+from .csc import CSC, _concat_ranges
 
 __all__ = [
     "ScheduleCompileError",
@@ -86,17 +89,6 @@ class ScheduleCompileError(StructureError):
     """The given pattern cannot be compiled into an elimination schedule
     (missing structural diagonal, pattern not closed under the update
     paths, or input entries outside the factor pattern)."""
-
-
-@shapes(starts="i8[m]", counts="i8[m]")
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``
-    without a Python loop."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    cum0 = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return np.repeat(starts - cum0, counts) + np.arange(total, dtype=np.int64)
 
 
 @shapes(positions="i8[k]")
@@ -389,11 +381,6 @@ class _RefactorStage:
     ent_order: np.ndarray
     seg_starts: np.ndarray
     seg_tgt: np.ndarray     # workspace positions receiving the sums
-    # Column-group attribution (grouped compiles only): group of each
-    # update op's target column, and the all-ops-counted flop total per
-    # group (the common case, so run() skips the bincount).
-    op_group: Optional[np.ndarray] = None
-    op_group_flops: Optional[np.ndarray] = None
 
 
 def _same_pattern(a: np.ndarray, b: np.ndarray) -> bool:
@@ -434,15 +421,10 @@ class RefactorSchedule:
     a_scatter: np.ndarray   # A data index -> workspace position
     ux_src: np.ndarray      # workspace position of every U value
     l_diag_dst: np.ndarray  # Lx indices of the unit diagonal
-    div_flops: float        # sum over columns of |L(:, k)| - 1
+    # Costs fixed by the patterns at compile time, one ledger per column
+    # group; a replay books them unchanged.
+    ledgers: List[CostLedger]
     stages: List[_RefactorStage] = field(default_factory=list)
-    # Optional per-column-group cost attribution (compiled with
-    # ``col_group``): used by the blocked replay to rebuild per-block
-    # ledgers identical to running the blocks one by one.
-    n_groups: int = 1
-    group_div_flops: Optional[np.ndarray] = None
-    group_columns: Optional[np.ndarray] = None
-    group_mem_words: Optional[np.ndarray] = None
 
     @property
     def n_stages(self) -> int:
@@ -470,26 +452,20 @@ class RefactorSchedule:
     def run(
         self,
         a_data: np.ndarray,
-        ledger,
+        ledger: Optional[CostLedger],
         pivot_floor: float = 0.0,
-        group_flops: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Replay the schedule on new values; returns ``(Lx, Ux)``.
 
-        Ledger counts are identical to the reference column loop
-        (:func:`~repro.solvers.gp.gp_refactor_reference`): updates whose
-        source value is exactly zero are excluded from ``sparse_flops``.
+        Books the compiled :attr:`ledgers` into ``ledger`` (None books
+        nothing): the counts of the reference column loop
+        (:func:`~repro.solvers.gp.gp_refactor_reference`) and of a fresh
+        factorization with these pivots, whatever the values.
         Raises :class:`~repro.errors.SingularMatrixError` when a reused
         pivot is unusable; with several unusable pivots the reported
         column is the first one *in schedule order*, which may differ
         from the reference loop's (always the smallest failing column).
-
-        With ``group_flops`` (an array of ``n_groups`` zeros, grouped
-        compiles only) the masked update flops are additionally
-        attributed to each target column's group.
         """
-        if group_flops is not None and self.group_columns is None:
-            raise StructureError("schedule was compiled without column groups")
         xwork = np.zeros(self.wtotal, dtype=np.float64)
         xwork[self.a_scatter] = a_data
         plan = _fault_plan()
@@ -502,7 +478,6 @@ class RefactorSchedule:
         Lx = np.empty(self.l_indices.size, dtype=np.float64)
         Ux = np.empty(self.u_indices.size, dtype=np.float64)
         Lx[self.l_diag_dst] = 1.0
-        update_flops = 0.0
         for stage in self.stages:
             piv = xwork[stage.piv_wpos]
             bad = (np.abs(piv) <= pivot_floor) | (piv == 0.0)
@@ -516,29 +491,16 @@ class RefactorSchedule:
             if stage.l_dst.size:
                 Lx[stage.l_dst] = xwork[stage.l_src] / np.repeat(piv, stage.l_counts)
             if stage.op_src_wpos.size:
-                sv = xwork[stage.op_src_wpos]
-                nz = sv != 0.0
-                if not np.all(nz):
-                    counted = stage.op_len[nz]
-                    update_flops += float(counted.sum())
-                    if group_flops is not None:
-                        group_flops += np.bincount(
-                            stage.op_group[nz], weights=counted,
-                            minlength=group_flops.size,
-                        )
-                else:
-                    update_flops += float(stage.op_len.sum())
-                    if group_flops is not None:
-                        group_flops += stage.op_group_flops
-                prods = Lx[stage.ent_lval_idx] * np.repeat(sv, stage.op_len)
+                sv = np.repeat(xwork[stage.op_src_wpos], stage.op_len)
+                prods = Lx[stage.ent_lval_idx] * sv
                 if stage.seg_starts.size:
                     xwork[stage.seg_tgt] -= np.add.reduceat(
                         prods[stage.ent_order], stage.seg_starts
                     )
         Ux[:] = xwork[self.ux_src]
-        ledger.sparse_flops += update_flops + self.div_flops
-        ledger.columns += self.n
-        ledger.mem_words += self.l_indices.size + self.u_indices.size
+        if ledger is not None:
+            for led in self.ledgers:
+                ledger.add(led)
         return Lx, Ux
 
 
@@ -556,9 +518,12 @@ def compile_refactor_schedule(
     ``A``'s pattern against the fixed factors ``L``/``U`` and pivot
     order ``row_perm``.
 
-    ``col_group`` (optional) assigns every column to a group; the
-    schedule then supports per-group flop attribution at replay time
-    (see :class:`BlockedRefactorSchedule`).
+    ``col_group`` assigns every column to a group (default: all in one);
+    the schedule's ``ledgers`` then hold each group's costs (see
+    :class:`BlockedRefactorSchedule`).  Costs follow from the patterns
+    alone: every update ``j -> k`` counts ``|L(:, j)| - 1`` to ``k``'s
+    group and every column ``|L(:, k)| - 1`` divisions, ``1`` column
+    and ``|L(:, k)| + |U(:, k)|`` words, whatever the values replayed.
 
     Requirements (all raised as :class:`ScheduleCompileError`):
 
@@ -577,12 +542,13 @@ def compile_refactor_schedule(
     row_perm = np.asarray(row_perm, dtype=np.int64)
     if row_perm.shape != (n,):
         raise StructureError("row_perm has the wrong length")
-    if col_group is not None:
-        col_group = np.asarray(col_group, dtype=np.int64)
-        if col_group.shape != (n,):
-            raise StructureError("col_group has the wrong length")
-        if n_groups is None:
-            n_groups = int(col_group.max()) + 1 if n else 0
+    if col_group is None:
+        col_group = np.zeros(n, dtype=np.int64)
+    col_group = np.asarray(col_group, dtype=np.int64)
+    if col_group.shape != (n,):
+        raise StructureError("col_group has the wrong length")
+    if n_groups is None:
+        n_groups = int(col_group.max()) + 1 if n else 1
     Lp, Li = L.indptr, L.indices
     Up, Ui = U.indptr, U.indices
     lcnt = np.diff(Lp)
@@ -678,12 +644,6 @@ def compile_refactor_schedule(
                 "factor pattern is not closed under the update paths"
             )
         ent_order, seg_starts, seg_tgt = _segment(ent_pos)
-        op_group = op_group_flops = None
-        if col_group is not None:
-            op_group = col_group[tgt]
-            op_group_flops = np.bincount(
-                op_group, weights=op_len.astype(np.float64), minlength=n_groups
-            )
         stages.append(_RefactorStage(
             cols=cols,
             piv_wpos=wptr[cols] + ucnt[cols] - 1,
@@ -696,18 +656,14 @@ def compile_refactor_schedule(
             ent_order=ent_order,
             seg_starts=seg_starts,
             seg_tgt=seg_tgt,
-            op_group=op_group,
-            op_group_flops=op_group_flops,
         ))
 
-    group_div = group_cols = group_mem = None
-    if col_group is not None:
-        group_div = np.bincount(
-            col_group, weights=(lcnt - 1).astype(np.float64), minlength=n_groups
-        )
-        group_cols = np.bincount(col_group, minlength=n_groups)
-        group_mem = np.bincount(col_group, weights=(lcnt + ucnt).astype(np.float64),
-                                minlength=n_groups).astype(np.int64)
+    flops = (np.bincount(col_group[op_tgt], weights=lcnt[op_src] - 1, minlength=n_groups)
+             + np.bincount(col_group, weights=lcnt - 1, minlength=n_groups))
+    columns = np.bincount(col_group, minlength=n_groups)
+    words = np.bincount(col_group, weights=lcnt + ucnt, minlength=n_groups)
+    ledgers = [CostLedger(sparse_flops=float(f), columns=float(c), mem_words=float(w))
+               for f, c, w in zip(flops, columns, words)]
 
     ux_src = wptr[col_of_u] + pos_u
     return RefactorSchedule(
@@ -726,29 +682,9 @@ def compile_refactor_schedule(
         a_scatter=a_scatter,
         ux_src=ux_src,
         l_diag_dst=Lp[:-1].copy(),
-        div_flops=float((lcnt - 1).sum()) if n else 0.0,
+        ledgers=ledgers,
         stages=stages,
-        n_groups=int(n_groups) if col_group is not None else 1,
-        group_div_flops=group_div,
-        group_columns=group_cols,
-        group_mem_words=group_mem,
     )
-
-
-class _ScratchCounts:
-    """Minimal ledger shim for the blocked replay's internal run.
-
-    The total counts it receives are re-attributed per block by the
-    caller (their sum is identical by construction), so the shim is
-    never read.
-    """
-
-    __slots__ = ("sparse_flops", "columns", "mem_words")
-
-    def __init__(self) -> None:
-        self.sparse_flops = 0.0
-        self.columns = 0
-        self.mem_words = 0
 
 
 class BlockedRefactorSchedule:
@@ -760,9 +696,9 @@ class BlockedRefactorSchedule:
     *block-diagonal* union of all per-block factor patterns into a
     single :class:`RefactorSchedule` — independent blocks share level
     stages, so one sequence step is a handful of whole-matrix numpy
-    calls regardless of the block count.  Grouped flop attribution
-    recovers per-block ledgers identical to running
-    :func:`~repro.solvers.gp.gp_refactor` block by block.
+    calls regardless of the block count.  Each block is one column
+    group, so ``schedule.ledgers[k]`` is block ``k``'s ledger, identical
+    to running :func:`~repro.solvers.gp.gp_refactor` block by block.
 
     Parameters
     ----------
@@ -818,7 +754,6 @@ class BlockedRefactorSchedule:
             L, U, D, np.arange(n, dtype=np.int64),
             col_group=col_group, n_groups=nb,
         )
-        self.n_blocks = nb
         self.d_gather = _cat(dgather)
         # Per-block slices of the flattened factor values.
         self.l_ptr = np.cumsum(l_nnz)
@@ -827,24 +762,17 @@ class BlockedRefactorSchedule:
     # ------------------------------------------------------------------
     def run(
         self, m_data: np.ndarray, pivot_floor: float = 0.0
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Replay on the permuted matrix's values.
 
-        Returns ``(Lx, Ux, group_flops)``: block ``k``'s factor values
-        are ``Lx[l_ptr[k]:l_ptr[k+1]]`` / ``Ux[u_ptr[k]:u_ptr[k+1]]``
-        and its masked update flops ``group_flops[k]`` (divisions,
-        columns and memory words per block come from the schedule's
-        group arrays).  Raises
-        :class:`~repro.errors.SingularMatrixError` as
+        Returns ``(Lx, Ux)``: block ``k``'s factor values are
+        ``Lx[l_ptr[k]:l_ptr[k+1]]`` / ``Ux[u_ptr[k]:u_ptr[k+1]]``; its
+        costs, fixed by the patterns, are ``schedule.ledgers[k]``.
+        Raises :class:`~repro.errors.SingularMatrixError` as
         :meth:`RefactorSchedule.run` does; callers fall back to a
         per-block loop with fresh pivoting where needed.
         """
-        group_flops = np.zeros(self.n_blocks, dtype=np.float64)
-        Lx, Ux = self.schedule.run(
-            m_data[self.d_gather], _ScratchCounts(),
-            pivot_floor=pivot_floor, group_flops=group_flops,
-        )
-        return Lx, Ux, group_flops
+        return self.schedule.run(m_data[self.d_gather], None, pivot_floor=pivot_floor)
 
 
 # ======================================================================
@@ -1279,8 +1207,8 @@ class RefactorPlan:
         self.refs = refs
 
         blocked = self.schedule
-        Lx, Ux, gflops = blocked.run(m_data)
-        sched = blocked.schedule
+        Lx, Ux = blocked.run(m_data)
+        ledgers = blocked.schedule.ledgers
         l_ptr, u_ptr = blocked.l_ptr, blocked.u_ptr
         out: list = []
         for k, f in enumerate(factors):
@@ -1289,13 +1217,9 @@ class RefactorPlan:
                 continue
             L0, U0 = f
             n = L0.n_cols
-            led = CostLedger()
-            led.sparse_flops += float(gflops[k]) + float(sched.group_div_flops[k])
-            led.columns += int(sched.group_columns[k])
-            led.mem_words += int(sched.group_mem_words[k])
             L = CSC(n, n, L0.indptr, L0.indices, Lx[l_ptr[k]:l_ptr[k + 1]])
             U = CSC(n, n, U0.indptr, U0.indices, Ux[u_ptr[k]:u_ptr[k + 1]])
-            out.append((L, U, led))
+            out.append((L, U, ledgers[k].copy()))
         return out
 
 

@@ -308,8 +308,9 @@ def basker_refactor_reference(A: CSC, numeric):
 
 # ----------------------------------------------------------------------
 # Oracles for the vectorized kernels: the per-element loops they
-# replaced, kept verbatim.  The kernels must reproduce them bit for bit
-# (values, patterns and ledgers); see tests/test_nd_kernels.py.
+# replaced, counting flops by pattern like every GP kernel.  The
+# kernels must reproduce them bit for bit (values, patterns and
+# ledgers); see tests/test_nd_kernels.py.
 # ----------------------------------------------------------------------
 
 
@@ -406,13 +407,13 @@ def upper_offdiag_solve_reference(
         x[arows] = avals
         for t in range(top, n_i):
             j = int(xi[t])
+            lo, hi = int(L_ii.indptr[j]), int(L_ii.indptr[j + 1])
+            ledger.sparse_flops += hi - lo - 1  # counted by pattern
             xj = x[j]
             if xj == 0.0:
                 continue
-            lo, hi = int(L_ii.indptr[j]), int(L_ii.indptr[j + 1])
             rows_view = L_ii.indices[lo + 1 : hi]  # first entry is the unit pivot
             x[rows_view] -= L_ii.data[lo + 1 : hi] * xj
-            ledger.sparse_flops += hi - lo - 1
         pat_sorted = np.sort(pat)
         out_rows.append(pat_sorted.copy())
         out_vals.append(x[pat_sorted].copy())
@@ -443,11 +444,11 @@ def sparse_product_reference(L_ms: CSC, U_sj: CSC, ledger: CostLedger) -> CSC:
         urows, uvals = U_sj.col(c)
         for t in range(urows.size):
             k = int(urows[t])
+            lo, hi = int(L_ms.indptr[k]), int(L_ms.indptr[k + 1])
+            ledger.sparse_flops += hi - lo  # counted by pattern
             uv = uvals[t]
             if uv == 0.0:
                 continue
-            lo, hi = int(L_ms.indptr[k]), int(L_ms.indptr[k + 1])
-            ledger.sparse_flops += hi - lo
             for s in range(lo, hi):
                 i = int(L_ms.indices[s])
                 if mark[i] != stamp:
@@ -537,6 +538,40 @@ def submatrix_reference(self: CSC, r0: int, r1: int, c0: int, c1: int) -> CSC:
         indices = np.empty(0, dtype=np.int64)
         data = np.empty(0, dtype=np.float64)
     return CSC(r1 - r0, ncols, indptr, indices, data)
+
+
+def permute_reference(self: CSC, row_perm=None, col_perm=None) -> CSC:
+    """Return ``B`` with ``B[i, j] = A[row_perm[i], col_perm[j]]``.
+
+    This is the NumPy fancy-index convention ``A[p][:, q]``.  Either
+    permutation may be None (identity).  Columns are copied one at a
+    time in a Python loop.
+    """
+    a = self
+    if col_perm is not None:
+        q = np.asarray(col_perm, dtype=np.int64)
+        counts = np.diff(a.indptr)[q]
+        indptr = np.zeros(a.n_cols + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(counts)
+        indices = np.empty(a.nnz, dtype=np.int64)
+        data = np.empty(a.nnz, dtype=np.float64)
+        for newj, oldj in enumerate(q):
+            lo, hi = a.indptr[oldj], a.indptr[oldj + 1]
+            nlo = indptr[newj]
+            indices[nlo : nlo + (hi - lo)] = a.indices[lo:hi]
+            data[nlo : nlo + (hi - lo)] = a.data[lo:hi]
+        a = CSC(a.n_rows, a.n_cols, indptr, indices, data)
+    if row_perm is not None:
+        p = np.asarray(row_perm, dtype=np.int64)
+        # inverse map: old row r appears at new position inv[r]
+        inv = np.empty(a.n_rows, dtype=np.int64)
+        inv[p] = np.arange(a.n_rows)
+        indices = inv[a.indices]
+        a = CSC(a.n_rows, a.n_cols, a.indptr.copy(), indices, a.data.copy())
+        a = a.sort_indices()
+    elif col_perm is None:
+        a = a.copy()
+    return a
 
 
 def matmat_reference(A: CSC, B: CSC) -> CSC:

@@ -300,3 +300,30 @@ class TestFineBlockTrace:
         if name == "Power0*+":  # some fine blocks have a dense panel
             assert any(sp.name == "numeric.gp.panel" and sp.parent_sid in fine
                        for sp in tr.spans)
+
+    def test_second_factor_reuses_the_fine_dense_plans(self, monkeypatch):
+        """Like KLU's blocks, fine blocks keep their dense-tail plans on the
+        symbolic: factoring again detects none and changes nothing."""
+        import dataclasses
+
+        import repro.solvers.gp as gp_mod
+        from repro.matrices import get_matrix
+
+        A = get_matrix("Power0*+")
+        basker = Basker(n_threads=16)
+        sym = basker.analyze(A)
+        first = basker.factor(A, sym)
+        calls = []
+        detect = gp_mod.detect_dense_tail
+        monkeypatch.setattr(gp_mod, "detect_dense_tail",
+                            lambda M: calls.append(M.n_cols) or detect(M))
+        again = basker.factor(A, sym)
+        assert calls == []
+        assert sorted(again.fine_lu) == sorted(first.fine_lu)
+        for k, lu in first.fine_lu.items():
+            for a, b in ((again.fine_lu[k].L, lu.L), (again.fine_lu[k].U, lu.U)):
+                for name in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert dataclasses.asdict(again.fine_lu[k].ledger) == dataclasses.asdict(lu.ledger)
+        assert np.array_equal(again.row_perm, first.row_perm)
+        assert dataclasses.asdict(again.ledger) == dataclasses.asdict(first.ledger)

@@ -217,6 +217,31 @@ class TestSubmatrixParity:
             A.submatrix(*bounds)
 
 
+class TestPatternRule:
+    """Flops follow from the patterns: an exactly zero source skips its
+    arithmetic, never its count (as in ``gp_factor`` and the replay)."""
+
+    def test_sparse_product_counts_a_stored_zero(self):
+        L = CSC.from_dense(np.array([[1.0], [2.0], [3.0]]))
+        U = CSC(1, 2, np.array([0, 1, 2]), np.array([0, 0]), np.array([0.0, 2.0]))
+        led, ref_led = CostLedger(), CostLedger()
+        P = nd_numeric.sparse_product(L, U, led)
+        assert led.sparse_flops == 6  # |L(:, 0)| for both stored U entries
+        assert np.array_equal(P.indptr, [0, 0, 3])  # the zero adds no entries
+        assert_same_csc(P, sparse_product_reference(L, U, ref_led))
+        assert_same_ledger(led, ref_led)
+
+    def test_upper_offdiag_solve_counts_a_zero_source(self):
+        L = CSC.from_dense(np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
+        A = CSC(3, 1, np.array([0, 2]), np.array([0, 1]), np.array([0.0, 3.0]))
+        led, ref_led = CostLedger(), CostLedger()
+        X = nd_numeric.upper_offdiag_solve(L, A, ReachGraph.from_csc(L), led)
+        assert led.sparse_flops == 3  # x_0 == 0.0 still counts |L(:, 0)| - 1
+        assert np.array_equal(X.data, [0.0, 3.0, -3.0])
+        assert_same_csc(X, upper_offdiag_solve_reference(L, A, ReachWorkspace(3), ref_led))
+        assert_same_ledger(led, ref_led)
+
+
 # ----------------------------------------------------------------------
 # Typed errors
 # ----------------------------------------------------------------------

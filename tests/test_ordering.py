@@ -99,7 +99,6 @@ class TestBTF:
         rng = np.random.default_rng(5)
         A = random_sparse(20, 20, 0.15, rng, ensure_diag=True)
         res = btf(A)
-        assert res.matched
         B = A.permute(res.row_perm, res.col_perm)
         for j in range(20):
             assert B.get(j, j) != 0.0

@@ -18,11 +18,15 @@ from repro.matrices import get_matrix
 from repro.obs.tracer import Tracer, tracing
 from repro.parallel.ledger import CostLedger
 from repro.solvers import KLU, SupernodalLU
+from repro.solvers.gp import GPResult, gp_factor, gp_refactor, gp_refactor_reference
+from repro.solvers.klu import KLUNumeric
+from repro.solvers.triangular import btf_factors
 from repro.sparse import CSC
 from repro.sparse.schedule import (
     BlockedRefactorSchedule,
     compile_refactor_schedule,
     permutation_gather,
+    refactor_plan,
 )
 from repro.xyce import matrix_sequence, xyce1_analog
 
@@ -124,6 +128,60 @@ def test_supernodal_refactor_fast_matches_direct_schedule(name):
     assert np.array_equal(fast.U.data, Ux)
     assert _ledger(fast.ledger) == _ledger(led)
     assert fast.tasks == []
+
+
+# ----------------------------------------------------------------------
+# One flop-counting rule: a replay books what a fresh factorization of
+# the same pattern with the same pivots books, zero sources or not.
+# ----------------------------------------------------------------------
+
+
+def test_replay_counts_a_cancelled_source_like_a_fresh_factor():
+    """Column 2's update through ``L(:, 1)`` has a source that cancels
+    to exactly 0.0 (``0.5 - 0.5 * 1.0``); every path still counts it."""
+    A = CSC.from_dense(np.array([[2.0, 0.0, 1.0], [1.0, 2.0, 0.5], [0.0, 1.0, 3.0]]))
+    fresh = gp_factor(A)
+    assert np.array_equal(fresh.row_perm, np.arange(3))
+    assert fresh.U.get(1, 2) == 0.0
+    want = fresh.ledger.sparse_flops
+    assert want == 4.0  # two divisions, two updates
+    for refactor in (gp_refactor, gp_refactor_reference):
+        prior = GPResult(fresh.L, fresh.U, fresh.row_perm, CostLedger())
+        assert refactor(A, prior).ledger.sparse_flops == want
+    ident = np.arange(3, dtype=np.int64)
+    plan = refactor_plan(None, "test", A, ident, ident, np.array([0, 3]))
+    ((L, U, led),) = plan.replay(plan.permute(A.data).data, [(fresh.L, fresh.U)])
+    assert np.array_equal(U.data, fresh.U.data)
+    assert led.sparse_flops == want
+
+
+def _block_ledgers(num) -> list:
+    """Per-block ledgers of a KLU numeric, or of an all-fine Basker one."""
+    if isinstance(num, KLUNumeric):
+        return num.block_ledgers
+    assert not num.nd_numeric
+    return [num.fine_lu[k].ledger for k in range(num.symbolic.n_blocks)]
+
+
+@pytest.mark.parametrize("solver", [KLU, lambda: Basker(n_threads=4)], ids=["klu", "basker"])
+def test_outage_replay_books_the_fresh_factorization_flops(solver):
+    """Every outage step zeroes one branch.  The replay, ``gp_refactor``
+    of each block and a fresh factorization with the same symbolic (and
+    so the same pivots) book the same ``sparse_flops`` per block."""
+    seq = _outages("Power0*+", 4, 1)
+    s = solver()
+    num = s.factor(seq[0])
+    splits, blocks, _ = btf_factors(num)
+    for A in seq[1:]:
+        fast = s.refactor_fast(A, num)
+        fresh = s.factor(A, num.symbolic)
+        assert np.array_equal(fresh.row_perm, num.row_perm)
+        for k, (got, want) in enumerate(zip(_block_ledgers(fast), _block_ledgers(fresh))):
+            assert got.sparse_flops == want.sparse_flops, k
+            lo, hi = int(splits[k]), int(splits[k + 1])
+            prior = GPResult(*blocks[k], np.arange(hi - lo, dtype=np.int64), CostLedger())
+            led = gp_refactor(fast.M.submatrix(lo, hi, lo, hi), prior).ledger
+            assert led.sparse_flops == want.sparse_flops, k
 
 
 @pytest.mark.parametrize("solver,prefix", [

@@ -284,8 +284,8 @@ def test_blocked_refactor_schedule_direct():
         offset += Pb.nnz
     replay = BlockedRefactorSchedule(splits, pats, gathers)
     m_data = np.concatenate([Pb.data for Pb in pblocks])
-    Lx, Ux, gflops = replay.run(m_data)
-    sched = replay.schedule
+    Lx, Ux = replay.run(m_data)
+    ledgers = replay.schedule.ledgers
     for k, (lu, Pb) in enumerate(zip(lus, pblocks)):
         led = CostLedger()
         prior = GPResult(lu.L, lu.U, np.arange(Pb.n_cols, dtype=np.int64),
@@ -295,9 +295,9 @@ def test_blocked_refactor_schedule_direct():
                            fixed.L.data, rtol=0, atol=1e-12)
         assert np.allclose(Ux[replay.u_ptr[k]:replay.u_ptr[k + 1]],
                            fixed.U.data, rtol=0, atol=1e-12)
-        assert float(gflops[k] + sched.group_div_flops[k]) == led.sparse_flops
-        assert int(sched.group_columns[k]) == led.columns
-        assert int(sched.group_mem_words[k]) == led.mem_words
+        assert ledgers[k].sparse_flops == led.sparse_flops
+        assert ledgers[k].columns == led.columns
+        assert ledgers[k].mem_words == led.mem_words
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sparse import CSC
 
-from .helpers import from_scipy, random_sparse, to_scipy
+from .helpers import from_scipy, permute_reference, random_sparse, to_scipy
 
 
 class TestConstructors:
@@ -207,3 +207,28 @@ def test_property_permute_then_inverse_is_identity(n, seed):
     q = rng.permutation(n)
     B = A.permute(p, q).permute(invert(p), invert(q))
     assert np.allclose(B.to_dense(), A.to_dense())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    m=st.integers(1, 10),
+    seed=st.integers(0, 10_000),
+    which=st.sampled_from(["rows", "cols", "both"]),
+    shuffled=st.booleans(),
+)
+def test_property_permute_matches_column_loop(n, m, seed, which, shuffled):
+    """``permute``'s vectorized column gather stores exactly the arrays
+    of the per-column copy loop, including the within-column order of
+    an unsorted column-only permute."""
+    rng = np.random.default_rng(seed)
+    A = random_sparse(n, m, 0.4, rng)
+    if shuffled:
+        order = np.concatenate([lo + rng.permutation(hi - lo)
+                                for lo, hi in zip(A.indptr[:-1], A.indptr[1:])])
+        A = CSC(n, m, A.indptr, A.indices[order], A.data[order])
+    p = rng.permutation(n) if which != "cols" else None
+    q = rng.permutation(m) if which != "rows" else None
+    got, want = A.permute(p, q), permute_reference(A, p, q)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr

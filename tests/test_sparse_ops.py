@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import StructureError
 from repro.sparse import CSC, matmat
 from repro.sparse.ops import lower_solve, upper_solve
 
@@ -54,6 +55,14 @@ class TestTriangularSolves:
         U = CSC.from_dense(np.array([[1.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ZeroDivisionError):
             upper_solve(U, np.ones(2))
+
+    def test_non_square_factor_raises_structure_error(self):
+        L = CSC.from_dense(np.tril(np.ones((5, 3))))
+        with pytest.raises(StructureError, match="5x3"):
+            lower_solve(L, np.ones(3))
+        U = CSC.from_dense(np.triu(np.ones((3, 5))))
+        with pytest.raises(StructureError, match="3x5"):
+            upper_solve(U, np.ones(5))
 
 
 class TestMatmat:
