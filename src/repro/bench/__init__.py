@@ -11,7 +11,6 @@ from .wallclock import check_regression, run_wallclock
 from .runner import (
     basker_numeric,
     basker_seconds,
-    clear_caches,
     klu_numeric,
     klu_seconds,
     matrix,
@@ -36,7 +35,6 @@ __all__ = [
     "klu_seconds",
     "pmkl_seconds",
     "slumt_seconds",
-    "clear_caches",
     "run_wallclock",
     "check_regression",
 ]

@@ -29,7 +29,6 @@ __all__ = [
     "klu_seconds",
     "pmkl_seconds",
     "slumt_seconds",
-    "clear_caches",
 ]
 
 _matrices: Dict[str, CSC] = {}
@@ -37,14 +36,6 @@ _basker: Dict[Tuple[str, int], object] = {}
 _klu: Dict[str, object] = {}
 _pmkl: Dict[str, object] = {}
 _slumt: Dict[str, object] = {}
-
-
-def clear_caches() -> None:
-    _matrices.clear()
-    _basker.clear()
-    _klu.clear()
-    _pmkl.clear()
-    _slumt.clear()
 
 
 def matrix(name: str) -> CSC:

@@ -25,15 +25,15 @@ Small utilities a downstream user reaches for first:
   fingerprinted legacy findings so only regressions fail (the CI gate),
   ``--write-baseline FILE`` freezes the current findings.
 * ``bench`` — wall-clock microbenchmarks (factor/refactor/solve/reach
-  plus the Xyce refactorization sequence), written to
+  plus the Xyce refactorization sequence), written to the untracked
   ``BENCH_wallclock.json``; ``--check`` gates speedup ratios against
   the committed baseline.
 * ``serve`` — deterministic multi-tenant soak of the fault-tolerant
   solve service (bounded admission, token-bucket rate limits, modeled
   deadlines, seeded retries, shared pattern cache with leases,
-  per-pattern circuit breakers, degradation tiers), writing
-  ``SERVE_report.json``; ``--check-golden`` gates byte-identity against
-  the committed golden report.
+  per-pattern circuit breakers, degradation tiers), writing the
+  untracked ``SERVE_report.json``; ``--check-golden`` gates
+  byte-identity against the committed golden report.
 """
 
 from __future__ import annotations
@@ -681,8 +681,9 @@ def _cmd_profile(args) -> int:
 def _cmd_serve(args) -> int:
     """``repro serve``: deterministic multi-tenant soak of the solve
     service — admission control, deadlines, retries, cache eviction,
-    circuit breaking, degradation tiers — writing SERVE_report.json and
-    gating on the report's invariants (and optionally a golden copy)."""
+    circuit breaking, degradation tiers — writing the report (untracked
+    SERVE_report.json by default) and gating on the report's invariants
+    (and optionally a golden copy)."""
     import json
 
     from .bench.report import format_table
@@ -938,7 +939,7 @@ def main(argv=None) -> int:
                    help="injected kernel faults via a seeded FaultPlan "
                         "(default 4; 0 disables)")
     p.add_argument("--output", default="SERVE_report.json",
-                   help="report path (default: SERVE_report.json)")
+                   help="report path (default: SERVE_report.json, untracked)")
     p.add_argument("--check-golden", metavar="FILE",
                    help="fail unless the report is byte-identical to FILE")
     p.add_argument("--write-golden", metavar="FILE",
@@ -957,7 +958,7 @@ def main(argv=None) -> int:
                    help="timing repetitions, best-of (default 3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="BENCH_wallclock.json",
-                   help="result JSON path (default: BENCH_wallclock.json)")
+                   help="result JSON path (default: BENCH_wallclock.json, untracked)")
     p.add_argument("--baseline", default="benchmarks/results/BENCH_wallclock_baseline.json",
                    help="baseline JSON for --check")
     p.add_argument("--baseline-out",

@@ -1,7 +1,7 @@
 """Graph kernels: SCC, bipartite matching, elimination trees, reach DFS."""
 
 from .dfs import ReachWorkspace, topo_reach
-from .etree import ata_pattern, etree, postorder, symbolic_cholesky_counts, symmetric_pattern
+from .etree import etree, postorder, symbolic_cholesky_counts, symmetric_pattern
 from .matching import max_cardinality_matching, mwcm, mwcm_row_permutation
 from .scc import scc_of_matrix, tarjan_scc
 
@@ -12,7 +12,6 @@ __all__ = [
     "postorder",
     "symbolic_cholesky_counts",
     "symmetric_pattern",
-    "ata_pattern",
     "max_cardinality_matching",
     "mwcm",
     "mwcm_row_permutation",

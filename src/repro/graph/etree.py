@@ -22,7 +22,6 @@ __all__ = [
     "postorder",
     "symbolic_cholesky_counts",
     "symmetric_pattern",
-    "ata_pattern",
 ]
 
 
@@ -36,34 +35,6 @@ def symmetric_pattern(A: CSC) -> CSC:
     rows = np.concatenate([A.indices, At.indices])
     cols = np.concatenate([col_a, col_b])
     return CSC.from_coo(rows, cols, np.ones(rows.size), A.shape, sum_duplicates=True)
-
-
-def ata_pattern(A: CSC) -> CSC:
-    """Pattern of ``A.T @ A`` with unit values (column-intersection graph).
-
-    Used when the pivoting option requires ``etree(A.T A)`` instead of
-    ``etree(A + A.T)`` (paper, Algorithm 3 discussion).
-    """
-    rows, cols = [], []
-    At = A.transpose()  # rows of A as columns
-    for i in range(At.n_cols):
-        cidx, _ = At.col(i)
-        if cidx.size > 1:
-            # Clique among the columns sharing row i; to keep this
-            # O(nnz * rowdeg) rather than quadratic blowup we link each
-            # column to the smallest column of the row (a standard
-            # etree-preserving sparsification).
-            first = cidx[0]
-            rows.append(np.full(cidx.size - 1, first, dtype=np.int64))
-            cols.append(cidx[1:])
-    n = A.n_cols
-    if not rows:
-        return CSC.identity(n)
-    r = np.concatenate(rows + cols)
-    c = np.concatenate(cols + rows)
-    r = np.concatenate([r, np.arange(n)])
-    c = np.concatenate([c, np.arange(n)])
-    return CSC.from_coo(r, c, np.ones(r.size), (n, n), sum_duplicates=True)
 
 
 def etree(B: CSC) -> np.ndarray:

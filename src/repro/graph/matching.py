@@ -26,7 +26,6 @@ from ..sparse.csc import CSC
 __all__ = [
     "max_cardinality_matching",
     "mwcm",
-    "mwcm_product",
     "mwcm_row_permutation",
 ]
 
@@ -152,121 +151,6 @@ def mwcm(A: CSC) -> Tuple[np.ndarray, float]:
         else:
             hi = mid - 1
     return best_match, best_t
-
-
-def mwcm_product(A: CSC) -> Tuple[np.ndarray, float]:
-    """Product-maximizing weighted matching (SuperLU-Dist's MC64 mode).
-
-    Maximizes ``prod |A[match(j), j]|`` over perfect matchings — the
-    "product/sum based MC64 ordering" the paper contrasts with Basker's
-    bottleneck variant (§V).  Solved as a min-cost assignment with
-    ``c_ij = log(max_col) − log|a_ij|`` by successive shortest
-    augmenting paths with dual potentials (Jonker–Volgenant style).
-
-    Returns ``(match_col, log_product)``; unmatched columns (structural
-    deficiency) get -1 and contribute nothing to the product.
-
-    Optimality holds for structurally nonsingular matrices (a perfect
-    matching exists — MC64's own operating assumption).  On deficient
-    matrices the result still has maximum cardinality but the product
-    may be suboptimal, because successive shortest paths commit each
-    column greedily.
-    """
-    n_rows, n_cols = A.shape
-    # Per-column cost lists.
-    col_rows: list = []
-    col_costs: list = []
-    INF = float("inf")
-    for j in range(n_cols):
-        rows, vals = A.col(j)
-        mags = np.abs(vals)
-        keep = mags > 0.0
-        rows, mags = rows[keep], mags[keep]
-        if rows.size:
-            cmax = float(mags.max())
-            col_rows.append(rows.astype(np.int64))
-            col_costs.append(np.log(cmax) - np.log(mags))
-        else:
-            col_rows.append(np.empty(0, dtype=np.int64))
-            col_costs.append(np.empty(0))
-
-    import heapq
-
-    u = np.zeros(n_cols)          # column potentials
-    v = np.zeros(n_rows)          # row potentials
-    match_col = np.full(n_cols, -1, dtype=np.int64)
-    match_row = np.full(n_rows, -1, dtype=np.int64)
-
-    # Invariant: reduced cost c(j, r) - u[j] - v[r] >= 0, tight (== 0)
-    # on matched edges.  For each new column, Dijkstra over rows finds
-    # the cheapest augmenting path; potentials keep edge weights
-    # nonnegative across phases (Jonker-Volgenant / e-maxx Hungarian).
-    for j0 in range(n_cols):
-        if col_rows[j0].size == 0:
-            continue
-        dist = np.full(n_rows, INF)
-        prev_col = np.full(n_rows, -1, dtype=np.int64)
-        visited: list = []
-        in_tree = np.zeros(n_rows, dtype=bool)
-        heap = []
-        rows, costs = col_rows[j0], col_costs[j0]
-        for t in range(rows.size):
-            r = int(rows[t])
-            red = float(costs[t]) - u[j0] - v[r]
-            if red < dist[r]:
-                dist[r] = red
-                prev_col[r] = j0
-                heapq.heappush(heap, (red, r))
-        free_row = -1
-        d_star = 0.0
-        while heap:
-            d, r = heapq.heappop(heap)
-            if in_tree[r] or d > dist[r] + 1e-300:
-                continue
-            in_tree[r] = True
-            visited.append(r)
-            if match_row[r] == -1:
-                free_row, d_star = r, d
-                break
-            j = int(match_row[r])
-            # Traverse the (tight) matched edge back to column j, then
-            # relax j's other edges.
-            jrows, jcosts = col_rows[j], col_costs[j]
-            for t in range(jrows.size):
-                r2 = int(jrows[t])
-                if in_tree[r2]:
-                    continue
-                red = d + float(jcosts[t]) - u[j] - v[r2]
-                if red < dist[r2]:
-                    dist[r2] = red
-                    prev_col[r2] = j
-                    heapq.heappush(heap, (red, r2))
-        if free_row < 0:
-            continue  # column structurally unmatched
-        # Potential update over the Dijkstra tree.
-        u[j0] += d_star
-        for r in visited:
-            if r == free_row:
-                continue
-            delta = d_star - float(dist[r])
-            v[r] -= delta
-            u[int(match_row[r])] += delta
-        # Augment along prev_col.
-        r = free_row
-        while True:
-            j = int(prev_col[r])
-            r_next = int(match_col[j])
-            match_col[j] = r
-            match_row[r] = j
-            if j == j0:
-                break
-            r = r_next
-
-    logprod = 0.0
-    for j in range(n_cols):
-        if match_col[j] >= 0:
-            logprod += float(np.log(abs(A.get(int(match_col[j]), j))))
-    return match_col, logprod
 
 
 @domains(A="matrix[S]", returns="perm[S->S]")

@@ -8,7 +8,7 @@ from .circuit import (
     thick_ladder,
     zero_diagonal_pairs,
 )
-from .mesh import grid2d, grid3d, irregular_grid
+from .mesh import grid2d, grid3d
 from .powergrid import meshed_area_grid, reduced_system
 from .suite import (
     FIG5_MATRICES,
@@ -24,7 +24,6 @@ __all__ = [
     "ladder_circuit",
     "thick_ladder",
     "zero_diagonal_pairs",
-    "irregular_grid",
     "btf_composite",
     "cyclic_block",
     "add_semi_dense_columns",

@@ -16,50 +16,7 @@ import numpy as np
 
 from ..sparse.csc import CSC
 
-__all__ = ["grid2d", "grid3d", "irregular_grid"]
-
-
-def irregular_grid(
-    m: int,
-    stencil: int = 5,
-    drop: float = 0.3,
-    taps: float = 0.01,
-    rng: np.random.Generator | None = None,
-) -> CSC:
-    """A grid with randomly deleted couplings and a few random taps.
-
-    Power-delivery / memory-array circuits are grid-*like* but
-    irregular: missing couplings fragment the supernodes a symmetrized
-    supernodal analysis would otherwise enjoy, while the fill-in
-    density stays in the grid's (high) class.  ``drop`` is the fraction
-    of stencil couplings removed; ``taps`` adds random long-range
-    symmetric pairs.
-    """
-    rng = rng or np.random.default_rng(0)
-    base = grid2d(m, stencil=stencil, rng=rng)
-    n = base.n_rows
-    col_of = np.repeat(np.arange(n), np.diff(base.indptr))
-    rows, cols, vals = base.indices, col_of, base.data
-    off = rows != cols
-    # Drop symmetric pairs: decide per unordered pair.
-    keep_pair = {}
-    keep = np.ones(rows.size, dtype=bool)
-    for k in np.flatnonzero(off):
-        key = (min(int(rows[k]), int(cols[k])), max(int(rows[k]), int(cols[k])))
-        if key not in keep_pair:
-            keep_pair[key] = rng.random() >= drop
-        keep[k] = keep_pair[key]
-    r = rows[keep].tolist()
-    c = cols[keep].tolist()
-    v = vals[keep].tolist()
-    for _ in range(int(taps * n)):
-        i, j = int(rng.integers(n)), int(rng.integers(n))
-        if i != j:
-            w = -rng.random()
-            r += [i, j]
-            c += [j, i]
-            v += [w, -rng.random()]
-    return CSC.from_coo(r, c, v, (n, n))
+__all__ = ["grid2d", "grid3d"]
 
 
 def grid2d(

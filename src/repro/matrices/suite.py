@@ -27,7 +27,7 @@ from .circuit import (
     thick_ladder,
     zero_diagonal_pairs,
 )
-from .mesh import grid2d, grid3d, irregular_grid
+from .mesh import grid2d, grid3d
 from .powergrid import meshed_area_grid, reduced_system
 
 __all__ = ["MatrixSpec", "TABLE1", "TABLE2", "FIG5_MATRICES", "get_matrix", "suite_names"]

@@ -62,7 +62,6 @@ __all__ = [
     "FaultPlan",
     "active_plan",
     "fault_values",
-    "fault_workspace",
     "fault_matrix",
 ]
 
@@ -378,13 +377,6 @@ def fault_values(site: str, values: np.ndarray) -> np.ndarray:
     if plan is None:
         return values
     return plan.apply_values(site, values)
-
-
-def fault_workspace(site: str, xwork: np.ndarray, pivot_positions: np.ndarray) -> None:
-    plan = _ACTIVE
-    if plan is None:
-        return
-    plan.apply_workspace(site, xwork, pivot_positions)
 
 
 def fault_matrix(site: str, A: CSC) -> CSC:

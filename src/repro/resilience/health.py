@@ -34,7 +34,6 @@ from ..sparse.verify import componentwise_backward_error
 __all__ = [
     "HealthReport",
     "factor_health",
-    "check_finite",
     "componentwise_backward_error",
 ]
 
@@ -84,16 +83,6 @@ class HealthReport:
             raise NumericalHealthError(
                 "; ".join(self.issues), what=self.issues[0].split(":")[0]
             )
-
-
-def check_finite(values: np.ndarray, what: str) -> None:
-    """Raise :class:`NumericalHealthError` when ``values`` holds any
-    NaN/Inf (one vectorized scan)."""
-    if not np.all(np.isfinite(values)):
-        bad = int(np.count_nonzero(~np.isfinite(values)))
-        raise NumericalHealthError(
-            f"{what}: {bad} non-finite value(s)", what=what
-        )
 
 
 def _pivot_extremes(numeric) -> tuple:

@@ -82,6 +82,13 @@ class GPResult:
         return self.L.nnz + self.U.nnz
 
 
+def _no_pivot(k: int) -> SingularMatrixError:
+    return SingularMatrixError(
+        f"no usable pivot in column {k} (structurally or numerically singular)",
+        column=k,
+    )
+
+
 def _grow(arr: np.ndarray, needed: int) -> np.ndarray:
     if needed <= arr.size:
         return arr
@@ -256,7 +263,8 @@ def gp_factor_reference(
     search per column.  :func:`gp_factor` must reproduce its pattern,
     permutation and CostLedger bit-identically (values up to summation
     order inside the dense tail); the parity tests in
-    ``tests/test_blocking.py`` enforce exactly that.
+    ``tests/test_blocking.py`` enforce exactly that.  A pure oracle: it
+    fires no fault site and records no metrics.
 
     Parameters
     ----------
@@ -279,10 +287,6 @@ def gp_factor_reference(
     if A.n_rows != n:
         raise StructureError("GP factorization requires a square matrix")
     led = ledger if ledger is not None else CostLedger()
-    a_fault = _fault_values("gp.factor.values", A.data)
-    if a_fault is not A.data:
-        A = CSC(n, n, A.indptr, A.indices, a_fault)
-
     if n == 0:
         e = CSC.empty(0, 0)
         return GPResult(e, e, np.empty(0, dtype=np.int64), led)
@@ -301,7 +305,6 @@ def gp_factor_reference(
     x = np.zeros(n, dtype=np.float64)
     ws = ReachWorkspace(n)
     xi = ws.xi
-    offdiag_swaps = 0
 
     for k in range(n):
         arows, avals = A.col(k)
@@ -367,13 +370,8 @@ def gp_factor_reference(
                         x[ipiv] = 0.0
                 x[ipiv] = static_perturb if x[ipiv] == 0.0 else x[ipiv]
             else:
-                raise SingularMatrixError(
-                    f"no usable pivot in column {k} (structurally or numerically singular)",
-                    column=k,
-                )
+                raise _no_pivot(k)
         pivval = x[ipiv]
-        if ipiv != k:
-            offdiag_swaps += 1
         pinv[ipiv] = k
 
         # Store U column k (rows already pivotal, in pivot numbering).
@@ -418,21 +416,6 @@ def gp_factor_reference(
         Lp[k + 1] = lnz
         led.mem_words += lcount + ucount
 
-    # Any rows never chosen (possible only with static perturbation on
-    # a singular matrix) get the remaining pivot slots.
-    free_rows = np.flatnonzero(pinv < 0)
-    if free_rows.size:
-        free_cols = np.setdiff1d(np.arange(n), pinv[pinv >= 0])
-        pinv[free_rows] = free_cols
-
-    metrics = get_tracer().metrics
-    if metrics.enabled:
-        metrics.incr("gp.offdiag_pivots", offdiag_swaps)
-        metrics.incr("gp.fill_nnz", max(0, lnz + unz - A.nnz))
-        amax = float(np.max(np.abs(A.data), initial=0.0))
-        umax = float(np.max(np.abs(Ux[:unz]), initial=0.0))
-        metrics.set_gauge("gp.pivot_growth", umax / amax if amax else 0.0)
-
     # Renumber L's rows into pivot order and sort both factors.
     Lfinal = CSC(n, n, Lp, pinv[Li[:lnz]], Lx[:lnz].copy()).sort_indices()
     Ufinal = CSC(n, n, Up, Ui[:unz].copy(), Ux[:unz].copy()).sort_indices()
@@ -463,7 +446,7 @@ def gp_factor(
     update by the leading columns followed by right-looking rank-1
     updates with LAPACK-style partial pivoting confined to the panel.
 
-    Contract versus the reference oracle (the PR-3 discipline):
+    Contract versus the reference oracle, for every pivoting mode:
 
     * identical nonzero patterns and row permutation (pivot choice uses
       the same threshold rule, the same reach-order tie-break, and NaNs
@@ -475,21 +458,31 @@ def gp_factor(
       summation order and on 1e-17 in the other changes no count);
     * values equal up to floating-point summation order inside the
       dense tail, bit-identical before the switch;
-    * the first failing column of a singular matrix raises the same
-      :class:`SingularMatrixError`.
+    * singular input: before the switch both kernels raise the same
+      :class:`SingularMatrixError` at the same column, and from the
+      switch on both raise at a column with no unpivoted row in its
+      reach (structural singularity).  A best pivot that cancels to
+      exactly 0.0 inside the dense tail is not covered: summation order
+      can leave it near 1e-17 in one kernel, so on an input that is
+      singular by cancellation one kernel may raise where the other
+      returns factors with a tiny pivot.
 
-    ``static_perturb > 0`` (the supernodal escape hatch) rewrites the
-    pattern mid-flight, so that path delegates to the reference loop.
+    With ``static_perturb > 0`` (static pivoting) no column raises
+    :class:`SingularMatrixError`; both phases apply the reference's rule
+    instead: when no candidate has a non-NaN magnitude, row ``k`` is
+    taken if unpivoted, else the smallest unpivoted row; a row outside
+    the reach counts as 0.0, and an exact 0.0 pivot becomes
+    ``static_perturb``.  Such a row joins only its own column's reach
+    and is stored neither in U nor below L's diagonal, so the dense
+    panel, which holds every unpivoted row, eliminates it like any
+    other pivot.
+
     ``dense_plan`` lets callers with a fixed pattern (KLU's per-block
     symbolic) skip re-detection; a stale plan is re-detected, never
     trusted.  The dense phase is traced as a ``numeric.gp.panel`` span
     whose ledger, plus the scalar phase attached to the caller's span
     as overhead, conserves against the total.
     """
-    if static_perturb > 0.0:
-        return gp_factor_reference(
-            A, pivot_tol=pivot_tol, static_perturb=static_perturb, ledger=ledger
-        )
     n = A.n_cols
     if A.n_rows != n:
         raise StructureError("GP factorization requires a square matrix")
@@ -571,19 +564,27 @@ def gp_factor(
                 diag_val = x[i]
         if diag_val is not None and pivmag > 0.0 and abs(diag_val) >= pivot_tol * pivmag:
             ipiv = k
-        if ipiv < 0 or x[ipiv] == 0.0:
-            raise SingularMatrixError(
-                f"no usable pivot in column {k} (structurally or numerically singular)",
-                column=k,
-            )
-        pivval = x[ipiv]
+        pivval = x[ipiv] if ipiv >= 0 else 0.0
+        if pivval == 0.0:
+            if static_perturb <= 0.0:
+                raise _no_pivot(k)
+            if ipiv < 0:
+                # Row k if unpivoted, else the smallest unpivoted row;
+                # outside the reach its value is 0.0.
+                ipiv = k if pinv_l[k] < 0 else pinv_l.index(-1)
+                if graph.mark[ipiv] == graph.stamp:
+                    pivval = x[ipiv]
+            if pivval == 0.0:
+                pivval = static_perturb
         if ipiv != k:
             offdiag_swaps += 1
         pinv[ipiv] = k
         pinv_l[ipiv] = k
 
         # Store U column k (rows already pivotal, in pivot numbering).
-        psz = len(pat)
+        # A perturbed pivot row outside the reach makes either column
+        # one entry longer than the reach.
+        psz = len(pat) + 1
         Ui = _grow(Ui, unz + psz)
         Ux = _grow(Ux, unz + psz)
         ucount = 1
@@ -668,29 +669,32 @@ def gp_factor(
 
                 # Pivot search: argmax keeps the first maximum, which is
                 # the reference's strict-greater scan in reach order;
-                # NaN magnitudes are demoted so they can never win.
-                if cand.size == 0:
-                    raise SingularMatrixError(
-                        f"no usable pivot in column {k} "
-                        "(structurally or numerically singular)",
-                        column=k,
-                    )
-                mags = np.abs(S[slot_of[cand], t])
-                mags = np.where(np.isnan(mags), -1.0, mags)
-                am = int(np.argmax(mags))
-                pivmag = float(mags[am])
-                ipiv = int(cand[am])
-                if graph.mark[k] == graph.stamp and pinv_l[k] < 0:
-                    diag_val = float(S[slot_of[k], t])
-                    if pivmag > 0.0 and abs(diag_val) >= pivot_tol * pivmag:
-                        ipiv = k
-                if pivmag < 0.0 or S[slot_of[ipiv], t] == 0.0:
-                    raise SingularMatrixError(
-                        f"no usable pivot in column {k} "
-                        "(structurally or numerically singular)",
-                        column=k,
-                    )
-                pivval = float(S[slot_of[ipiv], t])
+                # NaN magnitudes are demoted so they can never win, and
+                # an all-NaN candidate set counts as empty.
+                ipiv = -1
+                if cand.size:
+                    mags = np.abs(S[slot_of[cand], t])
+                    mags = np.where(np.isnan(mags), -1.0, mags)
+                    am = int(np.argmax(mags))
+                    pivmag = float(mags[am])
+                    if pivmag >= 0.0:
+                        ipiv = int(cand[am])
+                    if graph.mark[k] == graph.stamp and pinv_l[k] < 0:
+                        diag_val = float(S[slot_of[k], t])
+                        if pivmag > 0.0 and abs(diag_val) >= pivot_tol * pivmag:
+                            ipiv = k
+                pivval = float(S[slot_of[ipiv], t]) if ipiv >= 0 else 0.0
+                if pivval == 0.0:
+                    if static_perturb <= 0.0:
+                        raise _no_pivot(k)
+                    if ipiv < 0:
+                        # The scalar head's rule.  The panel holds every
+                        # unpivoted row; one outside the reach counts as 0.0.
+                        ipiv = k if pinv_l[k] < 0 else pinv_l.index(-1)
+                        if graph.mark[ipiv] == graph.stamp:
+                            pivval = float(S[slot_of[ipiv], t])
+                    if pivval == 0.0:
+                        pivval = static_perturb
                 if ipiv != k:
                     offdiag_swaps += 1
                 pinv[ipiv] = k

@@ -21,7 +21,7 @@ from .schedule import (
     permutation_gather,
     triangular_schedule,
 )
-from .serialize import load_csc, load_factors, save_csc, save_factors
+from .serialize import load_csc, save_csc
 from .stats import MatrixStats, degree_stats, matrix_stats, structural_symmetry
 from .verify import factorization_residual, relative_error, solve_residual
 
@@ -52,8 +52,6 @@ __all__ = [
     "degree_stats",
     "save_csc",
     "load_csc",
-    "save_factors",
-    "load_factors",
     "hstack",
     "vstack",
     "block_diag",

@@ -1,20 +1,15 @@
-"""Save/load CSC matrices and factorizations as ``.npz`` archives.
-
-Circuit-simulation workflows checkpoint factors between runs (Xyce's
-restart files); this module provides the equivalent: a compact,
-versioned NumPy archive for a matrix or for per-block LU factors.
-"""
+"""Save/load CSC matrices as versioned ``.npz`` archives."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Union
 
 import numpy as np
 
 from .csc import CSC
 
-__all__ = ["save_csc", "load_csc", "save_factors", "load_factors"]
+__all__ = ["save_csc", "load_csc"]
 
 _FORMAT_VERSION = 1
 
@@ -37,51 +32,3 @@ def load_csc(path: Union[str, Path]) -> CSC:
             raise ValueError(f"unsupported archive version {int(z['version'])}")
         n_rows, n_cols = (int(v) for v in z["shape"])
         return CSC(n_rows, n_cols, z["indptr"].copy(), z["indices"].copy(), z["data"].copy())
-
-
-def save_factors(
-    path: Union[str, Path],
-    blocks: List[Tuple[CSC, CSC]],
-    row_perm: np.ndarray,
-    col_perm: np.ndarray,
-    block_splits: np.ndarray,
-) -> None:
-    """Write per-block (L, U) factors plus the permutations.
-
-    Works for any of the package's numeric objects via their blocked
-    view (KLU block list, Basker coarse blocks, supernodal single
-    block).
-    """
-    payload: Dict[str, np.ndarray] = {
-        "version": np.int64(_FORMAT_VERSION),
-        "n_blocks": np.int64(len(blocks)),
-        "row_perm": np.asarray(row_perm, dtype=np.int64),
-        "col_perm": np.asarray(col_perm, dtype=np.int64),
-        "block_splits": np.asarray(block_splits, dtype=np.int64),
-    }
-    for k, (L, U) in enumerate(blocks):
-        for tag, M in (("L", L), ("U", U)):
-            payload[f"b{k}_{tag}_shape"] = np.asarray(M.shape, dtype=np.int64)
-            payload[f"b{k}_{tag}_indptr"] = M.indptr
-            payload[f"b{k}_{tag}_indices"] = M.indices
-            payload[f"b{k}_{tag}_data"] = M.data
-    np.savez_compressed(path, **payload)
-
-
-def load_factors(path: Union[str, Path]):
-    """Read back ``(blocks, row_perm, col_perm, block_splits)``."""
-    with np.load(path) as z:
-        if int(z["version"]) != _FORMAT_VERSION:
-            raise ValueError(f"unsupported archive version {int(z['version'])}")
-        nb = int(z["n_blocks"])
-        blocks = []
-        for k in range(nb):
-            pair = []
-            for tag in ("L", "U"):
-                r, c = (int(v) for v in z[f"b{k}_{tag}_shape"])
-                pair.append(
-                    CSC(r, c, z[f"b{k}_{tag}_indptr"].copy(),
-                        z[f"b{k}_{tag}_indices"].copy(), z[f"b{k}_{tag}_data"].copy())
-                )
-            blocks.append((pair[0], pair[1]))
-        return blocks, z["row_perm"].copy(), z["col_perm"].copy(), z["block_splits"].copy()

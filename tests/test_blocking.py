@@ -3,8 +3,9 @@
 The blocked kernel must be an exact reorganization of the reference
 Gilbert–Peierls loop (``gp_factor_reference``): identical patterns and
 row permutation, bit-identical :class:`CostLedger`, values equal up to
-summation order — for *any* switch column, which is why these tests
-are free to force arbitrary switch points.
+summation order — for *any* switch column and either pivoting mode
+(threshold pivoting, or static perturbation of unusable pivots), which
+is why these tests are free to force arbitrary switch points.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.obs import Tracer, check_ledger_tree, tracing
 from repro.parallel import CostLedger
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.solvers import KLU
-from repro.solvers.gp import gp_factor, gp_factor_reference
+from repro.solvers.gp import GP_DEFAULT_PIVOT_TOL, gp_factor, gp_factor_reference
 from repro.sparse import CSC, factorization_residual
 from repro.sparse.blocking import (
     DENSE_TAIL_MIN_COLS,
@@ -38,8 +39,9 @@ def forced_plan(A: CSC, switch: int) -> DensePlan:
     )
 
 
-def assert_parity(A: CSC, blocked, reference, tol=1e-9):
-    """The full PR-3 contract between the two kernels."""
+def assert_same_factors(blocked, reference, tol=1e-9):
+    """Identical patterns, permutation and ledger; values up to
+    summation order."""
     assert np.array_equal(blocked.row_perm, reference.row_perm)
     for Fb, Fr in ((blocked.L, reference.L), (blocked.U, reference.U)):
         assert np.array_equal(Fb.indptr, Fr.indptr)
@@ -48,7 +50,37 @@ def assert_parity(A: CSC, blocked, reference, tol=1e-9):
         assert np.allclose(Fb.data, Fr.data, rtol=tol, atol=tol * scale)
     # Ledgers are operation counts: bit-identical, all fields.
     assert blocked.ledger.__dict__ == reference.ledger.__dict__
+
+
+def assert_parity(A: CSC, blocked, reference, tol=1e-9):
+    """The full contract between the two kernels on a nonsingular input."""
+    assert_same_factors(blocked, reference, tol)
     assert factorization_residual(A, blocked.L, blocked.U, blocked.row_perm) < 1e-10
+
+
+def assert_bit_identical(blocked, reference):
+    assert np.array_equal(blocked.row_perm, reference.row_perm)
+    for Fb, Fr in ((blocked.L, reference.L), (blocked.U, reference.U)):
+        assert np.array_equal(Fb.indptr, Fr.indptr)
+        assert np.array_equal(Fb.indices, Fr.indices)
+        assert Fb.data.tobytes() == Fr.data.tobytes()
+    assert blocked.ledger.__dict__ == reference.ledger.__dict__
+
+
+def empty_columns(A: CSC, rng: np.random.Generator) -> CSC:
+    """``A`` with ⌈n/6⌉ random columns emptied: structurally singular.
+    When ``A`` has a full diagonal of random values its other columns
+    keep full rank, so the input is not singular by cancellation, where
+    the two kernels' summation orders may disagree about an exact 0.0
+    pivot."""
+    n = A.n_cols
+    dead = rng.choice(n, size=-(-n // 6), replace=False)
+    col = np.repeat(np.arange(n), np.diff(A.indptr))
+    keep = ~np.isin(col, dead)
+    return CSC.from_coo(A.indices[keep], col[keep], A.data[keep], (n, n))
+
+
+PERTURB = 1e-8
 
 
 class TestBlockedParity:
@@ -153,6 +185,105 @@ class TestBlockedParity:
         assert led.sparse_flops == 7.0 + ref_led.sparse_flops
 
 
+class TestStaticPerturbation:
+    """``static_perturb > 0`` runs the blocked kernel with the
+    reference's perturbation rule in both phases."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(5, 60),
+        density=st.floats(0.05, 0.4),
+        seed=st.integers(0, 10_000),
+        switch_frac=st.floats(0.0, 1.0),
+        pivot_tol=st.sampled_from([GP_DEFAULT_PIVOT_TOL, 1.0]),
+    )
+    def test_structurally_singular_any_switch(self, n, density, seed, switch_frac, pivot_tol):
+        # No residual bound: perturbed factors are not faithful to A.
+        rng = np.random.default_rng(seed)
+        A = empty_columns(random_sparse(n, n, density, rng, ensure_diag=True), rng)
+        switch = int(round(switch_frac * n))
+        ref = gp_factor_reference(A, pivot_tol=pivot_tol, static_perturb=PERTURB)
+        blk = gp_factor(A, pivot_tol=pivot_tol, static_perturb=PERTURB,
+                        dense_plan=forced_plan(A, switch))
+        assert_same_factors(blk, ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        density=st.floats(0.02, 0.4),
+        seed=st.integers(0, 10_000),
+        full_diag=st.booleans(),
+        pivot_tol=st.sampled_from([0.0, GP_DEFAULT_PIVOT_TOL, 1.0]),
+    )
+    def test_scalar_head_is_bit_identical(self, n, density, seed, full_diag, pivot_tol):
+        """Without a tail the perturbed kernel is the reference recipe,
+        on any input, singular by cancellation or not."""
+        rng = np.random.default_rng(seed)
+        A = random_sparse(n, n, density, rng, ensure_diag=full_diag)
+        ref = gp_factor_reference(A, pivot_tol=pivot_tol, static_perturb=PERTURB)
+        blk = gp_factor(A, pivot_tol=pivot_tol, static_perturb=PERTURB,
+                        dense_plan=forced_plan(A, n))
+        assert_bit_identical(blk, ref)
+
+    # Column 2 reaches only the pivotal rows 0 and 1, and row 2 is free:
+    # row 2 becomes column 2's pivot from outside its reach.
+    DIAG_FREE = np.array([
+        [4.0, 1.0, 1.0, 0.0, 0.0],
+        [1.0, 4.0, 2.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 4.0, 1.0],
+        [0.0, 0.0, 0.0, 1.0, 4.0],
+    ])
+    # Column 0 pivots on row 2, so column 2 (reach {2, 1}, both
+    # pivotal) takes the smallest free row, 0.
+    DIAG_TAKEN = np.array([
+        [0.0, 0.0, 0.0, 1.0],
+        [1.0, 4.0, 2.0, 0.0],
+        [5.0, 0.0, 3.0, 0.0],
+        [0.0, 0.0, 0.0, 2.0],
+    ])
+
+    @pytest.mark.parametrize("dense, perm", [
+        (DIAG_FREE, [0, 1, 2, 3, 4]),
+        (DIAG_TAKEN, [2, 1, 0, 3]),
+    ])
+    @pytest.mark.parametrize("switch", [0, 1, 2, 3])
+    def test_no_unpivoted_row_in_reach(self, dense, perm, switch):
+        A = CSC.from_dense(dense)
+        with pytest.raises(SingularMatrixError):
+            gp_factor(A, pivot_tol=1.0, dense_plan=forced_plan(A, switch))
+        ref = gp_factor_reference(A, pivot_tol=1.0, static_perturb=PERTURB)
+        blk = gp_factor(A, pivot_tol=1.0, static_perturb=PERTURB,
+                        dense_plan=forced_plan(A, switch))
+        assert_same_factors(blk, ref)
+        assert blk.row_perm.tolist() == perm
+        assert blk.U.to_dense()[2, 2] == PERTURB
+        assert blk.L.to_dense()[:, 2].tolist() == [0.0, 0.0, 1.0] + [0.0] * (A.n_cols - 3)
+
+    @pytest.mark.parametrize("switch", [0, 1, 2, 4])
+    def test_all_candidates_exactly_zero(self, switch):
+        """Column 2 stores explicit zeros in the free rows 2 and 3: the
+        first of them in reach order takes the perturbed pivot."""
+        dense = np.array([
+            [4.0, 1.0, 1.0, 0.0],
+            [1.0, 4.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 3.0],
+        ])
+        B = CSC.from_dense(dense)
+        rows = np.concatenate([B.indices, [2, 3]])
+        cols = np.concatenate([np.repeat(np.arange(4), np.diff(B.indptr)), [2, 2]])
+        vals = np.concatenate([B.data, [0.0, 0.0]])
+        A = CSC.from_coo(rows, cols, vals, (4, 4))
+        assert A.nnz == B.nnz + 2
+        ref = gp_factor_reference(A, static_perturb=PERTURB)
+        blk = gp_factor(A, static_perturb=PERTURB, dense_plan=forced_plan(A, switch))
+        assert_same_factors(blk, ref)
+        assert blk.U.to_dense()[2, 2] == PERTURB
+        with pytest.raises(SingularMatrixError):
+            gp_factor(A, dense_plan=forced_plan(A, switch))
+
+
 class TestDetection:
     def test_dense_matrix_switches_at_zero(self):
         n = 2 * DENSE_TAIL_MIN_COLS
@@ -217,6 +348,21 @@ class TestPanelObservability:
         names = [s.name for s in tracer.spans]
         assert "numeric.gp.panel" in names
         assert check_ledger_tree(tracer) == []
+
+    def test_perturbed_factor_runs_the_panel(self):
+        """Static perturbation keeps the detected dense tail and its
+        traced panel, whose ledger still conserves."""
+        rng = np.random.default_rng(9)
+        A = empty_columns(random_sparse(48, 48, 0.5, rng, ensure_diag=True), rng)
+        tracer = Tracer()
+        with tracing(tracer):
+            with tracer.span("numeric.gp") as sp:
+                res = gp_factor(A, static_perturb=PERTURB)
+                sp.attach(res.ledger)
+        assert res.dense_plan is not None and res.dense_plan.has_tail
+        assert "numeric.gp.panel" in [s.name for s in tracer.spans]
+        assert check_ledger_tree(tracer) == []
+        assert_same_factors(res, gp_factor_reference(A, static_perturb=PERTURB))
 
     def test_panel_fault_site_fires_and_is_isolated(self):
         rng = np.random.default_rng(8)

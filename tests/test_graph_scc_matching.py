@@ -105,6 +105,14 @@ class TestMatching:
         assert bottleneck == 5.0
         assert match_col[0] == 1 and match_col[1] == 0
 
+    def test_mwcm_prefers_bottleneck_over_product(self):
+        """The diagonal (10, 0.1) has the larger product, 1.0 against
+        0.81; the bottleneck objective picks the anti-diagonal 0.9/0.9."""
+        A = CSC.from_coo([0, 1, 1, 0], [0, 1, 0, 1], [10.0, 0.1, 0.9, 0.9], (2, 2))
+        match_col, bottleneck = mwcm(A)
+        assert match_col.tolist() == [1, 0]
+        assert bottleneck == pytest.approx(0.9)
+
     def test_mwcm_keeps_full_cardinality(self):
         rng = np.random.default_rng(7)
         A = random_sparse(15, 15, 0.3, rng, ensure_diag=True)
@@ -147,68 +155,3 @@ def test_property_scc_partition_is_valid(n, seed):
     n_comp, comp, order = scc_of_matrix(A)
     assert comp.min() >= 0 and comp.max() == n_comp - 1
     assert sorted(order.tolist()) == list(range(n))
-
-
-class TestProductMatching:
-    """The MC64 product variant (SuperLU-Dist's mode, paper §II/§V)."""
-
-    def _brute(self, A):
-        import itertools
-
-        n = A.n_rows
-        d = np.abs(A.to_dense())
-        best = (-1, -1e300)
-        for perm in itertools.permutations(range(n)):
-            card = sum(1 for j in range(n) if d[perm[j], j] > 0)
-            lp = sum(np.log(d[perm[j], j]) for j in range(n) if d[perm[j], j] > 0)
-            if (card, lp) > best:
-                best = (card, lp)
-        return best
-
-    def test_optimal_on_nonsingular(self):
-        from repro.graph.matching import mwcm_product
-
-        checked = 0
-        for seed in range(80):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(2, 7))
-            A = random_sparse(n, n, 0.6, rng, ensure_diag=True)
-            mc, lp = mwcm_product(A)
-            if int((mc >= 0).sum()) < n:
-                continue
-            checked += 1
-            bcard, blp = self._brute(A)
-            assert bcard == n
-            assert lp == pytest.approx(blp, abs=1e-9), seed
-        assert checked > 30
-
-    def test_prefers_large_product_over_bottleneck(self):
-        """A case where product and bottleneck objectives disagree:
-        diag = (10, 0.1) product 1.0; anti-diag = (0.9, 0.9) product
-        0.81 but bottleneck 0.9."""
-        from repro.graph.matching import mwcm, mwcm_product
-
-        A = CSC.from_coo([0, 1, 1, 0], [0, 1, 0, 1], [10.0, 0.1, 0.9, 0.9], (2, 2))
-        mc_prod, lp = mwcm_product(A)
-        assert mc_prod.tolist() == [0, 1]          # product picks the diagonal
-        assert lp == pytest.approx(np.log(10.0) + np.log(0.1))
-        mc_bott, bott = mwcm(A)
-        assert mc_bott.tolist() == [1, 0]          # bottleneck picks 0.9/0.9
-        assert bott == pytest.approx(0.9)
-
-    def test_deficient_matrix_keeps_max_cardinality(self):
-        from repro.graph.matching import max_cardinality_matching, mwcm_product
-
-        rng = np.random.default_rng(5)
-        A = random_sparse(8, 8, 0.15, rng)
-        full, _, _ = max_cardinality_matching(A)
-        mc, _ = mwcm_product(A)
-        assert int((mc >= 0).sum()) == full
-
-    def test_empty_and_zero_columns(self):
-        from repro.graph.matching import mwcm_product
-
-        A = CSC.from_coo([0], [0], [2.0], (3, 3))
-        mc, lp = mwcm_product(A)
-        assert mc[0] == 0 and mc[1] == -1 and mc[2] == -1
-        assert lp == pytest.approx(np.log(2.0))

@@ -1,15 +1,12 @@
-"""Tests for matrix statistics and factor serialization."""
+"""Tests for matrix statistics and matrix serialization."""
 
 import numpy as np
 import pytest
 
 from repro.matrices import add_semi_dense_columns, grid2d, ladder_circuit, reduced_system
-from repro.solvers import KLU
-from repro.solvers.triangular import btf_factors
-from repro.sparse import CSC, solve_residual
-from repro.sparse.serialize import load_csc, load_factors, save_csc, save_factors
+from repro.sparse import CSC
+from repro.sparse.serialize import load_csc, save_csc
 from repro.sparse.stats import degree_stats, matrix_stats, structural_symmetry
-from repro.sparse.ops import lower_solve, upper_solve
 
 from .helpers import random_sparse
 
@@ -66,45 +63,3 @@ class TestSerializeCSC:
                  data=np.array([]))
         with pytest.raises(ValueError):
             load_csc(p)
-
-
-class TestSerializeFactors:
-    def test_klu_factor_roundtrip_and_solve(self, tmp_path):
-        rng = np.random.default_rng(4)
-        A = reduced_system(12, rng=rng)
-        klu = KLU()
-        num = klu.factor(A)
-        splits, blocks, M = btf_factors(num)
-        rp, cp = num.row_perm, num.col_perm
-        p = tmp_path / "factors.npz"
-        save_factors(p, blocks, rp, cp, splits)
-
-        blocks2, rp2, cp2, splits2 = load_factors(p)
-        assert len(blocks2) == len(blocks)
-        assert np.array_equal(rp2, rp) and np.array_equal(cp2, cp)
-        # Solve with the reloaded factors (block back-substitution via
-        # the original M for the off-diagonal part).
-        b = rng.standard_normal(A.n_rows)
-        c = b[rp2].copy()
-        n = A.n_rows
-        z = np.zeros(n)
-        for k in range(len(blocks2) - 1, -1, -1):
-            lo, hi = int(splits2[k]), int(splits2[k + 1])
-            L, U = blocks2[k]
-            z[lo:hi] = upper_solve(U, lower_solve(L, c[lo:hi]))
-            for j in range(lo, hi):
-                rows, vals = num.M.col(j)
-                cut = int(np.searchsorted(rows, lo))
-                if cut:
-                    c[rows[:cut]] -= vals[:cut] * z[j]
-        x = np.empty(n)
-        x[cp2] = z
-        assert solve_residual(A, x, b) < 1e-10
-
-    def test_factor_version_guard(self, tmp_path):
-        p = tmp_path / "bad.npz"
-        np.savez(p, version=np.int64(7), n_blocks=np.int64(0),
-                 row_perm=np.array([0]), col_perm=np.array([0]),
-                 block_splits=np.array([0, 1]))
-        with pytest.raises(ValueError):
-            load_factors(p)
