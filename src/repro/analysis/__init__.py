@@ -27,42 +27,31 @@ machinery:
   ``compose`` chains);
 * :mod:`repro.analysis.effects` — interprocedural effect-and-aliasing
   analyzer that infers each kernel function's real side effects
-  (in-place parameter mutation, module-global state, task emission) and
-  checks them against the declared contracts: ``SimTask`` read/write
-  sets (E1), :func:`repro.contracts.effects` purity declarations (E2),
-  process-safety for a real worker-pool backend (E3), same-level
-  write-set disjointness (E4), and numpy in-place misuse (E5);
+  (in-place parameter mutation, task emission) and checks them against
+  the declared contracts: ``SimTask`` read/write sets (E1),
+  :func:`repro.contracts.effects` purity declarations (E2) and numpy
+  in-place misuse (E5);
 * :mod:`repro.analysis.shapes` — symbolic shape/bounds/dtype abstract
   interpreter assigning every array a symbolic shape in a lattice of
   named dimensions plus an index-range interval, checked against
-  :func:`repro.contracts.shapes` declarations: gather out-of-bounds
-  (S1), scatter/``reduceat`` precondition violations (S2), shape
-  conformance across elementwise ops (S3), index-width hazards (S4)
-  and declared-vs-inferred contract mismatches (S5), plus the one
+  :func:`repro.contracts.shapes` declarations: scatter/``reduceat``
+  precondition violations (S2), shape conformance across elementwise
+  ops (S3), index-width hazards (S4) and declared-vs-inferred contract
+  mismatches (S5), plus the one
   concrete auditor of compiled :mod:`repro.sparse.schedule` plans
   (``audit_schedule_buffers``: E4 write disjointness and level order,
   S1-S3 bounds, segments and sizes) and a runtime differential
   contract checker;
 * :mod:`repro.analysis.frontend` — the front end lint, domains,
   effects and shapes share: each module parsed and comment-tokenized
-  once per process, pins, decorators, registry and drivers;
-* :mod:`repro.analysis.baseline` — fingerprinted finding baselines so
-  ``repro analyze <checker> --baseline FILE`` fails only on *new*
-  findings (the CI regression gate).
+  once per process, pins, decorators, registry and drivers.
 
-All checkers are exposed as ``python -m repro analyze
-{hazards,conservation,lint,domains,effects,shapes}`` (``--format
-json`` for machine consumption), combined under ``python -m repro
-analyze all`` (``--plans`` adds the plan audit), and run in CI.
+``python -m repro analyze all`` runs every checker and prints one report
+(``--plans`` adds the plan audit, ``--format json`` the machine form);
+``python -m repro analyze <checker>`` prints that report's section for
+one checker.  Any finding fails the run; CI runs ``analyze all``.
 """
 
-from .baseline import (
-    apply_baseline,
-    finding_fingerprint,
-    load_baseline,
-    write_baseline,
-    write_baseline_many,
-)
 from .conservation import ConservationReport, check_conservation, check_schedule
 from .domains import (
     Domain,
@@ -129,9 +118,4 @@ __all__ = [
     "audit_schedule_buffers",
     "check_call_contract",
     "contract_checked",
-    "finding_fingerprint",
-    "load_baseline",
-    "apply_baseline",
-    "write_baseline",
-    "write_baseline_many",
 ]

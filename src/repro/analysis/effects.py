@@ -1,4 +1,4 @@
-"""Interprocedural effect & parallel-safety analyzer (codes E1-E5).
+"""Interprocedural effect & parallel-safety analyzer (codes E0-E2, E5).
 
 The PR-1 hazard detector proves the declared ``SimTask.reads``/``writes``
 sets are *consistent* with the emitted dependencies — but it trusts the
@@ -16,7 +16,6 @@ Per-function **effect summaries** (:class:`FunctionEffects`) record:
   methods (``.sort()``, ``.fill()``, ``.append()``, ...), ``out=``
   keyword aliasing, and ``np.<ufunc>.at`` / ``np.copyto`` families —
   including mutation through local aliases of a parameter;
-* module-global reads and writes (only *mutable* module state counts);
 * whether the return value aliases a parameter (borrowed buffer) or is
   a fresh allocation;
 * whether the function (transitively) emits scheduler tasks.
@@ -30,14 +29,8 @@ Finding classes::
     E2  a function declared pure (or with a declared mutates-set) via
         @repro.contracts.effects mutates a caller-visible parameter
         outside the declaration
-    E3  process-unsafety for a real worker-pool backend: a kernel
-        function writes mutable module-global state, or a locally
-        defined closure/lambda is passed to a task-dispatch entry point
-        (unpicklable payload)
-    E4  a task emitted inside a loop whose declared write keys do not
-        vary with the loop variable — two same-schedule-level tasks
-        would declare identical (non-disjoint) write sets; also the
-        plan-level audits below
+    E4  plan-level write disjointness and level order, reported by the
+        plan auditor (below)
     E5  numpy in-place misuse: ``out=`` aliasing an input operand of a
         non-elementwise routine, or augmented assignment through a
         broadcast view
@@ -48,12 +41,8 @@ Comment pins (real COMMENT tokens, module-wide scope)::
                                             the declared key families
     # effects: emitter builder em new_task  names whose ``.add(...)`` /
                                             ``name(...)`` calls emit tasks
-    # effects: dispatch my_pool_map         extra E3 dispatch entry points
-    # effects: ordered                      (trailing) this emission line
-                                            is serialized across loop
-                                            iterations by its deps — E4 off
-    # effects: global-ok                    (trailing, read by lint R6 and
-                                            E3) sanctioned module state
+    # effects: global-ok                    (trailing, read by lint R6)
+                                            sanctioned module state
 
 E1 is deliberately *regional*: an inferred access is attributed to the
 closest following emission statement within the same statement list
@@ -63,13 +52,15 @@ analyzer cannot resolve — declared key lists built by helpers, emission
 wrappers forwarding parameters — makes the corresponding check *open*
 and silent, so an unannotated module produces no false positives.
 
-Plan-level E4 (the write disjointness and level order of the compiled
+E4 (the write disjointness and level order of the compiled
 :mod:`repro.sparse.schedule` plans) is reported by the one plan auditor,
-:func:`repro.analysis.shapes.audit_schedule_buffers`.
+:func:`repro.analysis.shapes.audit_schedule_buffers`.  Disjoint writes
+among the tasks a loop emits are the hazard checker's to prove: it runs
+on the real task DAG of every emitter.
 
 Entry points mirror :mod:`repro.analysis.domains`:
-:func:`check_effects_source`, :func:`check_effects_paths` (fixtures;
-treated as kernel modules), :func:`check_effects_tree` (the CI gate,
+:func:`check_effects_source`, :func:`check_effects_paths` (fixtures),
+:func:`check_effects_tree` (the CI gate,
 ``python -m repro analyze effects``) and
 :func:`collect_effect_summaries` (the differential soundness tests).
 """
@@ -80,9 +71,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .frontend import (FUNCTIONS, MUTABLE_CONSTRUCTORS, Finding, Module,
-                       Registry, call_name, decorators, finalize, in_packages,
-                       literal_keywords, name_bindings, package_modules,
+from .frontend import (FUNCTIONS, Finding, Module, Registry, call_name,
+                       decorators, finalize, literal_keywords, package_modules,
                        param_names, parsed, path_modules, source_modules,
                        walk_own)
 
@@ -94,11 +84,7 @@ __all__ = [
     "check_effects_tree",
     "collect_effect_summaries",
     "summary_for",
-    "EFFECT_KERNEL_DIRS",
 ]
-
-# Packages whose code is destined for the real shared-memory backend.
-EFFECT_KERNEL_DIRS = ("core", "solvers", "sparse", "ordering", "graph", "parallel")
 
 # Method names that mutate their receiver in place.
 _MUTATOR_METHODS = {
@@ -116,9 +102,6 @@ _E5_UNSAFE_OUT = {
     "convolve", "correlate", "solve", "inv",
 }
 _BROADCAST_MAKERS = {"broadcast_to", "as_strided"}
-# ``fn(payload, items)`` entry points that may ship the payload to a
-# worker process (defaults; the dispatch pin adds more).
-_DEFAULT_DISPATCH = {"parallel_map"}
 # Value expressions that alias argument 0 (may return the same buffer).
 _ALIAS_ARG0_CALLS = {"asarray", "asanyarray", "ascontiguousarray", "require"}
 # Emission kwargs: read-side and write-side key lists.
@@ -140,26 +123,14 @@ class FunctionEffects:
     params: Tuple[str, ...]
     is_method: bool
     mutates: Dict[str, int] = field(default_factory=dict)   # param -> line
-    global_reads: Set[str] = field(default_factory=set)
-    global_writes: Dict[str, int] = field(default_factory=dict)
     returns_params: Set[str] = field(default_factory=set)   # borrowed buffers
     allocates: bool = False
     emits: bool = False
     calls: List["_CallRef"] = field(default_factory=list)
     declared: Optional[dict] = None   # parsed @effects(...) declaration
-    # global writes performed by this function's own statements (the
-    # pre-propagation snapshot E3a reports on; ``global_writes`` also
-    # accumulates transitive writes during propagation)
-    local_global_writes: Dict[str, int] = field(default_factory=dict)
 
     def signature(self):
-        return (
-            self.params,
-            frozenset(self.mutates),
-            frozenset(self.global_writes),
-            frozenset(self.global_reads),
-            self.emits,
-        )
+        return self.params, frozenset(self.mutates), self.emits
 
 
 @dataclass
@@ -177,9 +148,6 @@ class _CallRef:
 class _ModulePins:
     blocks: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     emitters: Set[str] = field(default_factory=set)
-    dispatch: Set[str] = field(default_factory=set)
-    ordered_lines: Set[int] = field(default_factory=set)
-    global_ok_lines: Set[int] = field(default_factory=set)
 
 
 def _scan_pins(module: Module, findings: List[EffectFinding]) -> _ModulePins:
@@ -214,16 +182,7 @@ def _scan_pins(module: Module, findings: List[EffectFinding]) -> _ModulePins:
                 pins.emitters.update(rest)
             else:
                 e0(lineno, "'# effects: emitter' names no emitters")
-        elif kind == "dispatch":
-            if rest:
-                pins.dispatch.update(rest)
-            else:
-                e0(lineno, "'# effects: dispatch' names no functions")
-        elif kind == "ordered":
-            pins.ordered_lines.add(lineno)
-        elif kind == "global-ok":
-            pins.global_ok_lines.add(lineno)
-        else:
+        elif kind != "global-ok":  # lint R6's pin
             e0(lineno, "unknown '# effects:' pin kind %r" % kind)
     return pins
 
@@ -280,33 +239,9 @@ def _parse_effects_decorator(
 @dataclass
 class _ModuleInfo:
     relpath: str
-    tree: ast.Module
     pins: _ModulePins
-    kernel: bool  # destined for the real shared-memory backend
-    mutable_globals: Dict[str, int] = field(default_factory=dict)  # name -> def line
-    module_names: Set[str] = field(default_factory=set)
     functions: List[Tuple[ast.AST, FunctionEffects]] = field(default_factory=list)
     accessed_families: Set[str] = field(default_factory=set)
-
-
-def _is_mutable_value(value: ast.expr) -> bool:
-    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,
-                          ast.SetComp, ast.DictComp)):
-        return True
-    if isinstance(value, ast.Call):
-        return call_name(value) in MUTABLE_CONSTRUCTORS
-    return False
-
-
-def _collect_module_globals(info: _ModuleInfo) -> None:
-    for stmt, name in name_bindings(info.tree.body):
-        info.module_names.add(name)
-        if (
-            _is_mutable_value(stmt.value)
-            and not (name.startswith("__") and name.endswith("__"))
-            and stmt.lineno not in info.pins.global_ok_lines
-        ):
-            info.mutable_globals[name] = stmt.lineno
 
 
 # ---------------------------------------------------------------------------
@@ -315,41 +250,22 @@ def _collect_module_globals(info: _ModuleInfo) -> None:
 
 class _FnCollector:
     """One in-order pass over a function body: local effects, aliasing,
-    call refs, and the purely local finding classes (E3b, E5)."""
+    call refs, and the purely local finding class E5."""
 
     def __init__(
-        self,
-        fn: ast.AST,
-        info: _ModuleInfo,
-        findings: List[EffectFinding],
-        kernel: bool,
+        self, fn: ast.AST, info: _ModuleInfo, findings: List[EffectFinding],
     ) -> None:
         self.fn = fn
         self.info = info
         self.findings = findings
-        self.kernel = kernel
         params = param_names(fn)
         self.eff = FunctionEffects(
             name=fn.name, path=info.relpath, line=fn.lineno, params=params,
             is_method=bool(params) and params[0] in ("self", "cls"),
             declared=_parse_effects_decorator(fn, info.relpath, findings),
         )
-        self.locals: Set[str] = set(params)
-        for node in walk_own(fn):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                self.locals.add(node.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not fn:
-                self.locals.add(node.name)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    self.locals.add(alias.asname or alias.name.split(".")[0])
-        # comprehension targets are scoped, but treating them as locals
-        # only makes the analysis more conservative about globals
         self.param_alias: Dict[str, Set[str]] = {}
         self.broadcast_names: Set[str] = set()
-        self.nested_defs: Set[str] = set()
-        self.declared_globals: Set[str] = set()
-        self.dispatch_names = _DEFAULT_DISPATCH | info.pins.dispatch
 
     # -- roots ----------------------------------------------------------
 
@@ -382,16 +298,11 @@ class _FnCollector:
             return
         for p in self._param_roots(name):
             self.eff.mutates.setdefault(p, line)
-        if name in self.declared_globals or (
-            name not in self.locals and name in self.info.mutable_globals
-        ):
-            self.eff.global_writes.setdefault(name, line)
 
     # -- statements -----------------------------------------------------
 
     def run(self) -> FunctionEffects:
         self._body(self.fn.body)
-        self.eff.local_global_writes = dict(self.eff.global_writes)
         return self.eff
 
     def _body(self, stmts: Sequence[ast.stmt]) -> None:
@@ -399,14 +310,9 @@ class _FnCollector:
             self._stmt(stmt)
 
     def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.nested_defs.add(stmt.name)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
             return  # nested defs are collected as their own functions
-        if isinstance(stmt, ast.ClassDef):
-            return
-        if isinstance(stmt, ast.Global):
-            self.declared_globals.update(stmt.names)
-            return
         if isinstance(stmt, ast.Assign):
             self._expr(stmt.value)
             for t in stmt.targets:
@@ -427,8 +333,6 @@ class _FnCollector:
                     self._report(stmt.lineno, "E5",
                                  "augmented assignment to broadcast view %r "
                                  "(silently writes through shared strides)" % t.id)
-                if t.id in self.declared_globals:
-                    self.eff.global_writes.setdefault(t.id, stmt.lineno)
             elif isinstance(t, (ast.Subscript, ast.Attribute)):
                 self._mutate_name(_base_name(t), stmt.lineno)
                 if isinstance(t, ast.Subscript):
@@ -484,12 +388,10 @@ class _FnCollector:
                 if isinstance(sub, ast.expr):
                     self._expr(sub)
             return
-        # pass/break/continue/import: inert (imports already in locals)
+        # pass/break/continue/import/global: inert
 
     def _target(self, t: ast.expr, value: ast.expr, line: int) -> None:
         if isinstance(t, ast.Name):
-            if t.id in self.declared_globals:
-                self.eff.global_writes.setdefault(t.id, line)
             # alias bookkeeping: Name = <view of param> / broadcast view
             roots = self._value_roots(value)
             if roots:
@@ -521,9 +423,6 @@ class _FnCollector:
         for sub in walk_own(node):
             if isinstance(sub, ast.Call):
                 self._call(sub)
-            elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                if sub.id not in self.locals and sub.id in self.info.mutable_globals:
-                    self.eff.global_reads.add(sub.id)
 
     def _call(self, node: ast.Call) -> None:
         name = call_name(node)
@@ -556,18 +455,6 @@ class _FnCollector:
                                  "non-elementwise kernels read operands after "
                                  "writing out" % (out_base, name))
                     break
-        # E3b: locally defined callables shipped to a dispatch point
-        if name in self.dispatch_names and self.kernel:
-            for a in list(node.args) + [kw.value for kw in node.keywords]:
-                if isinstance(a, ast.Lambda):
-                    self._report(line, "E3",
-                                 "lambda passed to %s() — unpicklable task "
-                                 "payload for a process backend" % name)
-                elif isinstance(a, ast.Name) and a.id in self.nested_defs:
-                    self._report(line, "E3",
-                                 "locally defined closure %r passed to %s() — "
-                                 "unpicklable task payload for a process "
-                                 "backend (hoist it to module level)" % (a.id, name))
         # call ref for interprocedural propagation
         if name is not None:
             recv = frozenset()
@@ -595,7 +482,7 @@ def _copies_value(value: ast.expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Emission sites: E1 (declared vs inferred) and E4 (loop-varying keys)
+# Emission sites: E1 (declared vs inferred)
 
 
 def _is_emission(node: ast.AST, pins: _ModulePins) -> bool:
@@ -697,12 +584,8 @@ def _resolve_families(
     return fams, opened
 
 
-def _names_in(expr: ast.expr) -> Set[str]:
-    return {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
-
-
 class _EmissionChecker:
-    """E1/E4 over one function: regional attribution of block-store
+    """E1 over one function: regional attribution of block-store
     accesses to the closest following emission statement."""
 
     def __init__(
@@ -717,9 +600,6 @@ class _EmissionChecker:
         self.pins = info.pins
         self.emitting_names = emitting_names
         self.findings = findings
-        self.params = {
-            x.arg for x in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-        }
         # Name -> every expr ever assigned to it in this function
         self.env: Dict[str, List[ast.expr]] = {}
         for node in walk_own(fn):
@@ -728,12 +608,10 @@ class _EmissionChecker:
                 self.env.setdefault(node.targets[0].id, []).append(node.value)
 
     def run(self) -> None:
-        self._body(self.fn.body, [], [])
+        self._body(self.fn.body, [])
 
     # pending: statements since the last emission/breaker in this list.
-    # loops: enclosing for-loop target-name sets (innermost last).
-    def _body(self, stmts: Sequence[ast.stmt], pending: List[ast.stmt],
-              loops: List[Set[str]]) -> None:
+    def _body(self, stmts: Sequence[ast.stmt], pending: List[ast.stmt]) -> None:
         for stmt in stmts:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
@@ -746,17 +624,16 @@ class _EmissionChecker:
                                      ast.Expr, ast.Return)):
                     region = pending + [stmt]
                     for call in emissions:
-                        self._check_site(call, region, loops)
+                        self._check_site(call, region)
                     pending.clear()
                 elif isinstance(stmt, (ast.If, ast.With, ast.Try)):
                     # transparent: carry the pending region into bodies
                     for body in _sub_bodies(stmt):
-                        self._body(body, list(pending), loops)
+                        self._body(body, list(pending))
                     pending.clear()
                 elif isinstance(stmt, (ast.For, ast.While)):
-                    tnames = _names_in(stmt.target) if isinstance(stmt, ast.For) else set()
                     for body in _sub_bodies(stmt):
-                        self._body(body, [], loops + ([tnames] if tnames else []))
+                        self._body(body, [])
                     pending.clear()
                 else:
                     pending.clear()
@@ -765,8 +642,7 @@ class _EmissionChecker:
             else:
                 pending.append(stmt)
 
-    def _check_site(self, call: ast.Call, region: List[ast.stmt],
-                    loops: List[Set[str]]) -> None:
+    def _check_site(self, call: ast.Call, region: List[ast.stmt]) -> None:
         kwargs = {kw.arg: kw.value for kw in call.keywords if kw.arg}
         read_fams: Set[str] = set()
         write_fams: Set[str] = set()
@@ -813,51 +689,6 @@ class _EmissionChecker:
                              "task declares key family %r but no pinned "
                              "block store of that family is ever accessed "
                              "in this module" % fam)
-
-        # E4: write keys must vary with every enclosing loop variable
-        if loops and (set(kwargs) & set(_WRITE_KWARGS)) \
-                and call.lineno not in self.pins.ordered_lines:
-            referenced, op = self._write_key_names(kwargs)
-            if not op:
-                for tnames in loops:
-                    if not (tnames & referenced):
-                        self._report(
-                            call.lineno, "E4",
-                            "task emitted in a loop over %s declares write "
-                            "keys that do not vary with it — same-level "
-                            "tasks would declare identical write sets "
-                            "(add '# effects: ordered' if deps serialize "
-                            "the iterations)" % "/".join(sorted(tnames)))
-                        break
-
-    def _write_key_names(self, kwargs: Dict[str, ast.expr]) -> Tuple[Set[str], bool]:
-        names: Set[str] = set()
-        opened = False
-        frontier: List[str] = []
-        for kw in _WRITE_KWARGS:
-            if kw in kwargs:
-                for n in _names_in(kwargs[kw]):
-                    names.add(n)
-                    frontier.append(n)
-        seen: Set[str] = set()
-        depth = 0
-        while frontier and depth < 6:
-            nxt: List[str] = []
-            for n in frontier:
-                if n in seen:
-                    continue
-                seen.add(n)
-                if n in self.params:
-                    opened = True  # wrapper forwarding declared keys
-                    continue
-                for v in self.env.get(n, ()):
-                    for m in _names_in(v):
-                        if m not in names:
-                            names.add(m)
-                            nxt.append(m)
-            frontier = nxt
-            depth += 1
-        return names, opened
 
     def _region_accesses(self, region: List[ast.stmt]):
         reads: List[Tuple[int, str, FrozenSet[str]]] = []
@@ -926,14 +757,6 @@ def _propagate(registry: Registry, functions: List[FunctionEffects]) -> None:
                     if p not in f.mutates:
                         f.mutates[p] = call.line
                         changed = True
-                for g, line in callee.global_writes.items():
-                    if g not in f.global_writes:
-                        f.global_writes[g] = call.line
-                        changed = True
-                new_reads = callee.global_reads - f.global_reads
-                if new_reads:
-                    f.global_reads |= new_reads
-                    changed = True
                 if callee.emits and not f.emits:
                     f.emits = True
                     changed = True
@@ -942,7 +765,7 @@ def _propagate(registry: Registry, functions: List[FunctionEffects]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# E2 / E3a
+# E2
 
 
 def _check_declarations(
@@ -960,17 +783,6 @@ def _check_declarations(
                         info.relpath, eff.line, "E2",
                         "%s() is declared %s but mutates parameter %r "
                         "(line %d)" % (eff.name, label, p, line)))
-        if info.kernel:
-            # Only writes performed by this function's own statements
-            # (the snapshot) — transitive writes would re-report the
-            # same defect at every caller.
-            for g, line in sorted(eff.local_global_writes.items()):
-                findings.append(EffectFinding(
-                    info.relpath, line, "E3",
-                    "%s() writes mutable module-global %r — "
-                    "process-unsafe for a worker-pool backend "
-                    "(pin the definition '# effects: global-ok' "
-                    "if intentional)" % (eff.name, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -978,22 +790,16 @@ def _check_declarations(
 
 
 def _parse_modules(
-    modules: Sequence[Module],
-    findings: List[EffectFinding],
-    targets: Optional[Set[str]],
+    modules: Sequence[Module], findings: List[EffectFinding],
 ) -> List[_ModuleInfo]:
     infos: List[_ModuleInfo] = []
     for module in parsed(modules, "E0", findings, EffectFinding):
         relpath, tree = module.path, module.tree
         pins = _scan_pins(module, findings)
-        kernel = in_packages(relpath, EFFECT_KERNEL_DIRS) or (
-            targets is not None and relpath in targets)
-        info = _ModuleInfo(relpath=relpath, tree=tree, pins=pins, kernel=kernel)
-        _collect_module_globals(info)
+        info = _ModuleInfo(relpath=relpath, pins=pins)
         for node in ast.walk(tree):
             if isinstance(node, FUNCTIONS):
-                collector = _FnCollector(node, info, findings, kernel)
-                eff = collector.run()
+                eff = _FnCollector(node, info, findings).run()
                 info.functions.append((node, eff))
         # module-wide accessed key families (for E1b)
         for node in ast.walk(tree):
@@ -1012,10 +818,9 @@ def _analyze(
     modules: Sequence[Module], targets: Optional[Set[str]] = None,
 ) -> Tuple[List[EffectFinding], List[FunctionEffects]]:
     """Findings and propagated summaries over *modules*.  With *targets*
-    (a set of paths), findings are reported only for those modules,
-    which are checked as kernel modules wherever they live."""
+    (a set of paths), findings are reported only for those modules."""
     findings: List[EffectFinding] = []
-    infos = _parse_modules(modules, findings, targets)
+    infos = _parse_modules(modules, findings)
 
     registry = Registry(FunctionEffects.signature)
     flat: List[Tuple[_ModuleInfo, ast.AST, FunctionEffects]] = []
@@ -1043,9 +848,8 @@ def check_effects_source(
     relpath: str = "<string>",
     extra_sources: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> List[EffectFinding]:
-    """Check a single source string (plus optional companions).  The
-    primary source is treated as a kernel module so every finding class
-    is live — the unit-test entry point."""
+    """Check a single source string (plus optional companions) — the
+    unit-test entry point."""
     return _analyze(source_modules(source, relpath, extra_sources), {relpath})[0]
 
 
@@ -1053,10 +857,8 @@ def check_effects_paths(
     paths: Sequence[str], package_root: Optional[str] = None
 ) -> List[EffectFinding]:
     """Check explicit files with summaries drawn from the package *plus*
-    those files; findings are reported only for the given files.  The
-    files are treated as kernel modules (this is the fixture entry
-    point — a seeded violation must fire regardless of where the
-    fixture happens to live on disk)."""
+    those files; findings are reported only for the given files (the
+    fixture entry point)."""
     return _analyze(path_modules(paths, package_root), set(paths))[0]
 
 

@@ -41,7 +41,7 @@ SCOPES = FUNCTIONS + (ast.Lambda, ast.ClassDef)
 # The value :func:`literal_keywords` reports for a non-literal keyword.
 NOT_LITERAL = object()
 # Constructors whose module-level call creates shared mutable state
-# (lint R6, effects E3).
+# (lint R6).
 MUTABLE_CONSTRUCTORS = frozenset({
     "dict", "list", "set", "defaultdict", "OrderedDict", "deque",
     "Counter", "bytearray",

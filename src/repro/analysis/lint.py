@@ -2,7 +2,7 @@
 
 The reproduction's central contract is that *all* cost flows through
 :class:`~repro.parallel.ledger.CostLedger` — never wall clocks — and
-that counted work is never silently dropped.  Four rules:
+that counted work is never silently dropped.  Six rules:
 
 * **R1** — no wall-clock calls (``time.time``, ``time.perf_counter``,
   ``time.monotonic``, ``time.process_time``, ``time.thread_time``)
@@ -27,12 +27,12 @@ that counted work is never silently dropped.  Four rules:
   referencing ``np.random.Generator`` are explicitly allowed.
 * **R6** — no mutable module-level state (``dict``/``list``/``set``
   literals or bare constructor calls, including class-level caches) in
-  the kernel packages plus ``parallel/``.  Shared mutable state is the
-  static backstop for the effect checker's E3: a worker-pool backend
-  forks or pickles kernels, so a module cache silently diverges across
-  processes.  A definition that is genuinely intended (a registry
-  populated at import time, say) carries a trailing
-  ``# effects: global-ok`` pin — the same pin the effect checker honors.
+  the kernel packages plus ``parallel/``.  Callers may drive one
+  :class:`~repro.serve.service.SolverService` from several threads, and
+  every one of them runs the same kernel modules, so a module cache
+  is state those threads share without a lock.  A definition that is
+  genuinely intended (a registry populated at import time, say) carries
+  a trailing ``# effects: global-ok`` pin.
 
 Findings are reported as ``path:line CODE message``; the CLI exits
 nonzero when any are found, which is what CI gates on.
@@ -60,7 +60,7 @@ KERNEL_DIRS = ("core", "solvers", "sparse")
 # output must be reproducible run to run.
 DETERMINISTIC_DIRS = KERNEL_DIRS + ("ordering", "graph")
 # R6 (no mutable module state) additionally covers parallel/ — the
-# scheduler machinery ships to worker processes with the kernels.
+# scheduler machinery runs on every thread that runs the kernels.
 R6_DIRS = DETERMINISTIC_DIRS + ("parallel",)
 _WALL_CLOCKS = {"time", "perf_counter", "monotonic", "process_time", "thread_time", "clock"}
 _COUNTERS = {"sparse_flops", "dense_flops", "dfs_steps", "mem_words", "columns"}
@@ -284,7 +284,7 @@ def _check_module_state(
             out.append(LintFinding(
                 path, stmt.lineno, "R6",
                 f"mutable {where}-level state '{name}' in a kernel "
-                "package — process-unsafe shared state; pass it "
+                "package — shared by every thread that runs it; pass it "
                 "explicitly or pin the line '# effects: global-ok'",
             ))
 

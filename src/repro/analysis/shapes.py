@@ -36,8 +36,10 @@ produce false positives, exactly like the domain and effect checkers.
 
 Finding classes::
 
-    S1  gather out of bounds — an index (scalar or fancy-index array)
-        provably >= the length of the buffer it indexes
+    S1  index out of bounds or not a permutation — reported by the plan
+        auditor on compiled plans only.  In source, a gather or scatter
+        past the end is numpy's ``IndexError`` at run time, so the
+        interpreter does not check it.
     S2  scatter/reduceat precondition violation — segment starts
         provably unsorted or out of range, scatter target arrays
         provably containing duplicates without accumulation
@@ -653,7 +655,7 @@ _NARROW_DTYPES = ("i4", "i2", "u4")
 
 
 class _ShapeInterp:
-    """Interpret one function body, emitting S1-S5 findings."""
+    """Interpret one function body, emitting S2-S5 findings."""
 
     def __init__(
         self,
@@ -827,28 +829,6 @@ class _ShapeInterp:
     # ------------------------------------------------------------------
     # subscripts
 
-    def _check_gather(self, node: ast.AST, idx: _Val, length: Optional[Dim],
-                      what: str) -> None:
-        """S1 when an index is provably out of bounds for ``length``.
-
-        Array indexes need a provable *lower bound on the max element*
-        (``maxval``) plus provable nonemptiness — an over-approximate
-        upper bound exceeding the buffer proves nothing."""
-        if length is None:
-            return
-        if idx.kind == "scalar" and idx.dim is not None:
-            if _d_nonneg(idx.dim) and _d_lt(idx.dim, length) is False:
-                self._emit(node, "S1",
-                           "%s: index %s is provably >= length %s"
-                           % (what, _d_str(idx.dim), _d_str(length)))
-        elif idx.kind == "array" and idx.maxval is not None \
-                and _provably_nonempty(idx):
-            if _d_lt(idx.maxval, length) is False:
-                self._emit(node, "S1",
-                           "%s: index reaches %s, provably >= buffer "
-                           "length %s"
-                           % (what, _d_str(idx.maxval), _d_str(length)))
-
     def _conform(self, node: ast.AST, a: _Val, b: _Val, what: str) -> None:
         """S3 when two 1-D operands have provably different lengths."""
         da, db = _axis0(a), _axis0(b)
@@ -884,7 +864,6 @@ class _ShapeInterp:
             else:
                 self._eval(sl)
             return _UNKNOWN
-        length = _axis0(val)
         if isinstance(sl, ast.Slice):
             return self._sliced(node, val, sl)
         if isinstance(sl, ast.Tuple):
@@ -896,7 +875,6 @@ class _ShapeInterp:
             return _Val(kind="array", dtype=val.dtype)
         idx = self._eval(sl)
         if idx.kind == "scalar":
-            self._check_gather(node, idx, length, "gather")
             return _Val(kind="scalar", dtype=val.dtype, bound=val.bound,
                         nonneg=val.nonneg)
         if idx.kind == "array":
@@ -905,7 +883,6 @@ class _ShapeInterp:
                 return _Val(kind="array", dtype=val.dtype, shape=(None,),
                             bound=val.bound, nonneg=val.nonneg,
                             sorted=val.sorted, unique=val.unique)
-            self._check_gather(node, idx, length, "gather")
             srt = True if (val.sorted is True and idx.sorted is True) else None
             unq = True if (val.unique is True and idx.unique is True) else None
             return _Val(kind="array", dtype=val.dtype, shape=idx.shape,
@@ -966,7 +943,6 @@ class _ShapeInterp:
             else:
                 self._eval(sl)
             return
-        length = _axis0(val)
         if isinstance(sl, ast.Slice):
             out = self._sliced(node, val, sl)
             if rhs.kind == "array":
@@ -980,14 +956,10 @@ class _ShapeInterp:
                     self._eval(e)
             return
         idx = self._eval(sl)
-        if idx.kind == "scalar":
-            self._check_gather(node, idx, length, "scatter")
-            return
         if idx.kind == "array":
             if idx.dtype == "b1":
                 self._conform(node, idx, val, "boolean mask store")
                 return
-            self._check_gather(node, idx, length, "scatter")
             if idx.unique is False:
                 self._emit(node, "S2",
                            "scatter target provably contains duplicate "
@@ -1354,11 +1326,6 @@ class _ShapeInterp:
                                    % (_d_str(seg.maxval), _d_str(lv)))
                 return _Val(kind="array", dtype=v.dtype,
                             shape=seg.shape if seg.kind == "array" else None)
-            if meth == "at" and len(args) >= 2:
-                tgt, idx = args[0], args[1]
-                if idx.kind == "array":
-                    self._check_gather(node, idx, _axis0(tgt), "ufunc.at")
-                return _UNKNOWN
             if meth == "reduce":
                 return _Val(kind="scalar")
             return _UNKNOWN
@@ -1948,10 +1915,18 @@ def _chk_size(findings: List[ShapeFinding], label: str, got: int, want: int,
         _aud(findings, label, "S3", msg % (got, want))
 
 
+def _has_duplicates(arr: np.ndarray) -> bool:
+    """Whether *arr* holds a value twice: one sort and a neighbour
+    compare (``np.unique`` hashes, which is several times slower on the
+    plans' index arrays)."""
+    srt = np.sort(arr, axis=None)
+    return bool(np.any(srt[1:] == srt[:-1]))
+
+
 def _chk_distinct(findings: List[ShapeFinding], label: str, arr: np.ndarray,
                   msg: str) -> None:
     """E4 when the write targets in *arr* are not pairwise distinct."""
-    if arr.size and np.unique(arr).size != arr.size:
+    if _has_duplicates(arr):
         _aud(findings, label, "E4", msg)
 
 
@@ -2161,7 +2136,7 @@ def audit_schedule_buffers(plan, label: Optional[str] = None
         _chk_perm(findings, lab, "row_perm", np.asarray(plan.row_perm), n)
         for name, arr in (("y_pos", plan.y_pos), ("x_src", plan.x_src)):
             _chk_index(findings, lab, name, arr, 2 * n)
-            if arr.size != n or np.unique(arr).size != arr.size:
+            if arr.size != n or _has_duplicates(arr):
                 _aud(findings, lab, "S2", "%s is not %d distinct positions"
                      % (name, n))
         if plan.t_schedule is not None:
@@ -2300,7 +2275,7 @@ def _rt_check_spec(fname: str, pname: str, spec: _Spec, value: object,
     if arr.size:
         if spec.sorted and np.any(np.diff(arr) < 0):
             bail("values are not nondecreasing")
-        if spec.unique and np.unique(arr).size != arr.size:
+        if spec.unique and _has_duplicates(arr):
             bail("values are not pairwise distinct")
         if spec.bound is not None:
             b = _rt_dim_value(spec.bound, bindings, values)

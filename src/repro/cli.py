@@ -15,15 +15,14 @@ Small utilities a downstream user reaches for first:
   task DAG, ledger/schedule conservation checks, the repo's AST lint,
   the index-domain checker that tracks permutation spaces through the
   solver, the interprocedural effect checker that verifies declared
-  task read/write sets and process-safety, and the symbolic
+  task read/write sets and purity, and the symbolic
   shape/bounds/dtype checker over the vectorized kernels; ``all`` runs
   every checker in one pass with a unified report (``--plans`` adds the
   audit of the compiled gather/scatter plans, for same-level write
   disjointness, level order and buffer bounds, as one more section).
-  All subcommands accept ``--format json`` for machine consumption and
-  exit nonzero on findings; ``--baseline FILE`` suppresses
-  fingerprinted legacy findings so only regressions fail (the CI gate),
-  ``--write-baseline FILE`` freezes the current findings.
+  Every subcommand prints the same report (its own section of it),
+  accepts ``--format json`` for machine consumption and exits nonzero
+  on any finding.
 * ``bench`` — wall-clock microbenchmarks (factor/refactor/solve/reach
   plus the Xyce refactorization sequence), written to the untracked
   ``BENCH_wallclock.json``; ``--check`` gates speedup ratios against
@@ -204,19 +203,18 @@ def _tree_findings(checker: str, args):
 def _dag_findings(args, checkers):
     """Race-check (``hazards``) and ledger/schedule-check
     (``conservation``) Basker's task DAG for every selected (matrix,
-    thread count).  Yields ``(config, pairs_checked, docs)`` per
-    configuration, with ``docs`` mapping each requested checker to its
-    finding dicts."""
+    thread count).  Yields ``(config, docs)`` per configuration, with
+    ``docs`` mapping each requested checker to its finding dicts."""
     from .analysis import check_conservation, check_hazards, check_schedule
 
     for name, A in _analysis_matrices(args):
         for p in args.threads:
             num = Basker(n_threads=p, pipeline_columns=args.pipeline).factor(A)
             config = {"matrix": name, "threads": p, "tasks": len(num.tasks)}
-            pairs, docs = None, {}
+            docs = {}
             if "hazards" in checkers:
                 rep = check_hazards(num.tasks)
-                pairs = rep.n_pairs_checked
+                config["pairs_checked"] = rep.n_pairs_checked
                 docs["hazards"] = [
                     {"matrix": name, "threads": p, "kind": h.kind,
                      "message": h.message}
@@ -230,135 +228,54 @@ def _dag_findings(args, checkers):
                      "message": str(f)}
                     for f in list(rep1.findings) + list(rep2.findings)
                 ]
-            yield config, pairs, docs
+            yield config, docs
 
 
-def _save_baseline(args, groups) -> None:
-    """``--write-baseline FILE``: bless the findings of each checker."""
-    from .analysis import write_baseline_many
-
-    if args.write_baseline:
-        n = write_baseline_many(args.write_baseline, groups)
-        print(f"wrote baseline {args.write_baseline} ({n} fingerprint(s))",
-              file=sys.stderr)
-
-
-def _analyze_all(args, base_fps) -> int:
-    """``analyze all``: every checker in one pass, one report, one exit
-    code.  File-tree checkers run over the whole tree; hazards and
-    conservation share one factorization per (matrix, threads) pair;
-    ``--plans`` adds the plan audit as one more section."""
-    import json
-
-    from .analysis import apply_baseline
-
-    as_json = args.format == "json"
-    groups = {c: _tree_findings(c, args)
-              for c in ("lint", "domains", "effects", "shapes")}
-    groups["hazards"], groups["conservation"], configs = [], [], []
-    for config, _pairs, docs in _dag_findings(args, ("hazards", "conservation")):
-        groups["hazards"].extend(docs["hazards"])
-        groups["conservation"].extend(docs["conservation"])
-        configs.append(config)
-    if args.plans:
-        groups["plans"] = _plan_findings(args)
-    sections = {}
-    for checker, docs in groups.items():
-        new, suppressed = apply_baseline(checker, docs, base_fps)
-        sections[checker] = {"ok": not new, "findings": new,
-                             "suppressed": suppressed}
-    _save_baseline(args, groups)
-    ok = all(sec["ok"] for sec in sections.values())
-    if as_json:
-        print(json.dumps({
-            "checker": "all",
-            "ok": ok,
-            "checkers": sections,
-            "configs": configs,
-        }, indent=2))
-    else:
-        for checker, sec in sections.items():
-            tail = f", {len(sec['suppressed'])} suppressed" if args.baseline else ""
-            print(f"{checker}: {len(sec['findings'])} finding(s){tail}")
-            for d in sec["findings"]:
-                code = d.get("code") or d.get("rule") or d.get("kind") or ""
-                where = d.get("path", d.get("matrix", ""))
-                line = d.get("line")
-                loc = f"{where}:{line}" if line is not None else str(where)
-                print(f"    {loc} {code} {d['message']}")
-        print(f"analyze all: {'OK' if ok else 'FAILED'} "
-              f"({len(configs)} simulated configuration(s))")
-    return 0 if ok else 1
+_FILE_CHECKERS = ("lint", "domains", "effects", "shapes")
+_DAG_CHECKERS = ("hazards", "conservation")
 
 
 def _cmd_analyze(args) -> int:
+    """``analyze <checker>``: one report, one exit code.  ``all`` has a
+    section per checker, any other checker just its own.  File-tree
+    checkers run over the whole tree; hazards and conservation share one
+    factorization per (matrix, threads) pair; ``--plans`` adds the plan
+    audit as one more section."""
     import json
 
-    from .analysis import apply_baseline, load_baseline
-
-    as_json = args.format == "json"
-    base_fps = load_baseline(args.baseline) if args.baseline else set()
-
-    if args.checker == "all":
-        return _analyze_all(args, base_fps)
-
-    if args.checker in ("lint", "domains", "effects", "shapes"):
-        docs = _tree_findings(args.checker, args)
-        if args.plans and args.checker == "shapes":
-            docs += _plan_findings(args)
-        new, suppressed = apply_baseline(args.checker, docs, base_fps)
-        _save_baseline(args, {args.checker: docs})
-        if as_json:
-            print(json.dumps({
-                "checker": args.checker,
-                "ok": not new,
-                "findings": new,
-                "suppressed": suppressed,
-            }, indent=2))
-        else:
-            for d in new:
-                code = d.get("code") or d.get("rule") or ""
-                print(f"{d['path']}:{d['line']} {code} {d['message']}")
-            tail = f", {len(suppressed)} suppressed" if args.baseline else ""
-            print(f"{args.checker}: {len(new)} finding(s){tail}")
-        return 1 if new else 0
-
-    hazards = args.checker == "hazards"
-    failures = 0
+    wanted = _FILE_CHECKERS + _DAG_CHECKERS if args.checker == "all" \
+        else (args.checker,)
+    groups = {c: _tree_findings(c, args) for c in _FILE_CHECKERS if c in wanted}
+    dag = [c for c in _DAG_CHECKERS if c in wanted]
+    groups.update((c, []) for c in dag)
     configs = []
-    all_docs = []
-    for config, pairs, found in _dag_findings(args, (args.checker,)):
-        docs = found[args.checker]
-        new, suppressed = apply_baseline(args.checker, docs, base_fps)
-        all_docs.extend(docs)
-        failures += bool(new)
-        if as_json:
-            extra = {"pairs_checked": pairs} if hazards else {}
-            configs.append({**config, **extra, "ok": not new,
-                            "findings": new, "suppressed": suppressed})
-            continue
-        status = "OK" if not new else \
-            f"{len(new)} {'HAZARD(S)' if hazards else 'FINDING(S)'}"
-        if suppressed:
-            status += f" (+{len(suppressed)} suppressed)"
-        head = (f"{config['matrix']:16s} p={config['threads']:<3d} "
-                f"{config['tasks']:5d} tasks")
-        if hazards:
-            head += f", {pairs:6d} pairs"
-        print(f"{head}: {status}")
-        for d in new:
-            print(f"    [{d['kind']}] {d['message']}" if hazards
-                  else f"    {d['message']}")
-    _save_baseline(args, {args.checker: all_docs})
-    if as_json:
+    if dag:
+        for config, docs in _dag_findings(args, dag):
+            for c in dag:
+                groups[c].extend(docs[c])
+            configs.append(config)
+    if args.plans:
+        groups["plans"] = _plan_findings(args)
+    ok = not any(groups.values())
+    if args.format == "json":
         print(json.dumps({
             "checker": args.checker,
-            "ok": failures == 0,
+            "ok": ok,
+            "checkers": {c: {"ok": not docs, "findings": docs}
+                         for c, docs in groups.items()},
             "configs": configs,
         }, indent=2))
     else:
-        print(f"analyze {args.checker}: {failures} failing configuration(s)")
-    return 1 if failures else 0
+        for checker, docs in groups.items():
+            print(f"{checker}: {len(docs)} finding(s)")
+            for d in docs:
+                code = d.get("code") or d.get("rule") or d.get("kind")
+                loc = (f"{d['path']}:{d['line']}" if "path" in d
+                       else f"{d['matrix']} p={d['threads']}")
+                print(f"    {loc} {code} {d['message']}")
+        print(f"analyze {args.checker}: {'OK' if ok else 'FAILED'} "
+              f"({len(configs)} simulated configuration(s))")
+    return 0 if ok else 1
 
 
 def _cmd_trace(args) -> int:
@@ -841,15 +758,10 @@ def main(argv=None) -> int:
                         "against the package contracts instead of the whole "
                         "tree (repeatable)")
     p.add_argument("--plans", action="store_true",
-                   help="shapes/all only: also audit the compiled "
-                        "triangular/refactor schedules and the KLU/Basker "
-                        "BTF solve plans (E4 write disjointness and level "
+                   help="also audit the compiled triangular/refactor "
+                        "schedules and the KLU/Basker BTF solve plans, as a "
+                        "'plans' section (E4 write disjointness and level "
                         "order, S1 bounds, S2 segments, S3 sizes)")
-    p.add_argument("--baseline",
-                   help="suppress findings fingerprinted in this baseline JSON; "
-                        "exit nonzero only on new findings")
-    p.add_argument("--write-baseline",
-                   help="write the current findings as a baseline JSON")
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("trace", help="traced solve: span tree + Perfetto/JSONL export")

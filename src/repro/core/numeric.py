@@ -42,7 +42,7 @@ import numpy as np
 # effects: emitter builder em
 
 from ..contracts import domains, effects
-from ..errors import StructureError, ZeroPivotError
+from ..errors import StructureError, TaskGraphError, ZeroPivotError
 from ..graph.dfs import ReachGraph
 from ..obs.tracer import NULL_TRACER, tracing
 from ..parallel.ledger import CostLedger
@@ -91,7 +91,7 @@ class TaskBuilder:
         writes: List[tuple] = (),
     ) -> int:
         if key in self._by_key:
-            raise ValueError(f"duplicate task key {key}")
+            raise TaskGraphError(f"duplicate task key {key}")
         tid = len(self.tasks)
         dep_ids = [self._by_key[d] for d in deps if d in self._by_key]
         self.tasks.append(
@@ -118,7 +118,7 @@ class TaskBuilder:
         """Let ``key`` resolve to an already-added task (pipeline mode:
         a logical block task aliases its final column chunk)."""
         if key in self._by_key:
-            raise ValueError(f"alias would shadow existing task {key}")
+            raise TaskGraphError(f"alias would shadow existing task {key}")
         self._by_key[key] = self._by_key[target]
 
     def labels(self) -> Dict[int, str]:

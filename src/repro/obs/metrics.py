@@ -17,9 +17,9 @@ only an attribute lookup and a call.
 
 Thread safety: every mutating operation (``incr``, ``set_gauge``,
 ``observe``, ``merge``) and every consistent read (``snapshot``) holds
-the registry's internal lock, so a registry shared by the serving
-layer's thread-pool executor never loses an update or folds a
-half-written stat.  ``merge`` locks only *this* registry and reads
+the registry's internal lock, so a registry shared by the threads that
+drive one solve service (:mod:`repro.serve.service` allows several)
+never loses an update or folds a half-written stat.  ``merge`` locks only *this* registry and reads
 shallow copies of ``other``'s tables — the source registry must be
 quiescent (or single-writer) during a merge, which every call site
 satisfies because merges fold per-step registries that have finished

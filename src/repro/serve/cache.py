@@ -23,8 +23,9 @@ Safety under sharing comes from three mechanisms:
   so eviction order is fully deterministic.
 * **A single lock.**  All map mutations happen under one
   ``threading.RLock``; entries themselves are immutable-after-build
-  apart from counters.  The in-process simulator never contends, the
-  optional thread-pool executor does.
+  apart from counters.  The in-process simulator never contends; callers
+  that drive one service from several threads, as
+  :mod:`repro.serve.service` allows, do.
 
 Counters (on the injected :class:`~repro.obs.metrics.Metrics`):
 ``cache.hit`` / ``cache.miss`` / ``cache.evictions`` /

@@ -318,8 +318,9 @@ class SolverService:
 
     # The whole request runs under the service lock: modeled-queue
     # accounting must observe requests in a single total order, and the
-    # solver work itself is pure CPU (no IO to overlap).  The threaded
-    # client therefore gets safety, not speedup — see module docstring.
+    # solver work itself is pure CPU (no IO to overlap).  Callers on
+    # several threads therefore get safety, not speedup — see module
+    # docstring.
     def _submit_locked(self, request: SolveRequest,
                        wall_start: Optional[float]) -> SolveResponse:
         cfg = self.config

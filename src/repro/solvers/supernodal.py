@@ -454,11 +454,11 @@ class SupernodalLU:
                     # All update chunks into the same target accumulate
                     # into the same F[t]/G[t] panels, so each chains on
                     # the previous one (ordered accumulation, like the
-                    # real code's per-panel locks) — hence the pin.
+                    # real code's per-panel locks).
                     deps = list(panel_tids)
                     if upd_into[t]:
                         deps.append(upd_into[t][-1])
-                    tid = new_task(  # effects: ordered
+                    tid = new_task(
                         piece.copy(),
                         deps,
                         8.0 * nb * w,

@@ -2,9 +2,9 @@
 without violating any contract — the analyzer must report nothing.
 
 Covers: a declared-pure helper that really is pure, chunk-varying task
-write keys (E4-clean), complete read/write declarations (E1-clean),
-safe ``out=`` usage into a distinct buffer (E5-clean), and no module
-state (E3-clean).
+write keys (race-free under the hazard checker), complete read/write
+declarations (E1-clean), safe ``out=`` usage into a distinct buffer
+(E5-clean), and no module state (R6-clean).
 """
 # effects: blocks x=x
 

@@ -1,9 +1,9 @@
-"""Seeded violation: E4 — same-level tasks with identical write sets.
+"""Fixture of the deleted E4 loop rule: sibling tasks, one write set.
 
 Every iteration of the chunk loop emits a task declaring the *same*
-write key ``("x", lv)`` — the key does not vary with the loop
-variable, so the sibling tasks' write sets are not disjoint.  The
-checker must report E4 (and only E4).
+write key ``("x", lv)`` and no dependency, so the hazard checker
+reports races among the emitted tasks.  The effect checker reports
+nothing: the declared writes cover the region, so E1 holds.
 """
 # effects: blocks x=x
 

@@ -1,6 +1,7 @@
-"""S1 seeded violation: a gather whose index provably reaches the
-target's length.  ``np.arange(len(x) + 1)`` has maximum value
-``len(x)``, so ``x[idx]`` reads one past the end."""
+"""Fixture of the deleted static S1 rule: a gather one past the end.
+``np.arange(len(x) + 1)`` has maximum value ``len(x)``, so ``x[idx]``
+reads one past the end and numpy raises ``IndexError``; the shape
+checker reports nothing."""
 
 import numpy as np
 

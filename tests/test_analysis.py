@@ -484,7 +484,8 @@ class TestAnalyzeCLI:
         rc = main(["analyze", "hazards", "--matrix", "Power0*+", "--threads", "2"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "OK" in out and "0 failing" in out
+        assert "hazards: 0 finding(s)" in out
+        assert "analyze hazards: OK (1 simulated configuration(s))" in out
 
     def test_analyze_conservation_single_matrix(self, capsys):
         from repro.cli import main
@@ -503,7 +504,9 @@ class TestAnalyzeCLI:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload == {
-            "checker": "lint", "ok": True, "findings": [], "suppressed": [],
+            "checker": "lint", "ok": True,
+            "checkers": {"lint": {"ok": True, "findings": []}},
+            "configs": [],
         }
 
     def test_analyze_hazards_json(self, capsys):
@@ -516,10 +519,10 @@ class TestAnalyzeCLI:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["checker"] == "hazards" and payload["ok"] is True
+        assert payload["checkers"] == {"hazards": {"ok": True, "findings": []}}
         (cfg,) = payload["configs"]
         assert cfg["matrix"] == "Power0*+" and cfg["threads"] == 2
-        assert cfg["ok"] is True and cfg["findings"] == []
-        assert cfg["tasks"] > 0
+        assert cfg["tasks"] > 0 and "pairs_checked" in cfg
 
     def test_analyze_conservation_json(self, capsys):
         import json
@@ -531,4 +534,6 @@ class TestAnalyzeCLI:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["checker"] == "conservation" and payload["ok"] is True
-        assert all(c["ok"] and not c["findings"] for c in payload["configs"])
+        assert payload["checkers"] == {
+            "conservation": {"ok": True, "findings": []}}
+        assert [c["matrix"] for c in payload["configs"]] == ["Xyce0*"]

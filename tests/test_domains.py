@@ -312,11 +312,12 @@ def test_cli_domains_json(capsys):
     assert rc == 1
     assert payload["checker"] == "domains"
     assert payload["ok"] is False
-    assert [f["code"] for f in payload["findings"]] == ["D3"]
+    assert [f["code"] for f in payload["checkers"]["domains"]["findings"]] == ["D3"]
 
 
 def test_cli_domains_json_clean(capsys):
     rc = main(["analyze", "domains", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert payload["ok"] is True and payload["findings"] == []
+    assert payload["ok"] is True
+    assert payload["checkers"] == {"domains": {"ok": True, "findings": []}}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import Basker
-from repro.errors import SingularMatrixError, StructureError
+from repro.core.numeric import TaskBuilder
+from repro.errors import SingularMatrixError, StructureError, TaskGraphError
 from repro.graph.etree import postorder, symmetric_pattern
 from repro.graph.matching import mwcm_row_permutation
 from repro.graph.scc import scc_of_matrix
@@ -166,3 +167,21 @@ def test_ordering_and_graph_preconditions_raise_structure_error(fn, args):
     ValueError), as KLU and Basker do."""
     with pytest.raises(StructureError):
         fn(*args)
+
+
+class TestTaskBuilderErrors:
+    """A malformed DAG raises the typed TaskGraphError (still a
+    ValueError)."""
+
+    def test_duplicate_task_key(self):
+        tb = TaskBuilder()
+        tb.add(("LU", 0), CostLedger(), [], thread=0)
+        with pytest.raises(TaskGraphError, match="duplicate task key"):
+            tb.add(("LU", 0), CostLedger(), [], thread=0)
+
+    def test_alias_shadowing_a_task(self):
+        tb = TaskBuilder()
+        tb.add(("LU", 0), CostLedger(), [], thread=0)
+        tb.add(("LU", 1), CostLedger(), [], thread=1)
+        with pytest.raises(TaskGraphError, match="shadow"):
+            tb.add_alias(("LU", 1), ("LU", 0))

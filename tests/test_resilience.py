@@ -339,6 +339,50 @@ def test_solve_resilient_roundtrip():
     assert np.max(np.abs(x2 - x_true)) < 1e-8
 
 
+def _tridiagonal(n=30):
+    """One irreducible, diagonally dominant block: BTF finds one block."""
+    i = np.arange(n)
+    rows = np.concatenate([i, i[1:], i[:-1]])
+    cols = np.concatenate([i, i[:-1], i[1:]])
+    vals = np.concatenate([np.full(n, 4.0), np.full(2 * (n - 1), -1.0)])
+    return CSC.from_coo(rows, cols, vals, (n, n))
+
+
+@pytest.mark.parametrize("solver", ["klu", "basker"])
+@pytest.mark.parametrize("poisoned, rung", [
+    ((0, 1), "perturb_refine"),
+    ((0, 1, 2), "dense_fallback"),
+], ids=["perturb_refine", "dense_fallback"])
+def test_ladder_reaches_the_last_rungs(monkeypatch, solver, poisoned, rung):
+    # Each poisoned fresh factorization fails one rung: refactor, then
+    # repivot, then perturb_refine.
+    import repro.resilience.recovery as recovery
+
+    handed_back = []
+
+    def spy(*args, **kwargs):
+        out = run_ladder(*args, **kwargs)
+        handed_back.append(out[1])
+        return out
+
+    monkeypatch.setattr(recovery, "run_ladder", spy)
+    A = _tridiagonal()
+    b = A.matvec(np.ones(A.n_rows))
+    ds = DirectSolver(solver)
+    specs = [FaultSpec(site="gp.factor.values", kind="nan", occurrence=k)
+             for k in poisoned]
+    with FaultPlan(specs):
+        x, report = ds.solve_resilient(A, b)
+    rungs = [a.rung for a in report.attempts]
+    assert rungs == ["refactor", "repivot", "perturb_refine",
+                     "dense_fallback"][:len(poisoned) + 1]
+    assert report.succeeded == rung
+    assert report.backward_error <= 1e-10
+    assert componentwise_backward_error(A, x, b) <= 1e-10
+    # Neither rung hands back a factorization for later replays.
+    assert handed_back == [None]
+
+
 # ----------------------------------------------------------------------
 # Transient recovery: step rejection and dt cut.
 # ----------------------------------------------------------------------

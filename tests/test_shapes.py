@@ -2,12 +2,13 @@
 
 Five layers:
 
-* analyzer semantics on synthetic sources — each finding class S1-S5
+* analyzer semantics on synthetic sources — each finding class S2-S5
   fires on its minimal provable trigger and stays quiet when the
   violation is not provable (soundness: an over-approximate bound is
   never treated as a proof);
 * the seeded-violation fixtures and the whole-tree gate (the annotated
-  tree must be clean while every fixture trips exactly its class);
+  tree must be clean while every fixture trips exactly its class, and
+  the deleted static S1 rule's fixture raises numpy's ``IndexError``);
 * concrete plan audits — ``audit_schedule_buffers`` must pass on every
   compiled triangular/refactor/blocked schedule the suite caches and
   catch seeded corruptions of their index buffers;
@@ -15,12 +16,12 @@ Five layers:
   ``gp_factor``/``gp_refactor`` and the solve kernels under the runtime
   shape-contract checker (observed shapes must satisfy the declared
   summaries);
-* the CLI: ``repro analyze shapes`` / ``repro analyze all`` exit codes,
-  JSON payloads, and combined baseline round-trips.
+* the CLI: ``repro analyze shapes`` / ``repro analyze all`` exit codes
+  and JSON payloads.
 """
 
 import copy
-import dataclasses
+import importlib.util
 import json
 import pathlib
 
@@ -31,7 +32,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     ShapeContractError,
-    apply_baseline,
     audit_schedule_buffers,
     check_call_contract,
     check_shapes_paths,
@@ -39,8 +39,6 @@ from repro.analysis import (
     check_shapes_tree,
     collect_shape_contracts,
     contract_checked,
-    load_baseline,
-    write_baseline_many,
 )
 from repro.cli import main
 from repro.errors import StructureError
@@ -68,25 +66,6 @@ def run(src):
 # ---------------------------------------------------------------------------
 
 class TestGatherBounds:
-    def test_s1_scalar_index_at_length(self):
-        fs = run(
-            'from repro.contracts import shapes\n'
-            '@shapes(x="f8[n]")\n'
-            'def f(x):\n'
-            '    return x[len(x)]\n'
-        )
-        assert codes(fs) == ["S1"]
-
-    def test_s1_array_index_reaching_length(self):
-        fs = run(
-            'import numpy as np\n'
-            'from repro.contracts import shapes\n'
-            '@shapes(x="f8[n]")\n'
-            'def f(x):\n'
-            '    return x[np.arange(len(x) + 1)]\n'
-        )
-        assert codes(fs) == ["S1"]
-
     def test_upper_bound_alone_is_not_a_proof(self):
         # indptr values are bounded by nnz+1, which exceeds len(indices)
         # == nnz — but a bound is an over-approximation, not a witness,
@@ -262,7 +241,6 @@ class TestContracts:
 
 class TestFixtures:
     @pytest.mark.parametrize("fixture,code", [
-        ("s1_gather_oob.py", "S1"),
         ("s2_reduceat_unsorted.py", "S2"),
         ("s3_shape_mismatch.py", "S3"),
         ("s4_int32_narrowing.py", "S4"),
@@ -276,17 +254,25 @@ class TestFixtures:
     def test_clean_fixture_is_clean(self):
         assert check_shapes_paths([str(FIXTURES / "clean_kernel.py")]) == []
 
+    def test_s1_fixture_raises_index_error(self):
+        spec = importlib.util.spec_from_file_location(
+            "fixture_s1_gather_oob", FIXTURES / "s1_gather_oob.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        with pytest.raises(IndexError):
+            module.off_by_one_gather(np.ones(3))
+
     def test_findings_keep_the_given_paths(self, tmp_path):
         # Two files with one basename, in different directories: each
         # finding names the file it came from.
         (tmp_path / "x").mkdir()
         (tmp_path / "y").mkdir()
         x, y = tmp_path / "x" / "k.py", tmp_path / "y" / "k.py"
-        x.write_text((FIXTURES / "s1_gather_oob.py").read_text())
+        x.write_text((FIXTURES / "s2_reduceat_unsorted.py").read_text())
         y.write_text((FIXTURES / "s3_shape_mismatch.py").read_text())
         found = check_shapes_paths([str(x), str(y)])
         assert [(f.path, f.line, f.code) for f in found] == [
-            (str(x), 13, "S1"), (str(y), 12, "S3"), (str(y), 16, "S3")]
+            (str(x), 12, "S2"), (str(y), 12, "S3"), (str(y), 16, "S3")]
 
     def test_file_named_like_a_package_module(self, tmp_path):
         # A checked file called cli.py is not confused with the
@@ -528,7 +514,7 @@ class TestRuntimeContracts:
 
 
 # ---------------------------------------------------------------------------
-# CLI and baselines
+# CLI
 # ---------------------------------------------------------------------------
 
 class TestCLI:
@@ -538,9 +524,9 @@ class TestCLI:
 
     def test_shapes_fixture_exits_nonzero(self, capsys):
         rc = main(["analyze", "shapes", "--path",
-                   str(FIXTURES / "s1_gather_oob.py")])
+                   str(FIXTURES / "s2_reduceat_unsorted.py")])
         assert rc == 1
-        assert "S1" in capsys.readouterr().out
+        assert "S2" in capsys.readouterr().out
 
     def test_shapes_json(self, capsys):
         rc = main(["analyze", "shapes", "--format", "json", "--path",
@@ -549,11 +535,15 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["checker"] == "shapes"
         assert not payload["ok"]
-        assert any(f["code"] == "S5" for f in payload["findings"])
+        assert list(payload["checkers"]) == ["shapes"]
+        assert any(f["code"] == "S5"
+                   for f in payload["checkers"]["shapes"]["findings"])
 
     def test_shapes_plans_clean(self, capsys):
         rc = main(["analyze", "shapes", "--plans", "--matrix", "circuit_4"])
         assert rc == 0
+        out = capsys.readouterr().out
+        assert "shapes: 0 finding(s)" in out and "plans: 0 finding(s)" in out
 
     def test_analyze_all_unified_json(self, capsys):
         rc = main(["analyze", "all", "--matrix", "circuit_4",
@@ -566,23 +556,3 @@ class TestCLI:
             "lint", "domains", "effects", "shapes", "hazards", "conservation"}
         for sec in payload["checkers"].values():
             assert sec["ok"] and sec["findings"] == []
-
-    def test_analyze_all_against_committed_baseline(self):
-        rc = main(["analyze", "all", "--matrix", "circuit_4",
-                   "--threads", "1", "--baseline", "ANALYSIS_baseline.json"])
-        assert rc == 0
-
-    def test_combined_baseline_roundtrip(self, tmp_path, capsys):
-        fixture = str(FIXTURES / "s3_shape_mismatch.py")
-        docs = [dataclasses.asdict(f) for f in check_shapes_paths([fixture])]
-        assert docs
-        base = tmp_path / "base.json"
-        write_baseline_many(str(base), {"shapes": docs, "lint": []})
-        fps = load_baseline(str(base))
-        new, suppressed = apply_baseline("shapes", docs, fps)
-        assert new == [] and len(suppressed) == len(docs)
-        # The combined file also gates the single-checker CLI run.
-        rc = main(["analyze", "shapes", "--path", fixture,
-                   "--baseline", str(base)])
-        assert rc == 0
-        assert "suppressed" in capsys.readouterr().out
