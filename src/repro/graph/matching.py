@@ -15,7 +15,7 @@ Two layers, mirroring the HSL routines the literature names:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -32,74 +32,67 @@ __all__ = [
 
 def _try_augment(
     j: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
+    indptr: List[int],
+    indices: List[int],
+    mags: List[float],
     threshold: float,
-    match_row: np.ndarray,
-    match_col: np.ndarray,
-    visited: np.ndarray,
-    stamp: int,
+    match_row: List[int],
+    match_col: List[int],
+    visited: List[int],
 ) -> bool:
     """Iterative DFS augmenting path from column ``j``.
 
-    Only entries with ``|a| >= threshold`` are usable.  ``visited`` is a
-    stamp array over columns.
+    Entries with ``|a| < threshold`` are skipped, so a NaN magnitude is
+    usable here (the greedy pass skips it).  ``visited`` stamps columns
+    with the column whose search reached them.
     """
-    # Stack holds (column, edge cursor).
-    stack = [(j, int(indptr[j]))]
-    visited[j] = stamp
-    path_rows = []  # rows chosen along the DFS path, parallel to stack
-    while stack:
-        col, cursor = stack[-1]
-        hi = int(indptr[col + 1])
-        advanced = False
+    cols, cursors, rows = [j], [indptr[j]], []  # DFS path; rows[k] joins cols[k], cols[k+1]
+    visited[j] = j
+    while cols:
+        col, cursor = cols[-1], cursors[-1]
+        hi = indptr[col + 1]
         while cursor < hi:
-            r = int(indices[cursor])
+            r = indices[cursor]
             cursor += 1
-            if abs(data[cursor - 1]) < threshold:
+            if mags[cursor - 1] < threshold:
                 continue
-            owner = int(match_row[r])
+            owner = match_row[r]
             if owner == -1:
                 # Augment along the path.
-                stack[-1] = (col, cursor)
-                path_rows.append(r)
-                for (c, _), rr in zip(stack, path_rows):
+                rows.append(r)
+                for c, rr in zip(cols, rows):
                     match_row[rr] = c
                     match_col[c] = rr
                 return True
-            if visited[owner] != stamp:
-                visited[owner] = stamp
-                stack[-1] = (col, cursor)
-                path_rows.append(r)
-                stack.append((owner, int(indptr[owner])))
-                advanced = True
+            if visited[owner] != j:
+                visited[owner] = j
+                cursors[-1] = cursor
+                rows.append(r)
+                cols.append(owner)
+                cursors.append(indptr[owner])
                 break
-        if not advanced:
-            stack.pop()
-            if path_rows:
-                path_rows.pop()
+        else:
+            cols.pop()
+            cursors.pop()
+            if rows:
+                rows.pop()
     return False
 
 
-def max_cardinality_matching(A: CSC, threshold: float = 0.0) -> Tuple[int, np.ndarray, np.ndarray]:
-    """Maximum-cardinality column-to-row matching using entries >= threshold.
-
-    Returns ``(size, match_col, match_row)`` where ``match_col[j]`` is
-    the row matched to column ``j`` (or -1) and ``match_row[i]`` the
-    column matched to row ``i`` (or -1).
-    """
-    n_rows, n_cols = A.shape
-    match_row = np.full(n_rows, -1, dtype=np.int64)
-    match_col = np.full(n_cols, -1, dtype=np.int64)
-    visited = np.full(n_cols, -1, dtype=np.int64)
+def _match(n_rows: int, indptr: List[int], indices: List[int], mags: List[float],
+           threshold: float) -> Tuple[int, List[int], List[int]]:
+    """:func:`max_cardinality_matching` on the pattern and magnitudes as lists."""
+    n_cols = len(indptr) - 1
+    match_row = [-1] * n_rows
+    match_col = [-1] * n_cols
+    visited = [-1] * n_cols
     size = 0
-    # Cheap pass first: greedy assignment (classic MC21 speedup).
+    # Cheap pass first: greedy assignment (classic MC21 speedup).  It
+    # keeps ``|a| >= threshold``, so a NaN magnitude is skipped here.
     for j in range(n_cols):
-        lo, hi = int(A.indptr[j]), int(A.indptr[j + 1])
-        for k in range(lo, hi):
-            r = int(A.indices[k])
-            if abs(A.data[k]) >= threshold and match_row[r] == -1:
+        for k in range(indptr[j], indptr[j + 1]):
+            r = indices[k]
+            if mags[k] >= threshold and match_row[r] == -1:
                 match_row[r] = j
                 match_col[j] = r
                 size += 1
@@ -107,9 +100,25 @@ def max_cardinality_matching(A: CSC, threshold: float = 0.0) -> Tuple[int, np.nd
     # Augmenting pass.
     for j in range(n_cols):
         if match_col[j] == -1:
-            if _try_augment(j, A.indptr, A.indices, A.data, threshold, match_row, match_col, visited, j):
+            if _try_augment(j, indptr, indices, mags, threshold, match_row, match_col, visited):
                 size += 1
     return size, match_col, match_row
+
+
+def _as_lists(A: CSC) -> Tuple[List[int], List[int], List[float]]:
+    return A.indptr.tolist(), A.indices.tolist(), np.abs(A.data).tolist()
+
+
+def max_cardinality_matching(A: CSC, threshold: float = 0.0) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Maximum-cardinality column-to-row matching using entries >= threshold.
+
+    Returns ``(size, match_col, match_row)`` where ``match_col[j]`` is
+    the row matched to column ``j`` (or -1) and ``match_row[i]`` the
+    column matched to row ``i`` (or -1).  A NaN entry is skipped by the
+    greedy first pass but usable by the augmenting pass.
+    """
+    size, match_col, match_row = _match(A.n_rows, *_as_lists(A), threshold)
+    return size, np.asarray(match_col, dtype=np.int64), np.asarray(match_row, dtype=np.int64)
 
 
 def mwcm(A: CSC) -> Tuple[np.ndarray, float]:
@@ -126,31 +135,30 @@ def mwcm(A: CSC) -> Tuple[np.ndarray, float]:
     """
     if A.nnz == 0:
         return np.full(A.n_cols, -1, dtype=np.int64), 0.0
-    full_size, match_col, _ = max_cardinality_matching(A, threshold=0.0)
+    lists = _as_lists(A)
+    full_size, match_col, _ = _match(A.n_rows, *lists, 0.0)
 
     mags = np.unique(np.abs(A.data))
-    mags = mags[mags > 0.0]
-    if mags.size == 0:
-        return match_col, 0.0
-
-    # Binary search for the largest threshold that still admits a
-    # matching of the maximum cardinality.
-    lo, hi = 0, mags.size - 1  # mags[lo] always feasible after check below
-    size_lo, match_lo, _ = max_cardinality_matching(A, threshold=float(mags[0]))
-    if size_lo < full_size:
-        # Even the smallest positive threshold loses cardinality
-        # (explicit zeros were needed); keep the unthresholded matching.
-        return match_col, 0.0
-    best_match, best_t = match_lo, float(mags[0])
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        size_mid, match_mid, _ = max_cardinality_matching(A, threshold=float(mags[mid]))
-        if size_mid == full_size:
-            lo = mid
-            best_match, best_t = match_mid, float(mags[mid])
-        else:
-            hi = mid - 1
-    return best_match, best_t
+    mags = mags[mags > 0.0].tolist()
+    best_match, best_t = match_col, 0.0
+    if mags:
+        # Binary search for the largest threshold that still admits a
+        # matching of the maximum cardinality.
+        lo, hi = 0, len(mags) - 1
+        size_lo, match_lo, _ = _match(A.n_rows, *lists, mags[0])
+        # If even the smallest positive threshold loses cardinality
+        # (explicit zeros were needed), keep the unthresholded matching.
+        if size_lo == full_size:
+            best_match, best_t = match_lo, mags[0]
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                size_mid, match_mid, _ = _match(A.n_rows, *lists, mags[mid])
+                if size_mid == full_size:
+                    lo = mid
+                    best_match, best_t = match_mid, mags[mid]
+                else:
+                    hi = mid - 1
+    return np.asarray(best_match, dtype=np.int64), best_t
 
 
 @domains(A="matrix[S]", returns="perm[S->S]")
@@ -164,19 +172,8 @@ def mwcm_row_permutation(A: CSC) -> np.ndarray:
     """
     if A.n_rows != A.n_cols:
         raise StructureError("diagonal matching requires a square matrix")
-    match_col, _ = mwcm(A)
-    n = A.n_rows
-    p = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
-    for j in range(n):
-        r = int(match_col[j])
-        if r >= 0:
-            p[j] = r
-            used[r] = True
-    free = np.flatnonzero(~used)
-    k = 0
-    for j in range(n):
-        if p[j] == -1:
-            p[j] = free[k]
-            k += 1
+    p, _ = mwcm(A)
+    used = np.zeros(A.n_rows, dtype=bool)
+    used[p[p >= 0]] = True
+    p[p == -1] = np.flatnonzero(~used)
     return p

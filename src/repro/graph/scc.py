@@ -22,22 +22,21 @@ def tarjan_scc(n: int, adj_indptr: np.ndarray, adj_indices: np.ndarray) -> Tuple
     """Tarjan's algorithm on a directed graph in CSR/CSC-style adjacency.
 
     Returns ``(n_components, comp)`` where ``comp[v]`` is the component
-    id of vertex ``v``.  Component ids are numbered in *reverse
-    topological order of discovery*: ids are assigned as components
-    complete, so every edge goes from a vertex with a >= id to one with
-    a <= id... more precisely, for edge (u, v) in the graph,
-    ``comp[u] <= comp[v]`` never holds for cross-component edges going
-    "backwards".  Callers who need a specific triangular orientation
-    should use :func:`scc_of_matrix`, which documents the convention it
-    returns.
+    id of vertex ``v``.  Ids are assigned as components complete, so
+    for every edge ``u -> v`` with ``comp[u] != comp[v]``,
+    ``comp[v] < comp[u]``: the condensation's sinks come first.
+    :func:`scc_of_matrix` documents the triangular orientation this
+    gives a matrix.
 
     The implementation is fully iterative (explicit stack) so that large
     chain-structured circuit graphs don't hit Python's recursion limit.
     """
-    index = np.full(n, -1, dtype=np.int64)   # discovery order
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    comp = np.full(n, -1, dtype=np.int64)
+    indptr = adj_indptr.tolist()
+    indices = adj_indices.tolist()
+    index = [-1] * n   # discovery order
+    lowlink = [0] * n
+    on_stack = [False] * n
+    comp = [-1] * n
     stack: List[int] = []
     next_index = 0
     n_comp = 0
@@ -46,7 +45,7 @@ def tarjan_scc(n: int, adj_indptr: np.ndarray, adj_indices: np.ndarray) -> Tuple
     for root in range(n):
         if index[root] != -1:
             continue
-        call_stack: List[list] = [[root, adj_indptr[root]]]
+        call_stack: List[list] = [[root, indptr[root]]]
         index[root] = lowlink[root] = next_index
         next_index += 1
         stack.append(root)
@@ -54,15 +53,15 @@ def tarjan_scc(n: int, adj_indptr: np.ndarray, adj_indices: np.ndarray) -> Tuple
         while call_stack:
             frame = call_stack[-1]
             v, cursor = frame
-            if cursor < adj_indptr[v + 1]:
+            if cursor < indptr[v + 1]:
                 frame[1] = cursor + 1
-                w = int(adj_indices[cursor])
+                w = indices[cursor]
                 if index[w] == -1:
                     index[w] = lowlink[w] = next_index
                     next_index += 1
                     stack.append(w)
                     on_stack[w] = True
-                    call_stack.append([w, adj_indptr[w]])
+                    call_stack.append([w, indptr[w]])
                 elif on_stack[w]:
                     if index[w] < lowlink[v]:
                         lowlink[v] = index[w]
@@ -80,7 +79,7 @@ def tarjan_scc(n: int, adj_indptr: np.ndarray, adj_indices: np.ndarray) -> Tuple
                         if w == v:
                             break
                     n_comp += 1
-    return n_comp, comp
+    return n_comp, np.asarray(comp, dtype=np.int64)
 
 
 def scc_of_matrix(A: CSC) -> Tuple[int, np.ndarray, np.ndarray]:

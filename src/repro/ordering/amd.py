@@ -12,6 +12,8 @@ reference code on circuit blocks.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from ..contracts import domains
@@ -50,36 +52,33 @@ def _amd_order(A: CSC, dense_cutoff: float = 10.0) -> np.ndarray:
 
     B = symmetric_pattern(A)
 
-    # Adjacent-variable sets (no self loops).
+    # Adjacent-variable sets (no self loops).  The per-variable state
+    # below is held in Python lists: the elimination reads it one
+    # variable at a time, where list indexing beats numpy scalars.
+    indptr = B.indptr.tolist()
+    indices = B.indices.tolist()
     adj = [set() for _ in range(n)]
     for j in range(n):
-        rows, _ = B.col(j)
-        for i in rows:
-            i = int(i)
+        for i in indices[indptr[j]:indptr[j + 1]]:
             if i != j:
                 adj[j].add(i)
 
     dense_limit = max(16.0, dense_cutoff * np.sqrt(n))
-    status = np.zeros(n, dtype=np.int8)  # 0 variable, 1 eliminated, 2 dense-deferred
     elem_sets: dict[int, set] = {}       # element id -> variables it covers
     var_elems = [set() for _ in range(n)]  # elements adjacent to each variable
-    merged_into = np.full(n, -1, dtype=np.int64)  # supervariable absorption
-    weight = np.ones(n, dtype=np.int64)  # size of each supervariable
+    merged_into = [-1] * n  # supervariable absorption
+    weight = [1] * n  # size of each supervariable
 
     # Approximate degree (upper bound) maintained incrementally.
-    degree = np.array([len(a) for a in adj], dtype=np.int64)
-
-    for v in range(n):
-        if degree[v] > dense_limit:
-            status[v] = 2
+    degree = [len(a) for a in adj]
+    # 0 variable, 1 eliminated, 2 dense-deferred
+    status = [2 if d > dense_limit else 0 for d in degree]
 
     order: list[int] = []
     alive = [v for v in range(n) if status[v] == 0]
 
     # A simple bucketed min-degree selection: rebuild lazily.
-    import heapq
-
-    heap = [(int(degree[v]), v) for v in alive]
+    heap = [(degree[v], v) for v in alive]
     heapq.heapify(heap)
 
     eliminated_count = 0
@@ -119,7 +118,7 @@ def _amd_order(A: CSC, dense_cutoff: float = 10.0) -> np.ndarray:
                 dv += len(elem_sets[e]) - 1  # exclude u itself
             degree[u] = dv
             if status[u] == 0:
-                heapq.heappush(heap, (int(dv), u))
+                heapq.heappush(heap, (dv, u))
 
         # Supervariable detection inside Lp: variables with identical
         # (adj, elems) are indistinguishable -> merge (mass elimination).
@@ -152,11 +151,11 @@ def _amd_order(A: CSC, dense_cutoff: float = 10.0) -> np.ndarray:
     expanded: list[int] = []
     followers: dict[int, list] = {}
     for v in range(n):
-        r = int(merged_into[v])
+        r = merged_into[v]
         if r != -1:
             # chase chains
             while merged_into[r] != -1:
-                r = int(merged_into[r])
+                r = merged_into[r]
             followers.setdefault(r, []).append(v)
     for p in order:
         expanded.append(p)

@@ -17,7 +17,7 @@ on it (sibling subtrees never exchange updates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -115,95 +115,81 @@ class NDPartition:
 
 
 # ----------------------------------------------------------------------
-# Graph helpers on an adjacency list restricted to a vertex subset
+# Graph helpers.  The graph is a list of neighbour lists (Python ints,
+# ascending, no self loops) and a vertex subset is a ``bytearray``
+# membership mask: the walks below visit one neighbour at a time, and
+# list and bytearray indexing beat numpy scalar indexing severalfold.
 # ----------------------------------------------------------------------
 
 
-def _build_adjacency(B: CSC) -> List[np.ndarray]:
-    adj = []
-    for j in range(B.n_cols):
-        rows, _ = B.col(j)
-        adj.append(rows[rows != j].astype(np.int64))
-    return adj
+def _build_adjacency(B: CSC) -> List[List[int]]:
+    n = B.n_cols
+    col = np.repeat(np.arange(n), np.diff(B.indptr))
+    off = B.indices != col
+    rows = B.indices[off].tolist()
+    ends = np.cumsum(np.bincount(col[off], minlength=n)).tolist()
+    return [rows[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
-def _components(adj: List[np.ndarray], verts: np.ndarray, member: np.ndarray) -> List[np.ndarray]:
-    """Connected components of the induced subgraph on ``verts``.
+def _components(adj: List[List[int]], verts: List[int], member: bytearray) -> List[List[int]]:
+    """Connected components of the induced subgraph on ``verts``, each
+    sorted, largest first (equal sizes in order of discovery).
 
-    ``member[v]`` must be True exactly for v in verts.
+    ``member[v]`` must be 1 exactly for v in verts.
     """
-    seen = set()
+    unseen = bytearray(member)
     comps = []
-    vset_order = verts.tolist()
-    for s in vset_order:
-        if s in seen:
+    for s in verts:
+        if not unseen[s]:
             continue
+        unseen[s] = 0
         comp = [s]
-        seen.add(s)
-        head = 0
-        while head < len(comp):
-            v = comp[head]
-            head += 1
+        for v in comp:  # the list is the BFS queue: it grows while walked
             for w in adj[v]:
-                w = int(w)
-                if member[w] and w not in seen:
-                    seen.add(w)
+                if unseen[w]:
+                    unseen[w] = 0
                     comp.append(w)
-        comps.append(np.asarray(sorted(comp), dtype=np.int64))
-    comps.sort(key=lambda c: -c.size)
+        comp.sort()
+        comps.append(comp)
+    comps.sort(key=len, reverse=True)  # stable: ties keep their order
     return comps
 
 
-def _bfs_levels(adj: List[np.ndarray], member: np.ndarray, root: int) -> List[List[int]]:
+def _bfs_levels(adj: List[List[int]], member: bytearray, root: int) -> List[List[int]]:
+    unseen = bytearray(member)
+    unseen[root] = 0
     levels = [[root]]
-    seen = {root}
     while True:
         nxt = []
         for v in levels[-1]:
             for w in adj[v]:
-                w = int(w)
-                if member[w] and w not in seen:
-                    seen.add(w)
+                if unseen[w]:
+                    unseen[w] = 0
                     nxt.append(w)
         if not nxt:
             return levels
-        levels.append(sorted(nxt))
+        nxt.sort()
+        levels.append(nxt)
 
 
-def _pseudo_peripheral(adj: List[np.ndarray], member: np.ndarray, start: int) -> int:
+def _pseudo_peripheral(adj: List[List[int]], member: bytearray, start: int) -> int:
     """Double-BFS heuristic: the far end of a BFS is a good ND root."""
-    levels = _bfs_levels(adj, member, start)
-    return int(levels[-1][0])
+    return _bfs_levels(adj, member, start)[-1][0]
 
 
-def _min_cover_separator(
-    adj: List[np.ndarray],
-    left: List[int],
-    right: List[int],
-    member: np.ndarray,
-) -> Tuple[List[int], List[int], List[int]]:
-    """Turn an edge bisection into a vertex separator via König's theorem.
+def _min_cover(bedges: Dict[int, List[int]]) -> Set[int]:
+    """Minimum vertex cover of a bipartite boundary graph (König).
 
-    The separator is a *minimum vertex cover* of the bipartite boundary
-    graph (boundary-left vs boundary-right vertices), computed from a
-    maximum matching by the alternating-reachability construction —
-    provably the smallest vertex set whose removal disconnects the two
-    sides of this cut.
+    ``bedges`` maps each boundary-left vertex to its boundary-right
+    neighbours.  The cover comes from a maximum matching by the
+    alternating-reachability construction — provably the smallest
+    vertex set whose removal disconnects the two sides of the cut.
     """
-    lset, rset = set(left), set(right)
-    bedges: dict[int, list] = {}
-    for u in left:
-        nbrs = [int(w) for w in adj[u] if member[w] and int(w) in rset]
-        if nbrs:
-            bedges[u] = nbrs
-    if not bedges:
-        return left, right, []
-
-    match_l: dict[int, int] = {}
-    match_r: dict[int, int] = {}
+    match_l: Dict[int, int] = {}
+    match_r: Dict[int, int] = {}
 
     def try_augment(u: int, seen: set) -> bool:
-        for w in bedges.get(u, ()):
+        for w in bedges[u]:
             if w in seen:
                 continue
             seen.add(w)
@@ -213,7 +199,7 @@ def _min_cover_separator(
                 return True
         return False
 
-    for u in list(bedges):
+    for u in bedges:
         if u not in match_l:
             try_augment(u, set())
 
@@ -223,20 +209,17 @@ def _min_cover_separator(
     frontier = list(z_left)
     while frontier:
         u = frontier.pop()
-        for w in bedges.get(u, ()):
+        for w in bedges[u]:
             if w not in z_right:
                 z_right.add(w)
                 if w in match_r and match_r[w] not in z_left:
                     z_left.add(match_r[w])
                     frontier.append(match_r[w])
-    cover = ({u for u in bedges if u not in z_left}) | z_right
-    new_left = [v for v in left if v not in cover]
-    new_right = [v for v in right if v not in cover]
-    return new_left, new_right, sorted(cover)
+    return {u for u in bedges if u not in z_left} | z_right
 
 
 def _split_component(
-    adj: List[np.ndarray], comp: np.ndarray, member: np.ndarray
+    adj: List[List[int]], comp: List[int], member: bytearray
 ) -> Tuple[List[int], List[int], List[int]]:
     """Split a connected component into (left, right, separator).
 
@@ -246,108 +229,102 @@ def _split_component(
     for the cut.  This produces thin separators even when BFS *levels*
     are fat (long-range taps in circuit graphs).
     """
-    if comp.size == 1:
-        return [int(comp[0])], [], []
-    root = _pseudo_peripheral(adj, member, int(comp[0]))
-    levels = _bfs_levels(adj, member, root)
-    bfs_order = [v for lv in levels for v in lv]
+    if len(comp) == 1:
+        return [comp[0]], [], []
+    root = _pseudo_peripheral(adj, member, comp[0])
+    bfs_order = [v for lv in _bfs_levels(adj, member, root) for v in lv]
     n = len(bfs_order)
     # Two 1-D embeddings: the BFS sweep and the natural numbering
     # (circuit matrices usually carry locality in their original ids;
     # long-range taps can scramble the BFS order but not the ids).
-    embeddings = [bfs_order, sorted(int(v) for v in comp)]
+    # ``comp`` is sorted, so it is the natural numbering.
+    embeddings = [bfs_order, comp]
     # Search cut positions in the middle band of each embedding; König
     # gives each cut's minimum vertex separator, and the cost weights
     # separator size heavily (it becomes the serial column block of the
     # 2-D layout).
     best = None
     fracs = [0.3 + 0.4 * k / 8.0 for k in range(9)]  # 0.30 .. 0.70
+    pos = [-1] * len(adj)  # position in the embedding; -1 off the component
     for order in embeddings:
+        for i, v in enumerate(order):
+            pos[v] = i
+        # A left vertex is on a cut's boundary iff its furthest
+        # neighbour lies past the cut.
+        reach = np.array([max(map(pos.__getitem__, adj[v])) for v in order])
         for frac in fracs:
             cut = max(1, min(n - 1, int(frac * n)))
-            l, r, s = _min_cover_separator(adj, order[:cut], order[cut:], member)
-            balanced = min(len(l), len(r)) >= 0.2 * n
-            cost = max(len(l), len(r)) + 6 * len(s)
+            bedges = {}
+            for i in np.flatnonzero(reach[:cut] >= cut).tolist():
+                u = order[i]
+                bedges[u] = [w for w in adj[u] if pos[w] >= cut]
+            cover = _min_cover(bedges)
+            sep_left = sum(1 for v in cover if pos[v] < cut)
+            n_left, n_right = cut - sep_left, n - cut - (len(cover) - sep_left)
+            balanced = min(n_left, n_right) >= 0.2 * n
+            cost = max(n_left, n_right) + 6 * len(cover)
             if best is None or (balanced, -cost) > (best[0], -best[1]):
-                best = (balanced, cost, l, r, s)
-    _, _, left, right, sep = best
+                best = (balanced, cost, order, cut, cover)
+    _, _, order, cut, cover = best
+    left = [v for v in order[:cut] if v not in cover]
+    right = [v for v in order[cut:] if v not in cover]
 
     # Greedy refinement: pull separator vertices with one-sided
-    # adjacency into that side.  Membership sets keep the moves safe
-    # (the invariant "no left-right edge" holds after every move).
-    left_set, right_set = set(left), set(right)
-    # Iterate to a fixed point: moving one vertex can make another
-    # one-sided.  A vertex with neighbours on a single side always
-    # leaves the separator (keeping it costs far more than imbalance).
-    pending = list(sep)
-    new_sep: list = []
+    # adjacency into that side.  Iterate to a fixed point: moving one
+    # vertex can make another one-sided.  A vertex with neighbours on a
+    # single side always leaves the separator (keeping it costs far
+    # more than imbalance); the invariant "no left-right edge" holds
+    # after every move.
+    side = bytearray(len(adj))  # 1 left, 2 right, 0 separator or outside
+    for v in left:
+        side[v] = 1
+    for v in right:
+        side[v] = 2
+    pending = sorted(cover)
     changed = True
     while changed:
         changed = False
         keep = []
         for s in pending:
-            nbrs = [int(w) for w in adj[s] if member[w]]
-            in_left = any(w in left_set for w in nbrs)
-            in_right = any(w in right_set for w in nbrs)
+            sides = set(map(side.__getitem__, adj[s]))
+            in_left, in_right = 1 in sides, 2 in sides
             if in_left and in_right:
                 keep.append(s)
-            elif in_left and not in_right:
-                left.append(s)
-                left_set.add(s)
-                changed = True
-            elif in_right and not in_left:
-                right.append(s)
-                right_set.add(s)
-                changed = True
-            else:
-                if len(left) <= len(right):
-                    left.append(s)
-                    left_set.add(s)
-                else:
-                    right.append(s)
-                    right_set.add(s)
-                changed = True
+                continue
+            to_left = in_left or (not in_right and len(left) <= len(right))
+            (left if to_left else right).append(s)
+            side[s] = 1 if to_left else 2
+            changed = True
         pending = keep
-    new_sep = pending
-    return left, right, new_sep
+    return left, right, pending
 
 
-def _bisect(
-    adj: List[np.ndarray], verts: np.ndarray, n_global: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``verts`` into (left, right, separator) with no left-right edges."""
-    member = np.zeros(n_global, dtype=bool)
-    member[verts] = True
+def _bisect(adj: List[List[int]], verts: List[int]) -> Tuple[List[int], List[int], List[int]]:
+    """Split ``verts`` into sorted (left, right, separator) lists with no
+    left-right edges."""
+    member = bytearray(len(adj))
+    for v in verts:
+        member[v] = 1
     comps = _components(adj, verts, member)
     if not comps:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
-    total = int(verts.size)
-    if len(comps) > 1 and comps[0].size <= 0.6 * total:
+        return [], [], []
+    if len(comps) > 1 and len(comps[0]) <= 0.6 * len(verts):
         # Enough disconnection to bisect without any separator:
         # greedily bin-pack components into two sides.
         left, right, sep = [], [], []
-        for comp in comps:
-            if len(left) <= len(right):
-                left.extend(int(v) for v in comp)
-            else:
-                right.extend(int(v) for v in comp)
+        rest = comps
     else:
         # Split the largest component; distribute the rest for balance.
         big = comps[0]
-        member_big = np.zeros(n_global, dtype=bool)
-        member_big[big] = True
-        left, right, sep = _split_component(adj, big, member_big)
-        for comp in comps[1:]:
-            if len(left) <= len(right):
-                left.extend(int(v) for v in comp)
-            else:
-                right.extend(int(v) for v in comp)
-    return (
-        np.asarray(sorted(left), dtype=np.int64),
-        np.asarray(sorted(right), dtype=np.int64),
-        np.asarray(sorted(sep), dtype=np.int64),
-    )
+        if len(comps) > 1:
+            member = bytearray(len(adj))
+            for v in big:
+                member[v] = 1
+        left, right, sep = _split_component(adj, big, member)
+        rest = comps[1:]
+    for comp in rest:
+        (left if len(left) <= len(right) else right).extend(comp)
+    return sorted(left), sorted(right), sorted(sep)
 
 
 # ----------------------------------------------------------------------
@@ -379,36 +356,31 @@ def _nested_dissection(A: CSC, nleaves: int) -> NDPartition:
     if nleaves < 1 or (nleaves & (nleaves - 1)) != 0:
         raise StructureError("nleaves must be a power of two")
     n = A.n_rows
-    B = symmetric_pattern(A) if n else A
-    adj = _build_adjacency(B) if n else []
-
     nodes: List[NDNode] = []
-
-    def build(verts: np.ndarray, height: int) -> int:
-        if height == 0:
-            node = NDNode(id=len(nodes), height=0, is_leaf=True, vertices=verts)
-            nodes.append(node)
-            return node.id
-        left, right, sep = _bisect(adj, verts, n)
-        lid = build(left, height - 1)
-        rid = build(right, height - 1)
-        node = NDNode(
-            id=len(nodes), height=height, is_leaf=False, vertices=sep, children=(lid, rid)
-        )
-        nodes.append(node)
-        nodes[lid].parent = node.id
-        nodes[rid].parent = node.id
-        return node.id
-
-    height = int(np.log2(nleaves))
-    all_verts = np.arange(n, dtype=np.int64)
     if nleaves == 1:
-        nodes.append(NDNode(id=0, height=0, is_leaf=True, vertices=all_verts))
+        nodes.append(NDNode(id=0, height=0, is_leaf=True, vertices=np.arange(n, dtype=np.int64)))
     else:
-        build(all_verts, height)
+        adj = _build_adjacency(symmetric_pattern(A)) if n else []
 
-    perm = np.concatenate([nd.vertices for nd in nodes]) if nodes else np.empty(0, dtype=np.int64)
-    perm = perm.astype(np.int64)
+        def build(verts: List[int], height: int) -> int:
+            if height == 0:
+                node = NDNode(id=len(nodes), height=0, is_leaf=True,
+                              vertices=np.asarray(verts, dtype=np.int64))
+                nodes.append(node)
+                return node.id
+            left, right, sep = _bisect(adj, verts)
+            lid = build(left, height - 1)
+            rid = build(right, height - 1)
+            node = NDNode(id=len(nodes), height=height, is_leaf=False,
+                          vertices=np.asarray(sep, dtype=np.int64), children=(lid, rid))
+            nodes.append(node)
+            nodes[lid].parent = node.id
+            nodes[rid].parent = node.id
+            return node.id
+
+        build(list(range(n)), int(np.log2(nleaves)))
+
+    perm = np.concatenate([nd.vertices for nd in nodes])
     splits = np.zeros(len(nodes) + 1, dtype=np.int64)
     splits[1:] = np.cumsum([nd.size for nd in nodes])
     return NDPartition(perm=perm, nodes=nodes, splits=splits, nleaves=nleaves)

@@ -6,7 +6,7 @@ from-scratch kernels in :mod:`repro`.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -725,3 +725,431 @@ def basker_analyze_reference(A: CSC, n_threads: int):
     return BaskerSymbolic(n=A.n_rows, n_threads=n_threads, btf_result=res,
                           row_perm_pre=row_pre, col_perm=col_perm,
                           fine_plan=fine_plan, nd_plans=nd_plans, ledger=ledger)
+
+
+# ----------------------------------------------------------------------
+# Oracles for the analysis graph kernels: nested dissection and the
+# bottleneck matching as they were when they read their numpy arrays
+# one scalar at a time.  The list-based kernels in repro.ordering.nd and
+# repro.graph.matching must reproduce them exactly (partitions,
+# matchings and bottlenecks); see tests/test_analysis_kernels.py.
+# ----------------------------------------------------------------------
+
+
+def _build_adjacency(B: CSC) -> List[np.ndarray]:
+    adj = []
+    for j in range(B.n_cols):
+        rows, _ = B.col(j)
+        adj.append(rows[rows != j].astype(np.int64))
+    return adj
+
+
+def _components(adj: List[np.ndarray], verts: np.ndarray, member: np.ndarray) -> List[np.ndarray]:
+    """Connected components of the induced subgraph on ``verts``.
+
+    ``member[v]`` must be True exactly for v in verts.
+    """
+    seen = set()
+    comps = []
+    vset_order = verts.tolist()
+    for s in vset_order:
+        if s in seen:
+            continue
+        comp = [s]
+        seen.add(s)
+        head = 0
+        while head < len(comp):
+            v = comp[head]
+            head += 1
+            for w in adj[v]:
+                w = int(w)
+                if member[w] and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comps.append(np.asarray(sorted(comp), dtype=np.int64))
+    comps.sort(key=lambda c: -c.size)
+    return comps
+
+
+def _bfs_levels(adj: List[np.ndarray], member: np.ndarray, root: int) -> List[List[int]]:
+    levels = [[root]]
+    seen = {root}
+    while True:
+        nxt = []
+        for v in levels[-1]:
+            for w in adj[v]:
+                w = int(w)
+                if member[w] and w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        if not nxt:
+            return levels
+        levels.append(sorted(nxt))
+
+
+def _pseudo_peripheral(adj: List[np.ndarray], member: np.ndarray, start: int) -> int:
+    """Double-BFS heuristic: the far end of a BFS is a good ND root."""
+    levels = _bfs_levels(adj, member, start)
+    return int(levels[-1][0])
+
+
+def _min_cover_separator(
+    adj: List[np.ndarray],
+    left: List[int],
+    right: List[int],
+    member: np.ndarray,
+) -> Tuple[List[int], List[int], List[int]]:
+    """Turn an edge bisection into a vertex separator via König's theorem.
+
+    The separator is a *minimum vertex cover* of the bipartite boundary
+    graph (boundary-left vs boundary-right vertices), computed from a
+    maximum matching by the alternating-reachability construction —
+    provably the smallest vertex set whose removal disconnects the two
+    sides of this cut.
+    """
+    lset, rset = set(left), set(right)
+    bedges: dict[int, list] = {}
+    for u in left:
+        nbrs = [int(w) for w in adj[u] if member[w] and int(w) in rset]
+        if nbrs:
+            bedges[u] = nbrs
+    if not bedges:
+        return left, right, []
+
+    match_l: dict[int, int] = {}
+    match_r: dict[int, int] = {}
+
+    def try_augment(u: int, seen: set) -> bool:
+        for w in bedges.get(u, ()):
+            if w in seen:
+                continue
+            seen.add(w)
+            if w not in match_r or try_augment(match_r[w], seen):
+                match_l[u] = w
+                match_r[w] = u
+                return True
+        return False
+
+    for u in list(bedges):
+        if u not in match_l:
+            try_augment(u, set())
+
+    # König: Z = unmatched boundary-left + alternating reachability.
+    z_left = {u for u in bedges if u not in match_l}
+    z_right: set = set()
+    frontier = list(z_left)
+    while frontier:
+        u = frontier.pop()
+        for w in bedges.get(u, ()):
+            if w not in z_right:
+                z_right.add(w)
+                if w in match_r and match_r[w] not in z_left:
+                    z_left.add(match_r[w])
+                    frontier.append(match_r[w])
+    cover = ({u for u in bedges if u not in z_left}) | z_right
+    new_left = [v for v in left if v not in cover]
+    new_right = [v for v in right if v not in cover]
+    return new_left, new_right, sorted(cover)
+
+
+def _split_component(
+    adj: List[np.ndarray], comp: np.ndarray, member: np.ndarray
+) -> Tuple[List[int], List[int], List[int]]:
+    """Split a connected component into (left, right, separator).
+
+    A BFS ordering from a pseudo-peripheral vertex gives a 1-D
+    embedding; the balanced cut of that ordering is an edge bisection,
+    which König's construction turns into a minimum vertex separator
+    for the cut.  This produces thin separators even when BFS *levels*
+    are fat (long-range taps in circuit graphs).
+    """
+    if comp.size == 1:
+        return [int(comp[0])], [], []
+    root = _pseudo_peripheral(adj, member, int(comp[0]))
+    levels = _bfs_levels(adj, member, root)
+    bfs_order = [v for lv in levels for v in lv]
+    n = len(bfs_order)
+    # Two 1-D embeddings: the BFS sweep and the natural numbering
+    # (circuit matrices usually carry locality in their original ids;
+    # long-range taps can scramble the BFS order but not the ids).
+    embeddings = [bfs_order, sorted(int(v) for v in comp)]
+    # Search cut positions in the middle band of each embedding; König
+    # gives each cut's minimum vertex separator, and the cost weights
+    # separator size heavily (it becomes the serial column block of the
+    # 2-D layout).
+    best = None
+    fracs = [0.3 + 0.4 * k / 8.0 for k in range(9)]  # 0.30 .. 0.70
+    for order in embeddings:
+        for frac in fracs:
+            cut = max(1, min(n - 1, int(frac * n)))
+            l, r, s = _min_cover_separator(adj, order[:cut], order[cut:], member)
+            balanced = min(len(l), len(r)) >= 0.2 * n
+            cost = max(len(l), len(r)) + 6 * len(s)
+            if best is None or (balanced, -cost) > (best[0], -best[1]):
+                best = (balanced, cost, l, r, s)
+    _, _, left, right, sep = best
+
+    # Greedy refinement: pull separator vertices with one-sided
+    # adjacency into that side.  Membership sets keep the moves safe
+    # (the invariant "no left-right edge" holds after every move).
+    left_set, right_set = set(left), set(right)
+    # Iterate to a fixed point: moving one vertex can make another
+    # one-sided.  A vertex with neighbours on a single side always
+    # leaves the separator (keeping it costs far more than imbalance).
+    pending = list(sep)
+    new_sep: list = []
+    changed = True
+    while changed:
+        changed = False
+        keep = []
+        for s in pending:
+            nbrs = [int(w) for w in adj[s] if member[w]]
+            in_left = any(w in left_set for w in nbrs)
+            in_right = any(w in right_set for w in nbrs)
+            if in_left and in_right:
+                keep.append(s)
+            elif in_left and not in_right:
+                left.append(s)
+                left_set.add(s)
+                changed = True
+            elif in_right and not in_left:
+                right.append(s)
+                right_set.add(s)
+                changed = True
+            else:
+                if len(left) <= len(right):
+                    left.append(s)
+                    left_set.add(s)
+                else:
+                    right.append(s)
+                    right_set.add(s)
+                changed = True
+        pending = keep
+    new_sep = pending
+    return left, right, new_sep
+
+
+def _bisect(
+    adj: List[np.ndarray], verts: np.ndarray, n_global: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split ``verts`` into (left, right, separator) with no left-right edges."""
+    member = np.zeros(n_global, dtype=bool)
+    member[verts] = True
+    comps = _components(adj, verts, member)
+    if not comps:
+        e = np.empty(0, dtype=np.int64)
+        return e, e, e
+    total = int(verts.size)
+    if len(comps) > 1 and comps[0].size <= 0.6 * total:
+        # Enough disconnection to bisect without any separator:
+        # greedily bin-pack components into two sides.
+        left, right, sep = [], [], []
+        for comp in comps:
+            if len(left) <= len(right):
+                left.extend(int(v) for v in comp)
+            else:
+                right.extend(int(v) for v in comp)
+    else:
+        # Split the largest component; distribute the rest for balance.
+        big = comps[0]
+        member_big = np.zeros(n_global, dtype=bool)
+        member_big[big] = True
+        left, right, sep = _split_component(adj, big, member_big)
+        for comp in comps[1:]:
+            if len(left) <= len(right):
+                left.extend(int(v) for v in comp)
+            else:
+                right.extend(int(v) for v in comp)
+    return (
+        np.asarray(sorted(left), dtype=np.int64),
+        np.asarray(sorted(right), dtype=np.int64),
+        np.asarray(sorted(sep), dtype=np.int64),
+    )
+
+
+def nested_dissection_reference(A: CSC, nleaves: int):
+    """``repro.ordering.nd._nested_dissection`` on the helpers above."""
+    from repro.graph.etree import symmetric_pattern
+    from repro.ordering.nd import NDNode, NDPartition
+
+    if A.n_rows != A.n_cols:
+        raise StructureError("nested dissection requires a square matrix")
+    if nleaves < 1 or (nleaves & (nleaves - 1)) != 0:
+        raise StructureError("nleaves must be a power of two")
+    n = A.n_rows
+    B = symmetric_pattern(A) if n else A
+    adj = _build_adjacency(B) if n else []
+
+    nodes: List[NDNode] = []
+
+    def build(verts: np.ndarray, height: int) -> int:
+        if height == 0:
+            node = NDNode(id=len(nodes), height=0, is_leaf=True, vertices=verts)
+            nodes.append(node)
+            return node.id
+        left, right, sep = _bisect(adj, verts, n)
+        lid = build(left, height - 1)
+        rid = build(right, height - 1)
+        node = NDNode(
+            id=len(nodes), height=height, is_leaf=False, vertices=sep, children=(lid, rid)
+        )
+        nodes.append(node)
+        nodes[lid].parent = node.id
+        nodes[rid].parent = node.id
+        return node.id
+
+    height = int(np.log2(nleaves))
+    all_verts = np.arange(n, dtype=np.int64)
+    if nleaves == 1:
+        nodes.append(NDNode(id=0, height=0, is_leaf=True, vertices=all_verts))
+    else:
+        build(all_verts, height)
+
+    perm = np.concatenate([nd.vertices for nd in nodes]) if nodes else np.empty(0, dtype=np.int64)
+    perm = perm.astype(np.int64)
+    splits = np.zeros(len(nodes) + 1, dtype=np.int64)
+    splits[1:] = np.cumsum([nd.size for nd in nodes])
+    return NDPartition(perm=perm, nodes=nodes, splits=splits, nleaves=nleaves)
+
+
+def _try_augment(
+    j: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    threshold: float,
+    match_row: np.ndarray,
+    match_col: np.ndarray,
+    visited: np.ndarray,
+    stamp: int,
+) -> bool:
+    """Iterative DFS augmenting path from column ``j``.
+
+    Only entries with ``|a| >= threshold`` are usable.  ``visited`` is a
+    stamp array over columns.
+    """
+    # Stack holds (column, edge cursor).
+    stack = [(j, int(indptr[j]))]
+    visited[j] = stamp
+    path_rows = []  # rows chosen along the DFS path, parallel to stack
+    while stack:
+        col, cursor = stack[-1]
+        hi = int(indptr[col + 1])
+        advanced = False
+        while cursor < hi:
+            r = int(indices[cursor])
+            cursor += 1
+            if abs(data[cursor - 1]) < threshold:
+                continue
+            owner = int(match_row[r])
+            if owner == -1:
+                # Augment along the path.
+                stack[-1] = (col, cursor)
+                path_rows.append(r)
+                for (c, _), rr in zip(stack, path_rows):
+                    match_row[rr] = c
+                    match_col[c] = rr
+                return True
+            if visited[owner] != stamp:
+                visited[owner] = stamp
+                stack[-1] = (col, cursor)
+                path_rows.append(r)
+                stack.append((owner, int(indptr[owner])))
+                advanced = True
+                break
+        if not advanced:
+            stack.pop()
+            if path_rows:
+                path_rows.pop()
+    return False
+
+
+def max_cardinality_matching_reference(A: CSC, threshold: float = 0.0) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Maximum-cardinality column-to-row matching using entries >= threshold.
+
+    Returns ``(size, match_col, match_row)`` where ``match_col[j]`` is
+    the row matched to column ``j`` (or -1) and ``match_row[i]`` the
+    column matched to row ``i`` (or -1).
+    """
+    n_rows, n_cols = A.shape
+    match_row = np.full(n_rows, -1, dtype=np.int64)
+    match_col = np.full(n_cols, -1, dtype=np.int64)
+    visited = np.full(n_cols, -1, dtype=np.int64)
+    size = 0
+    # Cheap pass first: greedy assignment (classic MC21 speedup).
+    for j in range(n_cols):
+        lo, hi = int(A.indptr[j]), int(A.indptr[j + 1])
+        for k in range(lo, hi):
+            r = int(A.indices[k])
+            if abs(A.data[k]) >= threshold and match_row[r] == -1:
+                match_row[r] = j
+                match_col[j] = r
+                size += 1
+                break
+    # Augmenting pass.
+    for j in range(n_cols):
+        if match_col[j] == -1:
+            if _try_augment(j, A.indptr, A.indices, A.data, threshold, match_row, match_col, visited, j):
+                size += 1
+    return size, match_col, match_row
+
+
+def mwcm_reference(A: CSC) -> Tuple[np.ndarray, float]:
+    """Bottleneck maximum weight-cardinality matching.
+
+    Finds a maximum-cardinality matching whose smallest matched
+    magnitude is as large as possible (binary search over the distinct
+    entry magnitudes, re-running the matching at each threshold).
+
+    Returns ``(match_col, bottleneck)`` where ``match_col[j]`` is the
+    row matched to column ``j`` (-1 if the matrix is structurally
+    deficient in that column) and ``bottleneck`` the achieved minimum
+    matched magnitude.
+    """
+    if A.nnz == 0:
+        return np.full(A.n_cols, -1, dtype=np.int64), 0.0
+    full_size, match_col, _ = max_cardinality_matching_reference(A, threshold=0.0)
+
+    mags = np.unique(np.abs(A.data))
+    mags = mags[mags > 0.0]
+    if mags.size == 0:
+        return match_col, 0.0
+
+    # Binary search for the largest threshold that still admits a
+    # matching of the maximum cardinality.
+    lo, hi = 0, mags.size - 1  # mags[lo] always feasible after check below
+    size_lo, match_lo, _ = max_cardinality_matching_reference(A, threshold=float(mags[0]))
+    if size_lo < full_size:
+        # Even the smallest positive threshold loses cardinality
+        # (explicit zeros were needed); keep the unthresholded matching.
+        return match_col, 0.0
+    best_match, best_t = match_lo, float(mags[0])
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        size_mid, match_mid, _ = max_cardinality_matching_reference(A, threshold=float(mags[mid]))
+        if size_mid == full_size:
+            lo = mid
+            best_match, best_t = match_mid, float(mags[mid])
+        else:
+            hi = mid - 1
+    return best_match, best_t
+
+
+def mwcm_row_permutation_reference(A: CSC) -> np.ndarray:
+    """``mwcm_row_permutation``'s fill loops on the oracle matching."""
+    match_col, _ = mwcm_reference(A)
+    n = A.n_rows
+    p = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
+    for j in range(n):
+        r = int(match_col[j])
+        if r >= 0:
+            p[j] = r
+            used[r] = True
+    free = np.flatnonzero(~used)
+    k = 0
+    for j in range(n):
+        if p[j] == -1:
+            p[j] = free[k]
+            k += 1
+    return p

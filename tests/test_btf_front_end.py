@@ -5,8 +5,14 @@
 :func:`repro.solvers.klu.amd_blocks`.  On every Table I matrix their
 permutations, block splits, symbolic ledgers and Basker's plans must be
 exactly those of the per-solver loops they replaced (the oracles in
-``tests/helpers.py``).
+``tests/helpers.py``).  The oracles call the same ordering kernels, so
+the analyses are also pinned to sha256 digests recorded with the
+numpy-scalar kernels (``tests/fixtures/analysis_digests.json``).
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,3 +60,29 @@ def test_front_end_matches_per_solver_loops(name):
         _assert_front_end_equal(got, want)
         _assert_plans_equal(got, want)
 
+
+DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "analysis_digests.json").read_text())
+
+
+def _digest(sym) -> str:
+    """sha256 of ``row_perm_pre``, ``col_perm`` and ``block_splits``, then
+    each ND partition's ``perm`` and ``splits``, each array prefixed by
+    its length."""
+    h = hashlib.sha256()
+    arrays = [sym.row_perm_pre, sym.col_perm, sym.block_splits]
+    for plan in getattr(sym, "nd_plans", ()):
+        arrays += [plan.partition.perm, plan.partition.splits]
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype="<i8")
+        h.update(a.size.to_bytes(8, "little"))
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_analysis_matches_pinned_digest(name):
+    A = get_matrix(name)
+    got = {"klu": _digest(KLU().analyze(A))}
+    for p in (4, 16):
+        got[f"basker{p}"] = _digest(Basker(n_threads=p).analyze(A))
+    assert got == DIGESTS[name]

@@ -62,6 +62,19 @@ class TestTarjanSCC:
         n_comp, _ = tarjan_scc(n, A.indptr, A.indices)
         assert n_comp == n
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 30), density=st.sampled_from([0.02, 0.08, 0.2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cross_edges_point_to_smaller_ids(self, n, density, seed):
+        # For every edge u -> v between components, comp[v] < comp[u].
+        A = random_sparse(n, n, density, np.random.default_rng(seed)) if n else CSC.identity(0)
+        n_comp, comp = tarjan_scc(n, A.indptr, A.indices)
+        u = np.repeat(np.arange(n), np.diff(A.indptr))
+        v = A.indices
+        cross = comp[u] != comp[v]
+        assert np.all(comp[v][cross] < comp[u][cross])
+        assert sorted(set(comp.tolist())) == list(range(n_comp))
+
 
 class TestMatching:
     def test_perfect_matching_identity(self):

@@ -1,11 +1,15 @@
 """Tests for AMD, BTF and nested dissection."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings, strategies as st
 
+from repro.core import Basker, symbolic
+from repro.matrices.suite import get_matrix, suite_names
 from repro.ordering import amd_order, btf, invert, is_permutation, nested_dissection
 from repro.ordering.nd import nd_order
 from repro.sparse import CSC
@@ -211,6 +215,30 @@ class TestND:
         A = self._grid(9)
         p = nd_order(A, leaf_size=8)
         assert is_permutation(p)
+
+
+# Every suite member whose BTF has a block big enough for Basker's ND
+# (the other four are all small blocks).
+ND_MEMBERS = [name for name in suite_names(1) + suite_names(2)
+              if name not in ("RS_b39c30+", "RS_b678c2+", "Power0*+", "hvdc2+")]
+
+
+@pytest.mark.parametrize("n_threads", [4, 16])
+@pytest.mark.parametrize("name", ND_MEMBERS)
+def test_separator_property_on_basker_partitions(name, n_threads):
+    """The partitions Basker's analysis really factors: every ND call
+    inside ``Basker.analyze`` is checked on the matrix it was given."""
+    calls = []
+
+    def spy(D1, nleaves):
+        calls.append((D1, nested_dissection(D1, nleaves)))
+        return calls[-1][1]
+
+    with mock.patch.object(symbolic, "nested_dissection", spy):
+        Basker(n_threads=n_threads).analyze(get_matrix(name))
+    assert calls
+    for D1, part in calls:
+        part.check_separator_property(D1)
 
 
 @settings(max_examples=20, deadline=None)
