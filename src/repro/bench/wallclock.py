@@ -253,7 +253,6 @@ def _klu_refactor_reference(klu: KLU, A: CSC, numeric):
         ledger=total,
         block_ledgers=block_ledgers,
         block_working_sets=block_ws,
-        row_scale=None,
     )
 
 

@@ -486,15 +486,15 @@ def factor_nd_block(
     pivot_tol: float,
     static_perturb: float = 0.0,
     supernodal_separators: bool = False,
-    dense_threshold: float = DENSE_SEPARATOR_THRESHOLD,
     pipeline_columns: Optional[int] = None,
 ) -> NDNumericBlock:
     """Run Algorithm 4 on one ND-ordered block, emitting tasks.
 
     ``supernodal_separators`` enables the paper's future-work extension
     (§VI): separator diagonal blocks whose reduced fill density exceeds
-    ``dense_threshold`` are factored with a dense partial-pivoting
-    kernel (cheap ``dense_flops``) instead of Gilbert-Peierls.
+    :data:`~repro.solvers.dense.DENSE_SEPARATOR_THRESHOLD` are factored
+    with a dense partial-pivoting kernel (cheap ``dense_flops``) instead
+    of Gilbert-Peierls.
 
     ``pipeline_columns`` switches the separator passes to per-column
     pipelined task emission (chunks of that many columns) — the paper's
@@ -713,7 +713,7 @@ def factor_nd_block(
         Ahat_jj = distributed_reduce(j, j, T)
         led2 = CostLedger()
         density = Ahat_jj.nnz / max(n_j * n_j, 1)
-        if supernodal_separators and density > dense_threshold and n_j > 8:
+        if supernodal_separators and density > DENSE_SEPARATOR_THRESHOLD and n_j > 8:
             lu = dense_lu_factor(Ahat_jj, static_perturb=static_perturb, ledger=led2)
         else:
             # Span-free for the same ledger-conservation reason as the

@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Basker
-from .errors import SingularMatrixError, StructureError
-from .obs.tracer import get_tracer
+from .errors import StructureError
 from .parallel.machine import MachineModel, SANDY_BRIDGE
 from .solvers import KLU, SupernodalLU, slu_mt
 from .solvers.extras import refine_solve, solve_transpose
@@ -35,7 +34,6 @@ _REGISTRY = {
     ),
     "klu": lambda opts: KLU(
         pivot_tol=opts.get("pivot_tol", 0.001),
-        scale=opts.get("scale"),
         static_perturb=opts.get("static_perturb", 0.0),
     ),
     "pardiso": lambda opts: SupernodalLU(),
@@ -91,10 +89,11 @@ class DirectSolver:
         When a prior numeric factorization exists and ``A`` has exactly
         the same pattern, the solver's values-only ``refactor_fast``
         path is taken (fixed pivot order, compiled elimination
-        schedule).  If a reused pivot degenerates
-        (:class:`~repro.errors.SingularMatrixError`), the call falls
-        back to a full numeric factorization with fresh pivoting — the
-        standard klu_refactor/klu_factor usage pattern.
+        schedule).  Every solver's ``refactor_fast`` falls back to a
+        full numeric factorization with fresh pivoting when a reused
+        pivot degenerates — the standard klu_refactor/klu_factor usage
+        pattern — so a :class:`~repro.errors.SingularMatrixError` raised
+        here comes from that fresh factorization: ``A`` is singular.
         """
         if self._symbolic is None:
             self.symbolic_factorization(A)
@@ -105,12 +104,8 @@ class DirectSolver:
             and np.array_equal(A.indptr, self._pattern[0])
             and np.array_equal(A.indices, self._pattern[1])
         ):
-            try:
-                self._numeric = self._impl.refactor_fast(A, prior)
-                return self
-            except SingularMatrixError:
-                # fresh pivoting below
-                get_tracer().metrics.incr("solver.singular_fallback")
+            self._numeric = self._impl.refactor_fast(A, prior)
+            return self
         self._numeric = self._impl.factor(A, symbolic=self._symbolic)
         self._pattern = (A.indptr, A.indices)
         return self

@@ -26,22 +26,21 @@ __all__ = ["amd_order"]
 
 
 @domains(A="matrix[S]", returns="perm[S->S]")
-def amd_order(A: CSC, dense_cutoff: float = 10.0) -> np.ndarray:
+def amd_order(A: CSC) -> np.ndarray:
     """Fill-reducing permutation of a square matrix.
 
     The ordering is computed on the symmetrized pattern of ``A + A.T``
     with the diagonal removed.  Returns ``perm`` such that
-    ``A.permute(perm, perm)`` tends to factor with low fill.
-
-    ``dense_cutoff``: variables with degree > cutoff * sqrt(n) are
-    deferred to the end (the usual dense-row guard).
+    ``A.permute(perm, perm)`` tends to factor with low fill.  Variables
+    of degree above ``max(16, 10 sqrt(n))`` are deferred to the end (the
+    usual dense-row guard).
     """
     with get_tracer().span("order.amd"):
-        return _amd_order(A, dense_cutoff)
+        return _amd_order(A)
 
 
 @domains(A="matrix[S]", returns="perm[S->S]")
-def _amd_order(A: CSC, dense_cutoff: float = 10.0) -> np.ndarray:
+def _amd_order(A: CSC) -> np.ndarray:
     n = A.n_cols
     if A.n_rows != n:
         raise StructureError("AMD requires a square matrix")
@@ -63,7 +62,7 @@ def _amd_order(A: CSC, dense_cutoff: float = 10.0) -> np.ndarray:
             if i != j:
                 adj[j].add(i)
 
-    dense_limit = max(16.0, dense_cutoff * np.sqrt(n))
+    dense_limit = max(16.0, 10.0 * np.sqrt(n))
     elem_sets: dict[int, set] = {}       # element id -> variables it covers
     var_elems = [set() for _ in range(n)]  # elements adjacent to each variable
     merged_into = [-1] * n  # supervariable absorption

@@ -104,15 +104,11 @@ def rgrowth(A: CSC, numeric) -> float:
     """Reciprocal pivot growth, KLU-style.
 
     ``min_j ( max_i |A(:, j)| / max_i |U(:, j)| )`` over the factored
-    columns, computed in the factorization's permuted coordinates.  With
-    row equilibration the factored matrix is ``R A`` (``row_scale``), so
-    growth is measured against it, as ``klu_rgrowth`` does.  Values near
-    1 mean no element growth; tiny values signal numerical trouble.
+    columns, computed in the factorization's permuted coordinates.
+    Values near 1 mean no element growth; tiny values signal numerical
+    trouble.
     """
     splits, blocks, _M = btf_factors(numeric)
-    scale = getattr(numeric, "row_scale", None)
-    if scale is not None:
-        A = CSC(A.n_rows, A.n_cols, A.indptr, A.indices, A.data * scale[A.indices])
     Aperm = A.permute(numeric.row_perm, numeric.col_perm)
     worst = np.inf
     for k, blk in enumerate(blocks):

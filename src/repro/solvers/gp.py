@@ -126,16 +126,15 @@ def gp_refactor(
     A: CSC,
     prior: GPResult,
     ledger: CostLedger | None = None,
-    pivot_floor: float = 0.0,
 ) -> GPResult:
     """Values-only refactorization on a fixed pattern and pivot order.
 
     The ``klu_refactor`` fast path: reuse the previous factorization's
     nonzero pattern *and* row permutation, recompute only the values —
     no reach DFS, no pivot search.  Raises
-    :class:`SingularMatrixError` when a reused pivot falls to zero (or
-    below ``pivot_floor``); callers then fall back to a full
-    :func:`gp_factor` with fresh pivoting, exactly like KLU users do.
+    :class:`SingularMatrixError` when a reused pivot falls to zero;
+    callers then fall back to a full :func:`gp_factor` with fresh
+    pivoting, exactly like KLU users do.
 
     Vectorized level-scheduled replay of :func:`gp_refactor_reference`
     through a compiled :class:`~repro.sparse.schedule.RefactorSchedule`
@@ -158,7 +157,7 @@ def gp_refactor(
         return GPResult(e, e, np.empty(0, dtype=np.int64), led)
     sched = ensure_refactor_schedule(prior, A)
     a_data = _fault_values("gp.refactor.values", A.data)
-    Lx, Ux = sched.run(a_data, led, pivot_floor=pivot_floor)
+    Lx, Ux = sched.run(a_data, led)
     metrics = get_tracer().metrics
     if metrics.enabled:
         # Amortized health gauge: one vectorized pass per refactor step.
@@ -182,7 +181,6 @@ def gp_refactor_reference(
     A: CSC,
     prior: GPResult,
     ledger: CostLedger | None = None,
-    pivot_floor: float = 0.0,
 ) -> GPResult:
     """Reference per-column loop for :func:`gp_refactor` (oracle)."""
     n = A.n_cols
@@ -231,7 +229,7 @@ def gp_refactor_reference(
         # Split into U (pivotal rows) and L (below, divided by pivot).
         Ux[U.indptr[k] : U.indptr[k + 1]] = x[urows]
         piv = x[k]
-        if abs(piv) <= pivot_floor or piv == 0.0:
+        if piv == 0.0:
             raise SingularMatrixError(
                 f"refactor: reused pivot at column {k} is unusable "
                 f"({piv!r}); refactor with fresh pivoting",

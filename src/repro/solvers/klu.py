@@ -38,7 +38,7 @@ from ..sparse.schedule import (
     ScheduleCompileError,
     refactor_plan,
 )
-from .gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor, gp_refactor
+from .gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor
 from .triangular import btf_solve, drop_solve_plan
 
 __all__ = ["KLUSymbolic", "KLUNumeric", "KLU", "btf_permuted", "amd_blocks"]
@@ -135,14 +135,12 @@ class KLUNumeric:
     block_lu: List[GPResult]
     row_perm: np.ndarray       # final rows, including per-block pivoting
     col_perm: np.ndarray
-    M: CSC                     # (scaled) A[row_perm][:, col_perm], block upper triangular
+    M: CSC                     # A[row_perm][:, col_perm], block upper triangular
     ledger: CostLedger
     block_ledgers: List[CostLedger]
     block_working_sets: List[float]
-    row_scale: Optional[np.ndarray] = None  # equilibration factors, or None
     # Value gathers and blocked replay reused by refactor_fast across a
-    # fixed-pattern sequence (None until the first refactor_fast, or
-    # after a pivot fallback changed the row permutation).
+    # fixed-pattern sequence (None until the first refactor_fast).
     refactor_plan: Optional[RefactorPlan] = None
     # Compiled whole-BTF solve (None until the first solve); carried
     # across refactor_fast like refactor_plan.
@@ -192,11 +190,9 @@ class KLUNumeric:
 class KLU:
     """BTF + AMD + Gilbert–Peierls serial sparse LU.
 
-    ``scale`` applies KLU-style row equilibration before factoring:
-    ``"max"`` divides each row by its largest magnitude, ``"sum"`` by
-    its 1-norm, ``None`` disables scaling.  (The reference KLU defaults
-    to max-scaling; here the default is off so that unscaled and scaled
-    paths are both first-class.)
+    ``pivot_tol`` and ``static_perturb`` go to every block's
+    :func:`~repro.solvers.gp.gp_factor`.  The input is factored unscaled
+    (the reference KLU's row equilibration is not reproduced).
     """
 
     name = "KLU"
@@ -204,25 +200,10 @@ class KLU:
     def __init__(
         self,
         pivot_tol: float = GP_DEFAULT_PIVOT_TOL,
-        scale: str | None = None,
         static_perturb: float = 0.0,
     ):
-        if scale not in (None, "max", "sum"):
-            raise StructureError("scale must be None, 'max' or 'sum'")
         self.pivot_tol = float(pivot_tol)
-        self.scale = scale
         self.static_perturb = float(static_perturb)
-
-    def _row_scale(self, A: CSC) -> np.ndarray:
-        """Row equilibration factors r with R = diag(r)."""
-        n = A.n_rows
-        agg = np.zeros(n, dtype=np.float64)
-        if self.scale == "max":
-            np.maximum.at(agg, A.indices, np.abs(A.data))
-        else:
-            np.add.at(agg, A.indices, np.abs(A.data))
-        agg[agg == 0.0] = 1.0
-        return 1.0 / agg
 
     # ------------------------------------------------------------------
     @domains(A="matrix[global]")
@@ -255,17 +236,10 @@ class KLU:
         tr = get_tracer()
         sp = tr.span("numeric.gp")
         with sp:
-            r = None
-            if self.scale is not None:
-                r = self._row_scale(A)
-                A = CSC(A.n_rows, A.n_cols, A.indptr.copy(), A.indices.copy(),
-                        A.data * r[A.indices])
             B = A.permute(symbolic.row_perm_pre, symbolic.col_perm)
             total = CostLedger()
             overhead = CostLedger()
             overhead.mem_words += A.nnz  # permutation / block scatter traffic
-            if r is not None:
-                overhead.mem_words += A.nnz  # scaling pass
             total.add(overhead)
             sp.attach_overhead(overhead)
 
@@ -305,7 +279,6 @@ class KLU:
             ledger=total,
             block_ledgers=block_ledgers,
             block_working_sets=block_ws,
-            row_scale=r,
         )
 
     # ------------------------------------------------------------------
@@ -328,112 +301,59 @@ class KLU:
         """``klu_refactor``: values-only update on fixed patterns/pivots.
 
         Reuses the previous numeric object's per-block patterns *and*
-        pivot orders — no reach DFS, no pivot search.  Any block whose
-        reused pivot degenerates falls back to a full Gilbert–Peierls
-        factorization of that block (fresh pivoting), matching the
-        recommended klu_refactor/klu_factor usage pattern.
-
-        Every block replays at once through the shared
+        pivot orders — no reach DFS, no pivot search.  Every block
+        replays at once through the shared
         :class:`~repro.sparse.schedule.RefactorPlan`, compiled on the
         first call and carried on the numeric objects, so every later
         matrix of a fixed-pattern sequence is pure value gathers plus
-        one vectorized level-scheduled replay.
+        one vectorized level-scheduled replay.  When a reused pivot
+        degenerates or the patterns cannot be scheduled, returns
+        :meth:`refactor` instead (``klu_factor``: fresh pivoting), the
+        recommended klu_refactor/klu_factor usage pattern.
         """
+        try:
+            return self._refactor_fast(A, numeric)
+        except (SingularMatrixError, ScheduleCompileError):
+            get_tracer().metrics.incr("klu.refactor.fallback")
+            return self.refactor(A, numeric)
+
+    def _refactor_fast(self, A: CSC, numeric: KLUNumeric) -> KLUNumeric:
         symbolic = numeric.symbolic
-        splits = symbolic.block_splits
-        tr = get_tracer()
-        sp = tr.span("refactor.replay")
+        sp = get_tracer().span("refactor.replay")
         with sp:
-            r = None
-            if self.scale is not None:
-                r = self._row_scale(A)
-                A = CSC(A.n_rows, A.n_cols, A.indptr.copy(), A.indices.copy(),
-                        A.data * r[A.indices])
             # Reuse the *final* row permutation (pivoting included): the
             # permuted diagonal blocks then refactor pivot-free.
             plan = refactor_plan(numeric.refactor_plan, "klu", A, numeric.row_perm,
-                                 symbolic.col_perm, splits)
+                                 symbolic.col_perm, symbolic.block_splits)
             numeric.refactor_plan = plan
             M = plan.permute(_fault_values("klu.refactor.values", A.data))
+            replayed = plan.replay(M.data, [(lu.L, lu.U) for lu in numeric.block_lu])
+            # Costs are attached only once the replay succeeded: a failed
+            # replay's span then carries none, the fallback's spans all.
             total = CostLedger()
-            overhead = CostLedger()
-            overhead.mem_words += A.nnz
-            total.add(overhead)
-            sp.attach_overhead(overhead)
-
-            # Hot path: one replay of every block.  A degenerate reused
-            # pivot or an unschedulable pattern drops to the per-block
-            # loop, which re-pivots only the blocks that need it.
-            try:
-                replayed = plan.replay(M.data, [(lu.L, lu.U) for lu in numeric.block_lu])
-            except ScheduleCompileError:
-                replayed = None
-            except SingularMatrixError:
-                tr.metrics.incr("klu.refactor.singular_fallback")
-                replayed = None
-
+            total.mem_words += A.nnz  # permutation / scatter traffic
+            sp.attach_overhead(total)  # copied now: the overhead alone
             block_lu: List[GPResult] = []
             block_ledgers: List[CostLedger] = []
-            row_perm = numeric.row_perm
-            fell_back = False
-            if replayed is not None:
-                for prior, (L, U, led) in zip(numeric.block_lu, replayed):
-                    # Identity pivot order within the pre-pivoted block.
-                    block_lu.append(GPResult(L, U, np.arange(L.n_cols, dtype=np.int64),
-                                             led, schedule=prior.schedule))
-                    block_ledgers.append(led)
-            else:
-                row_perm = row_perm.copy()
-                for k in range(symbolic.n_blocks):
-                    lo, hi = int(splits[k]), int(splits[k + 1])
-                    bptr, brows, bgather = plan.blocks[k]
-                    blk = CSC(hi - lo, hi - lo, bptr, brows, M.data[bgather])
-                    led = CostLedger()
-                    prior = numeric.block_lu[k]
-                    try:
-                        fixed = GPResult(prior.L, prior.U,
-                                         np.arange(hi - lo, dtype=np.int64), led,
-                                         schedule=prior.schedule)
-                        lu = gp_refactor(blk, fixed, ledger=led)
-                        # Persist the compiled schedule on the prior numeric
-                        # too (covers callers that keep refactoring from one
-                        # object).
-                        prior.schedule = lu.schedule
-                    except SingularMatrixError:
-                        tr.metrics.incr("klu.refactor.block_fallback")
-                        plans = symbolic.dense_plans
-                        lu = gp_factor(blk, pivot_tol=self.pivot_tol,
-                                       static_perturb=self.static_perturb, ledger=led,
-                                       dense_plan=plans[k] if plans else None)
-                        if plans is not None:
-                            plans[k] = lu.dense_plan
-                        row_perm[lo:hi] = row_perm[lo:hi][lu.row_perm]
-                        fell_back = True
-                    block_lu.append(lu)
-                    block_ledgers.append(led)
-            for led in block_ledgers:
+            for L, U, led in replayed:
+                # Identity pivot order within the pre-pivoted block.
+                block_lu.append(GPResult(L, U, np.arange(L.n_cols, dtype=np.int64), led))
+                block_ledgers.append(led)
                 total.add(led)
-
-            if fell_back:
-                # The row permutation changed: the plans keyed to the old
-                # one no longer apply to the result.
-                M = A.permute(row_perm, symbolic.col_perm)
-                plan = None
             sp.attach(total)
-            return KLUNumeric(
-                symbolic=symbolic,
-                block_lu=block_lu,
-                row_perm=row_perm,
-                col_perm=symbolic.col_perm,
-                M=M,
-                ledger=total,
-                block_ledgers=block_ledgers,
-                block_working_sets=[(lu.L.nnz + lu.U.nnz) * 12.0 + lu.L.n_cols * 8.0
-                                    for lu in block_lu],
-                row_scale=r,
-                refactor_plan=plan,
-                solve_plan=None if fell_back else numeric.solve_plan,
-            )
+        return KLUNumeric(
+            symbolic=symbolic,
+            block_lu=block_lu,
+            row_perm=numeric.row_perm,
+            col_perm=symbolic.col_perm,
+            M=M,
+            ledger=total,
+            block_ledgers=block_ledgers,
+            block_working_sets=[(lu.L.nnz + lu.U.nnz) * 12.0 + lu.L.n_cols * 8.0
+                                for lu in block_lu],
+            refactor_plan=plan,
+            solve_plan=numeric.solve_plan,
+        )
 
     # ------------------------------------------------------------------
     @domains(b="vec[global]", returns="vec[global]")

@@ -35,6 +35,7 @@ import numpy as np
 from ..errors import SingularMatrixError, StructureError
 from ..graph.etree import etree, postorder, symbolic_cholesky_counts, symmetric_pattern
 from ..graph.matching import mwcm_row_permutation
+from ..obs.tracer import get_tracer
 from ..ordering.amd import amd_order
 from ..ordering.nd import nd_order
 from ..ordering.perm import compose, invert
@@ -532,15 +533,17 @@ class SupernodalLU:
         Replays the whole factor as one block of the shared
         :class:`~repro.sparse.schedule.RefactorPlan` — pure value
         gathers plus level-scheduled vectorized elimination.  Falls back
-        to :meth:`refactor` (full factor, static pivoting re-applied)
-        when the prior factor relied on perturbed pivots, a reused pivot
-        falls to zero, or the amalgamated pattern cannot be scheduled.
+        to :meth:`refactor` (full factor, static pivoting re-applied),
+        counted as ``supernodal.refactor.fallback``, when the prior
+        factor relied on perturbed pivots, a reused pivot falls to zero,
+        or the amalgamated pattern cannot be scheduled.
         The result carries no task DAG (modelled parallel times come
         from :meth:`refactor`); this is the wall-clock sequence path.
         """
         # Perturbed pivots mean the stored factors are not an exact LU
         # of M; an exact replay would divide by near-zero pivots.
         if numeric.perturbed_pivots:
+            get_tracer().metrics.incr("supernodal.refactor.fallback")
             return self.refactor(A, numeric)
         n = numeric.symbolic.n
         # row_perm is pre-applied in M, so the pivot order is the
@@ -552,6 +555,7 @@ class SupernodalLU:
             ((L, U, factor_led),) = plan.replay(A.data[plan.m_gather],
                                                 [(numeric.L, numeric.U)])
         except (SingularMatrixError, ScheduleCompileError):
+            get_tracer().metrics.incr("supernodal.refactor.fallback")
             return self.refactor(A, numeric)
         led = CostLedger()
         led.mem_words += A.nnz  # permutation / scatter traffic

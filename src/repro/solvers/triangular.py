@@ -38,15 +38,15 @@ def lu_solve_factors(
     L: CSC,
     U: CSC,
     b_perm: np.ndarray,
-    unit_diag_L: bool = True,
     ledger: CostLedger | None = None,
 ) -> np.ndarray:
-    """Solve ``L U z = b_perm`` (b already row-permuted).
+    """Solve ``L U z = b_perm`` (b already row-permuted), ``L`` unit
+    lower triangular.
 
     ``b_perm`` is ``(n,)`` or ``(n, k)``; the ledger books the work of
     all ``k`` columns.
     """
-    y = triangular_schedule(L, "lower").solve(L, b_perm, unit_diag=unit_diag_L)
+    y = triangular_schedule(L, "lower").solve(L, b_perm, unit_diag=True)
     z = triangular_schedule(U, "upper").solve(U, y)
     if ledger is not None:
         k = 1 if z.ndim == 1 else z.shape[1]
@@ -129,8 +129,8 @@ def btf_solve(numeric, b: np.ndarray, transpose: bool = False) -> np.ndarray:
     back-substitution over the BTF.
 
     ``numeric`` is a KLU, Basker or supernodal numeric object (its
-    :func:`btf_factors`, ``row_perm``, ``col_perm``, ``solve_plan`` and
-    an optional ``row_scale``).  ``b`` is ``(n,)`` or ``(n, k)``.
+    :func:`btf_factors`, ``row_perm``, ``col_perm`` and ``solve_plan``).
+    ``b`` is ``(n,)`` or ``(n, k)``.
     """
     b = np.asarray(b, dtype=np.float64)
     splits, blocks, M = btf_factors(numeric)
@@ -143,4 +143,4 @@ def btf_solve(numeric, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         plan = btf_solve_plan(numeric, splits, blocks, M)
         parts = [a for blk in blocks if blk is not None for a in (blk[0].data, blk[1].data)]
         t_data = plan.values(parts, None if M is None else M.data)
-        return plan.solve(t_data, b, getattr(numeric, "row_scale", None), transpose)
+        return plan.solve(t_data, b, transpose)

@@ -148,11 +148,12 @@ class CSC:
 
     @classmethod
     def from_dense(cls, a: np.ndarray, drop_tol: float = 0.0) -> "CSC":
-        """Build from a dense array, dropping entries with |a| <= drop_tol."""
+        """Build from a dense array, dropping entries with |a| <= drop_tol
+        (a NaN entry is kept, so a solver can report it)."""
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2:
             raise StructureError("expected a 2-D array")
-        mask = np.abs(a) > drop_tol
+        mask = ~(np.abs(a) <= drop_tol)
         r, c = np.nonzero(mask)
         return cls.from_coo(r, c, a[r, c], a.shape)
 

@@ -453,7 +453,6 @@ class RefactorSchedule:
         self,
         a_data: np.ndarray,
         ledger: Optional[CostLedger],
-        pivot_floor: float = 0.0,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Replay the schedule on new values; returns ``(Lx, Ux)``.
 
@@ -462,7 +461,7 @@ class RefactorSchedule:
         (:func:`~repro.solvers.gp.gp_refactor_reference`) and of a fresh
         factorization with these pivots, whatever the values.
         Raises :class:`~repro.errors.SingularMatrixError` when a reused
-        pivot is unusable; with several unusable pivots the reported
+        pivot is 0.0; with several zero pivots the reported
         column is the first one *in schedule order*, which may differ
         from the reference loop's (always the smallest failing column).
         """
@@ -480,8 +479,8 @@ class RefactorSchedule:
         Lx[self.l_diag_dst] = 1.0
         for stage in self.stages:
             piv = xwork[stage.piv_wpos]
-            bad = (np.abs(piv) <= pivot_floor) | (piv == 0.0)
-            if np.any(bad):
+            bad = piv == 0.0
+            if bad.any():
                 k = int(stage.cols[np.flatnonzero(bad).min()])
                 raise SingularMatrixError(
                     f"refactor: reused pivot at column {k} is unusable "
@@ -760,19 +759,17 @@ class BlockedRefactorSchedule:
         self.u_ptr = np.cumsum(u_nnz)
 
     # ------------------------------------------------------------------
-    def run(
-        self, m_data: np.ndarray, pivot_floor: float = 0.0
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def run(self, m_data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Replay on the permuted matrix's values.
 
         Returns ``(Lx, Ux)``: block ``k``'s factor values are
         ``Lx[l_ptr[k]:l_ptr[k+1]]`` / ``Ux[u_ptr[k]:u_ptr[k+1]]``; its
         costs, fixed by the patterns, are ``schedule.ledgers[k]``.
         Raises :class:`~repro.errors.SingularMatrixError` as
-        :meth:`RefactorSchedule.run` does; callers fall back to a
-        per-block loop with fresh pivoting where needed.
+        :meth:`RefactorSchedule.run` does; callers then refactor with
+        fresh pivoting.
         """
-        return self.schedule.run(m_data[self.d_gather], None, pivot_floor=pivot_floor)
+        return self.schedule.run(m_data[self.d_gather], None)
 
 
 # ======================================================================
@@ -1002,12 +999,10 @@ class BTFSolveSchedule:
         return src[self.gather]
 
     def solve(self, t_data: np.ndarray, b: np.ndarray,
-              row_scale: Optional[np.ndarray] = None,
               transpose: bool = False) -> np.ndarray:
         """``x`` with ``A x = b``, or ``A.T x = b`` with ``transpose``, for
         ``b`` of shape ``(n,)`` or ``(n, k)``; ``t_data`` comes from
-        :meth:`values`, ``row_scale`` is the factorization's row
-        equilibration (``M`` factors ``R A``)."""
+        :meth:`values`."""
         d = np.zeros((2 * self.n,) + b.shape[1:], dtype=np.float64)
         if transpose:
             if self.t_schedule is None:
@@ -1016,15 +1011,8 @@ class BTFSolveSchedule:
             w = self._replay(self.t_schedule, t_data[self.t_order], d)
             x = np.empty(b.shape, dtype=np.float64)
             x[self.row_perm] = w[self.y_pos]
-            if row_scale is not None:
-                # (R A).T w = b  =>  A.T (R w) = b.
-                x *= row_scale if b.ndim == 1 else row_scale[:, None]
             return x
-        c = b[self.row_perm]
-        if row_scale is not None:
-            r = row_scale[self.row_perm]
-            c = c * (r if b.ndim == 1 else r[:, None])
-        d[self.y_pos] = c
+        d[self.y_pos] = b[self.row_perm]
         return self._replay(self.schedule, t_data, d)[self.x_src]
 
     def _replay(self, schedule: TriangularSchedule, data: np.ndarray,

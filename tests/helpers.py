@@ -105,9 +105,6 @@ def btf_solve_reference(numeric, b: np.ndarray) -> np.ndarray:
         return out
     n = b.shape[0]
     splits, blocks, M = _oracle_blocks(numeric)
-    scale = getattr(numeric, "row_scale", None)
-    if scale is not None:
-        b = b * scale  # the factors are of R A: solve (R A) x = R b
     c = b[numeric.row_perm].copy()
     z = np.zeros(n, dtype=np.float64)
     for k in range(len(splits) - 2, -1, -1):
@@ -187,10 +184,6 @@ def btf_solve_transpose_reference(numeric, b: np.ndarray) -> np.ndarray:
         z[lo:hi] = _unit_lower_solve_T(L, _upper_solve_T(U, c[lo:hi]))
     x = np.empty(n, dtype=np.float64)
     x[numeric.row_perm] = z
-    scale = getattr(numeric, "row_scale", None)
-    if scale is not None:
-        # Factors are of R A: (RA)^T y = b  =>  A^T (R y) = b.
-        x = x * scale
     return x
 
 

@@ -27,7 +27,6 @@ from .helpers import btf_solve_reference, random_spd_like
 
 SOLVERS = {
     "klu": lambda: KLU(),
-    "klu-max": lambda: KLU(scale="max"),
     "basker": lambda: Basker(n_threads=4, nd_threshold=50),
     "pardiso": lambda: SupernodalLU(),
 }
@@ -115,7 +114,7 @@ def test_pivot_fallback_recompiles_plan():
     with tracing(Tracer()) as tr:
         num = klu.factor(A)
         klu.solve(num, b)
-        fast = klu.refactor_fast(A2, num)  # per-block fallback re-pivots
+        fast = klu.refactor_fast(A2, num)  # falls back to a re-pivoting refactor
         assert not np.array_equal(fast.row_perm, num.row_perm)
         x = klu.solve(fast, b)
     assert fast.solve_plan is not num.solve_plan

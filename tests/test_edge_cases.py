@@ -125,7 +125,7 @@ class TestDegenerateStructures:
         d = A.to_dense()
         np.fill_diagonal(d, np.abs(d).sum(axis=1) + 1.0)
         A = CSC.from_dense(d)
-        klu = KLU(scale="max")
+        klu = KLU()
         num = klu.factor(A)
         b = rng.standard_normal(20)
         assert solve_residual(A, klu.solve(num, b), b) < 1e-9

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import SingularMatrixError
 from repro.interface import DirectSolver, available_solvers
 from repro.matrices import btf_composite, grid2d, thick_ladder
 from repro.ordering import is_permutation
@@ -54,6 +55,33 @@ class TestDirectSolver:
         rng = np.random.default_rng(3)
         b = rng.standard_normal(A.n_rows)
         assert solve_residual(A2, s.solve(b), b) < 1e-10
+
+    @pytest.mark.parametrize("name, module", [
+        ("klu", "repro.solvers.klu"), ("basker", "repro.core.basker"),
+    ], ids=["klu", "basker"])
+    def test_singular_same_pattern_matrix_is_factored_once(self, monkeypatch,
+                                                           name, module):
+        """refactor_fast's own fallback is the only fresh factorization:
+        a singular same-pattern matrix raises after one gp_factor."""
+        import importlib
+
+        rng = np.random.default_rng(22)
+        A = CSC.from_dense(rng.standard_normal((6, 6)) + 8 * np.eye(6))
+        col = np.repeat(np.arange(6), np.diff(A.indptr))
+        A2 = CSC(6, 6, A.indptr, A.indices, np.where(col == 0, 0.0, A.data))
+        s = DirectSolver(name)
+        s.numeric_factorization(A)
+        mod = importlib.import_module(module)
+        real, calls = mod.gp_factor, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].n_cols)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "gp_factor", spy)
+        with pytest.raises(SingularMatrixError):
+            s.numeric_factorization(A2)
+        assert calls == [6]
 
     def test_transpose_and_refined_solves(self):
         A = _matrix(4)

@@ -169,8 +169,8 @@ class TestKLURefactorFast:
         assert np.allclose(x_fast, x_full, atol=1e-9)
 
     def test_fallback_on_degenerate_pivot(self):
-        """Zeroing the value under a reused pivot triggers per-block
-        fallback to fresh pivoting — and stays correct."""
+        """Zeroing the value under a reused pivot makes refactor_fast
+        fall back to a refactor with fresh pivoting — and stays correct."""
         rng = np.random.default_rng(22)
         d = rng.standard_normal((6, 6)) + 8 * np.eye(6)
         A = CSC.from_dense(d)

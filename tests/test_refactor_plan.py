@@ -224,6 +224,47 @@ def test_basker_degenerate_pivot_falls_back_to_full_refactor():
     assert np.abs(A2.to_dense() @ basker.solve(fast, b) - b).max() < 1e-10
 
 
+def _two_blocks_with_a_dying_pivot():
+    """An 11x11 matrix of two diagonal blocks (6x6 and 5x5, each
+    ``standard_normal + 8 I``) and a same-pattern copy storing 0.0 at
+    (0, 0)."""
+    rng = np.random.default_rng(22)
+    d = np.zeros((11, 11))
+    d[:6, :6] = rng.standard_normal((6, 6)) + 8 * np.eye(6)
+    d[6:, 6:] = rng.standard_normal((5, 5)) + 8 * np.eye(5)
+    A = CSC.from_dense(d)
+    col = np.repeat(np.arange(11), np.diff(A.indptr))
+    return A, CSC(11, 11, A.indptr, A.indices,
+                  np.where((A.indices == 0) & (col == 0), 0.0, A.data))
+
+
+@pytest.mark.parametrize("solver,prefix", [
+    (KLU, "klu"), (lambda: Basker(n_threads=1), "basker"), (SupernodalLU, "supernodal"),
+], ids=["klu", "basker", "supernodal"])
+def test_a_fallback_step_returns_what_refactor_returns(solver, prefix):
+    """Every solver falls back the same way: a reused pivot that dies
+    makes ``refactor_fast`` return exactly the result of ``refactor``,
+    counted once as ``<prefix>.refactor.fallback``."""
+    A, A2 = _two_blocks_with_a_dying_pivot()
+    s = solver()
+    num = s.factor(A)
+    with tracing(Tracer()) as tr:
+        fast = s.refactor_fast(A2, num)
+    assert tr.metrics.counter(f"{prefix}.refactor.fallback") == 1
+    full = s.refactor(A2, num)
+    _, fast_blocks, fast_M = btf_factors(fast)
+    _, full_blocks, full_M = btf_factors(full)
+    assert len(fast_blocks) == len(full_blocks)
+    for got, want in zip(fast_blocks, full_blocks):
+        for g, w in zip(got, want):
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(g, attr), getattr(w, attr)), attr
+    assert np.array_equal(fast.row_perm, full.row_perm)
+    if full_M is not None:
+        assert np.array_equal(fast_M.data, full_M.data)
+    assert _ledger(fast.ledger) == _ledger(full.ledger)
+
+
 @pytest.mark.parametrize("solver,prefix", [
     (KLU, "klu"), (lambda: Basker(n_threads=4), "basker"), (SupernodalLU, "supernodal"),
 ])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import Basker
 from repro.errors import (
     FaultInjectionError,
     NumericalHealthError,
@@ -324,6 +325,31 @@ def test_ladder_spans_metrics_and_ledger_conservation():
     assert snap["counters"]["resilience.rung.replay.attempts"] == 1
     assert snap["counters"]["resilience.rung.refactor.success"] == 1
     assert snap["counters"]["resilience.faults.injected"] == 1
+    assert check_ledger_tree(tracer) == []
+
+
+@pytest.mark.parametrize("solver", ["klu", "basker"])
+def test_replay_fallback_conserves_ledgers(solver):
+    """A pivot zeroed in the replay workspace sends ``refactor_fast`` to
+    its fallback refactor inside the replay rung: the failed replay's
+    span books nothing, so every span still sums its children."""
+    A = get_matrix("circuit_4")
+    b = A.matvec(np.ones(A.n_rows))
+    impl = KLU() if solver == "klu" else Basker(n_threads=1)
+    tracer = Tracer()
+    with tracing(tracer):
+        with tracer.span("solve") as root:
+            sym = impl.analyze(A)
+            num = impl.factor(A, symbolic=sym)
+            pipeline = sym.ledger.copy()
+            pipeline.add(num.ledger)
+            with FaultPlan([FaultSpec(site="schedule.replay.workspace",
+                                      kind="pivot_zero")]):
+                x, _n, report = run_ladder(impl, A, b, symbolic=sym, prior=num)
+            pipeline.add(report.ledger)
+            root.attach(pipeline)
+    assert tracer.metrics.counter(f"{solver}.refactor.fallback") == 1
+    assert report.succeeded == "replay"
     assert check_ledger_tree(tracer) == []
 
 

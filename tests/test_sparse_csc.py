@@ -56,6 +56,15 @@ class TestConstructors:
         A.check()
         assert np.allclose(A.to_dense(), d)
 
+    def test_from_dense_keeps_nan_and_drops_at_tol(self):
+        assert CSC.from_dense(np.array([[np.nan]])).nnz == 1
+        d = np.array([[np.nan, 0.5, 0.0], [-0.5, 2.0, np.inf], [0.0, -1e-3, np.nan]])
+        A = CSC.from_dense(d, drop_tol=0.5)
+        assert sorted(zip(*np.nonzero(A.to_dense() != 0.0))) == [
+            (0, 0), (1, 1), (1, 2), (2, 2)]
+        assert np.isnan(A.get(0, 0)) and A.get(1, 2) == np.inf
+        assert CSC.from_dense(d).nnz == 7
+
 
 class TestQueries:
     def test_col_views(self):

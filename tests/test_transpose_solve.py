@@ -27,8 +27,6 @@ from .helpers import btf_solve_transpose_reference
 
 SOLVERS = {
     "klu": lambda: KLU(),
-    "klu-max": lambda: KLU(scale="max"),
-    "klu-sum": lambda: KLU(scale="sum"),
     "basker-fine": lambda: Basker(n_threads=1),
     "basker-nd4": lambda: Basker(n_threads=4),
     "basker-nd16": lambda: Basker(n_threads=16),
