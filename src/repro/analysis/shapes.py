@@ -1970,6 +1970,8 @@ def _audit_triangular(sched, label: str) -> List[ShapeFinding]:
              "diag_idx has shape %r, expected (%d,)"
              % (sched.diag_idx.shape, n))
     _chk_index(findings, label, "diag_idx", sched.diag_idx, nnz, lo=-1)
+    _chk_index(findings, label, "val_gather", sched.val_gather, nnz, lo=-1)
+    n_vals = sched.val_gather.size
     counts = np.zeros(n, dtype=np.int64)
     level_of = np.full(n, -1, dtype=np.int64)
     for s, lv in enumerate(sched.levels):
@@ -1995,20 +1997,18 @@ def _audit_triangular(sched, label: str) -> List[ShapeFinding]:
                 _chk_index(findings, label, where + " scalar rows",
                            np.asarray(rows), n)
             continue
-        _chk_index(findings, label, where + " diag_idx", lv.diag_idx, nnz,
-                   lo=-1)
-        _chk_size(findings, label, lv.counts.size, lv.cols.size,
-                  where + ": %d counts for %d columns")
-        if lv.counts.size and int(lv.counts.min()) < 0:
-            _aud(findings, label, "S2", "%s: negative entry count" % where)
-        _chk_size(findings, label, int(lv.counts.sum()), lv.ent_val_idx.size,
-                  where + ": counts sum to %d but %d entries staged")
-        _chk_index(findings, label, where + " ent_val_idx", lv.ent_val_idx,
-                   nnz)
-        _chk_perm(findings, label, where + " ent_order", lv.ent_order,
-                  lv.ent_val_idx.size)
+        n_ent = lv.ent_col.size
+        for name, part, want in (("diag", lv.diag, lv.cols.size),
+                                 ("ents", lv.ents, n_ent)):
+            if not (0 <= part.start <= part.stop <= n_vals):
+                _aud(findings, label, "S1",
+                     "%s: %s values [%d, %d) outside val_gather [0, %d]"
+                     % (where, name, part.start, part.stop, n_vals))
+            _chk_size(findings, label, part.stop - part.start, want,
+                      where + ": %d " + name + " values for %d reads")
+        _chk_index(findings, label, where + " ent_col", lv.ent_col, n)
         _chk_segments(findings, label, where, lv.seg_starts, lv.seg_tgt,
-                      lv.ent_val_idx.size, n)
+                      n_ent, n)
     _chk_finalized(findings, label, counts, "level")
     # Level order: every update lands in a row finalized strictly later.
     for s, lv in enumerate(sched.levels):
@@ -2052,41 +2052,44 @@ def _audit_refactor(sched, label: str) -> List[ShapeFinding]:
     _chk_size(findings, label, sched.l_diag_dst.size, n,
               "l_diag_dst has %d entries for %d unit diagonals")
     _chk_index(findings, label, "l_diag_dst", sched.l_diag_dst, l_nnz)
+    stage_of = np.repeat(np.arange(len(sched.stages)), np.array(
+        [st.cols.size for st in sched.stages], dtype=np.int64))
+    _chk_size(findings, label, sched.piv_wpos.size, stage_of.size,
+              "piv_wpos has %d entries for %d staged columns")
+    _chk_index(findings, label, "piv_wpos", sched.piv_wpos, wtotal)
+    # Stage of the pivot held in each workspace slot, -1 elsewhere.
+    piv_stage = np.full(wtotal, -1, dtype=np.int64)
+    if sched.piv_wpos.size == stage_of.size:
+        ok = (sched.piv_wpos >= 0) & (sched.piv_wpos < wtotal)
+        piv_stage[sched.piv_wpos[ok]] = stage_of[ok]
     counts = np.zeros(n, dtype=np.int64)
     for s, stage in enumerate(sched.stages):
         where = "stage %d" % s
         _chk_index(findings, label, where + " cols", stage.cols, n)
         counts += np.bincount(
             stage.cols[(stage.cols >= 0) & (stage.cols < n)], minlength=n)
-        _chk_size(findings, label, stage.piv_wpos.size, stage.cols.size,
-                  where + ": %d pivot positions for %d columns")
-        _chk_index(findings, label, where + " piv_wpos", stage.piv_wpos,
-                   wtotal)
-        if stage.l_counts.size and int(stage.l_counts.min()) < 0:
-            _aud(findings, label, "S2", "%s: negative l_counts" % where)
-        _chk_size(findings, label, int(stage.l_counts.sum()), stage.l_dst.size,
-                  where + ": l_counts sum to %d but %d L slots staged")
         _chk_index(findings, label, where + " l_dst", stage.l_dst, l_nnz)
         _chk_distinct(findings, label, stage.l_dst,
                       "%s: duplicate L destinations within a stage" % where)
-        _chk_size(findings, label, stage.l_src.size, stage.l_dst.size,
-                  where + ": %d L sources for %d destinations")
-        _chk_index(findings, label, where + " l_src", stage.l_src, wtotal)
-        _chk_index(findings, label, where + " op_src_wpos",
-                   stage.op_src_wpos, wtotal)
-        _chk_size(findings, label, stage.op_len.size, stage.op_src_wpos.size,
-                  where + ": %d op lengths for %d ops")
-        if stage.op_len.size and int(stage.op_len.min()) < 0:
-            _aud(findings, label, "S2", "%s: negative op_len" % where)
-        _chk_size(findings, label, int(stage.op_len.sum()),
-                  stage.ent_lval_idx.size,
-                  where + ": op_len sums to %d but %d entries staged")
-        _chk_index(findings, label, where + " ent_lval_idx",
-                   stage.ent_lval_idx, l_nnz)
-        _chk_perm(findings, label, where + " ent_order", stage.ent_order,
-                  stage.ent_lval_idx.size)
+        for name, arr in (("l_src", stage.l_src), ("l_piv", stage.l_piv)):
+            _chk_size(findings, label, arr.size, stage.l_dst.size,
+                      where + ": %d " + name + " entries for %d L destinations")
+            _chk_index(findings, label, where + " " + name, arr, wtotal)
+        _chk_index(findings, label, where + " ent_lval", stage.ent_lval, l_nnz)
+        _chk_size(findings, label, stage.ent_src.size, stage.ent_lval.size,
+                  where + ": %d ent_src entries for %d ent_lval entries")
+        _chk_index(findings, label, where + " ent_src", stage.ent_src, wtotal)
         _chk_segments(findings, label, where, stage.seg_starts,
-                      stage.seg_tgt, stage.ent_lval_idx.size, wtotal)
+                      stage.seg_tgt, stage.ent_lval.size, wtotal)
+        # The one pivot check after the sweep reads each pivot as its
+        # own stage left it: no stage may update a pivot of its own or
+        # an earlier stage.
+        tgt = stage.seg_tgt[(stage.seg_tgt >= 0) & (stage.seg_tgt < wtotal)]
+        late = tgt[(piv_stage[tgt] >= 0) & (piv_stage[tgt] <= s)]
+        if late.size:
+            _aud(findings, label, "E4",
+                 "stage %d updates the pivot slot %d of stage %d"
+                 % (s, int(late[0]), int(piv_stage[late[0]])))
     if sched.stages:
         _chk_finalized(findings, label, counts, "stage")
     return findings
@@ -2106,11 +2109,15 @@ def audit_schedule_buffers(plan, label: Optional[str] = None
 
     * E4 — write disjointness and level order: scatter targets and L
       destinations distinct within each level/stage, every column
-      finalized exactly once, and every triangular update landing in a
+      finalized exactly once, every triangular update landing in a
       level strictly after its producer's (the precondition for running
-      a level in parallel);
-    * S1 — indices in bounds, ``ent_order``/``row_perm``/``t_order``
-      valid permutations;
+      a level in parallel), and no refactor stage updating a pivot of
+      its own or an earlier stage (the precondition for checking every
+      pivot once, after the sweep);
+    * S1 — indices in bounds, the folded gathers included (a solve's
+      ``val_gather``, value slices and ``ent_col``; a replay's
+      ``l_piv``, ``ent_lval``, ``ent_src`` and ``piv_wpos``), and
+      ``row_perm``/``t_order`` valid permutations;
     * S2 — ``seg_starts`` strictly increasing from 0, nonnegative
       counts, position maps and block boundaries well formed;
     * S3 — counts and sizes consistent with the staged entry totals.

@@ -324,7 +324,7 @@ class Basker:
                 total.add(led)
                 if k in numeric.fine_lu:
                     # row_perm already folds in all pivoting: identity order.
-                    fine_lu[k] = GPResult(L, U, np.arange(L.n_cols, dtype=np.int64), led)
+                    fine_lu[k] = GPResult(L, U, plan.identity[k], led)
                 else:
                     nd_numeric[k] = dataclasses.replace(
                         numeric.nd_numeric[k], L=L, U=U, ledger=led, overhead=CostLedger()

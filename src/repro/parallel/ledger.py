@@ -56,8 +56,13 @@ class CostLedger:
             raise TypeError(
                 f"can only add a CostLedger to a CostLedger, not {type(other).__name__}"
             )
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        # Field by field, not through fields(): ledgers are added once per
+        # block of every refactorization step.
+        self.sparse_flops += other.sparse_flops
+        self.dense_flops += other.dense_flops
+        self.dfs_steps += other.dfs_steps
+        self.mem_words += other.mem_words
+        self.columns += other.columns
         return self
 
     def __iadd__(self, other: "CostLedger") -> "CostLedger":
@@ -70,7 +75,8 @@ class CostLedger:
         return CostLedger(**{f.name: getattr(self, f.name) * alpha for f in fields(self)})
 
     def copy(self) -> "CostLedger":
-        return CostLedger(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return CostLedger(self.sparse_flops, self.dense_flops, self.dfs_steps,
+                          self.mem_words, self.columns)
 
     @property
     def total_flops(self) -> float:

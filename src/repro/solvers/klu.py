@@ -335,9 +335,9 @@ class KLU:
             sp.attach_overhead(total)  # copied now: the overhead alone
             block_lu: List[GPResult] = []
             block_ledgers: List[CostLedger] = []
-            for L, U, led in replayed:
+            for (L, U, led), perm in zip(replayed, plan.identity):
                 # Identity pivot order within the pre-pivoted block.
-                block_lu.append(GPResult(L, U, np.arange(L.n_cols, dtype=np.int64), led))
+                block_lu.append(GPResult(L, U, perm, led))
                 block_ledgers.append(led)
                 total.add(led)
             sp.attach(total)
@@ -349,8 +349,8 @@ class KLU:
             M=M,
             ledger=total,
             block_ledgers=block_ledgers,
-            block_working_sets=[(lu.L.nnz + lu.U.nnz) * 12.0 + lu.L.n_cols * 8.0
-                                for lu in block_lu],
+            # Fixed by the patterns, which a replay keeps.
+            block_working_sets=numeric.block_working_sets,
             refactor_plan=plan,
             solve_plan=numeric.solve_plan,
         )

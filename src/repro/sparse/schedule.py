@@ -53,6 +53,15 @@ available as ``*_reference`` oracles.
 Compilation is pattern-only and costs one pass over the factors;
 sequences of same-pattern matrices (the Xyce transient workload) compile
 once and replay vectorized for every subsequent matrix.
+
+Plans are deep and narrow (hundreds of levels of a few columns), so a
+replay costs about one fixed numpy call overhead per call per level,
+not arithmetic.  Every permutation the pattern fixes is therefore folded
+into the compiled arrays: a refactor stage reads its pivots, multipliers
+and sources in segment order directly (``l_piv``, ``ent_lval``,
+``ent_src``), and a triangular schedule gathers every value its vector
+levels read in one ``data[val_gather]`` per solve.  The refactor replay
+checks its pivots once, after the sweep (see :meth:`RefactorSchedule.run`).
 """
 
 from __future__ import annotations
@@ -117,22 +126,26 @@ def _segment(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # Levels at most this wide run as a per-column scalar loop instead of
 # the whole-level vector path: deep factors produce long runs of 1-2
-# column levels where the fixed cost of the vector calls dominates.
+# column levels where the fixed cost of the vector calls dominates.  The
+# two paths round differently (the scalar one subtracts a level's
+# updates to a row one column at a time, the vector one sums them
+# first), so moving the bound changes solutions in the last bits.
 _SCALAR_LEVEL_WIDTH = 4
 
 
 @dataclass
 class _TriLevel:
     cols: np.ndarray        # columns finalized at this level
-    diag_idx: np.ndarray    # data index of each column's diagonal (-1 if absent)
-    counts: np.ndarray      # off-diagonal update entries per column
-    ent_val_idx: np.ndarray  # data indices of the update entries, grouped by column
-    ent_order: np.ndarray
+    # The level's slices of the schedule's ``val_gather``: its
+    # diagonals, then its update entries in segment order.
+    diag: slice
+    ents: slice
+    ent_col: np.ndarray     # per update entry in segment order: its source column
     seg_starts: np.ndarray
     seg_tgt: np.ndarray     # target rows of x
     # Narrow levels only: per column ``(j, diag, lo, hi, rows)`` with
     # ``lo:hi`` the data slice of the update entries and ``rows`` their
-    # target rows; the vector arrays above are left empty then.
+    # target rows; the vector fields above are left empty then.
     scalar_cols: Optional[list] = None
 
 
@@ -146,6 +159,10 @@ class TriangularSchedule:
     diag_idx: np.ndarray    # per column, -1 when no stored diagonal
     col_empty: np.ndarray   # per column, True when the column stores nothing
     levels: List[_TriLevel]
+    # Data index of every value the vector levels read, level by level
+    # (see ``_TriLevel.diag``/``ents``; -1 for a missing diagonal): a
+    # replay gathers them all at once.
+    val_gather: np.ndarray
 
     @property
     def n_levels(self) -> int:
@@ -202,6 +219,7 @@ class TriangularSchedule:
         use_diag = not unit_diag
         if use_diag:
             self._check_diagonal(data)
+        vals = self._values(data)
         for lv in self.levels:
             scalars = lv.scalar_cols
             if scalars is not None:
@@ -213,12 +231,17 @@ class TriangularSchedule:
                         x[rows] -= data[lo:hi] * xj
                 continue
             if use_diag:
-                x[lv.cols] /= data[lv.diag_idx]
-            if lv.ent_val_idx.size:
-                xj = np.repeat(x[lv.cols], lv.counts)
-                prods = data[lv.ent_val_idx] * xj
-                x[lv.seg_tgt] -= np.add.reduceat(prods[lv.ent_order], lv.seg_starts)
+                x[lv.cols] /= vals[lv.diag]
+            if lv.seg_starts.size:
+                prods = vals[lv.ents] * x[lv.ent_col]
+                x[lv.seg_tgt] -= np.add.reduceat(prods, lv.seg_starts)
         return x
+
+    def _values(self, data: np.ndarray) -> np.ndarray:
+        """Every value the vector levels read, in one gather.  A pattern
+        with no entries has none to read: its diagonals are all missing,
+        so only a unit-diagonal replay gets here."""
+        return data[self.val_gather] if data.size else data
 
     @shapes(b="f8[n,k]", returns="f8[n,k]")
     def _replay_block(self, data: np.ndarray, b: np.ndarray, unit_diag: bool) -> np.ndarray:
@@ -229,6 +252,10 @@ class TriangularSchedule:
         use_diag = not unit_diag
         if use_diag:
             self._check_diagonal(data)
+        vals = self._values(data)
+        # Rows are read with ``take`` (faster than fancy indexing) and
+        # written back whole: the targets of one column or one level are
+        # distinct, so ``x[t] = x.take(t) - p`` is ``x[t] -= p``.
         for lv in self.levels:
             scalars = lv.scalar_cols
             if scalars is not None:
@@ -237,18 +264,18 @@ class TriangularSchedule:
                     if use_diag:
                         xj /= data[dj]
                     if lo != hi:
-                        x[rows] -= np.multiply.outer(data[lo:hi], xj)
+                        x[rows] = x.take(rows, axis=0) - np.multiply.outer(data[lo:hi], xj)
                 continue
             if use_diag:
-                x[lv.cols] /= data[lv.diag_idx][:, None]
-            if lv.ent_val_idx.size:
-                xj = x[np.repeat(lv.cols, lv.counts)]
-                prods = (data[lv.ent_val_idx][:, None] * xj)[lv.ent_order]
+                x[lv.cols] /= vals[lv.diag][:, None]
+            if lv.seg_starts.size:
+                prods = vals[lv.ents][:, None] * x.take(lv.ent_col, axis=0)
                 if lv.seg_starts.size < prods.shape[0]:
                     # Some rows take several updates; row-wise reduceat
                     # is slow, so levels with one update per row skip it.
                     prods = np.add.reduceat(prods, lv.seg_starts, axis=0)
-                x[lv.seg_tgt] -= prods
+                tgt = lv.seg_tgt
+                x[tgt] = x.take(tgt, axis=0) - prods
         return x
 
 
@@ -267,27 +294,33 @@ def compile_triangular_schedule(M: CSC, kind: str) -> TriangularSchedule:
         raise StructureError("triangular schedule requires a square matrix")
     n = M.n_cols
     indptr, indices = M.indptr, M.indices
-    lev = np.zeros(n, dtype=np.int64)
-    diag_idx = np.full(n, -1, dtype=np.int64)
-    off_lo = np.zeros(n, dtype=np.int64)
-    off_hi = np.zeros(n, dtype=np.int64)
-    col_order = range(n) if kind == "lower" else range(n - 1, -1, -1)
-    for j in col_order:
-        lo, hi = int(indptr[j]), int(indptr[j + 1])
-        rows = indices[lo:hi]
-        k = int(np.searchsorted(rows, j))
-        has_diag = k < rows.size and rows[k] == j
-        if has_diag:
-            diag_idx[j] = lo + k
-        if kind == "lower":
-            off_lo[j] = lo + k + (1 if has_diag else 0)
-            off_hi[j] = hi
-        else:
-            off_lo[j] = lo
-            off_hi[j] = lo + k
-        off = indices[off_lo[j] : off_hi[j]]
-        if off.size:
-            lev[off] = np.maximum(lev[off], lev[j] + 1)
+    # Per column: the first entry at or past the diagonal (rows are
+    # sorted, so it follows the entries above the diagonal), whether it
+    # is the diagonal, and the data range of the propagating entries.
+    col_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    pos = indptr[:-1] + np.bincount(col_of[indices < col_of], minlength=n)
+    has_diag = pos < indptr[1:]
+    has_diag[has_diag] = indices[pos[has_diag]] == np.flatnonzero(has_diag)
+    diag_idx = np.where(has_diag, pos, -1)
+    if kind == "lower":
+        off_lo, off_hi = pos + has_diag, indptr[1:]
+    else:
+        off_lo, off_hi = indptr[:-1], pos
+
+    # Longest path, one column at a time in sweep order, on Python lists
+    # (numpy scalar access would cost more than the work).  The rows are
+    # read through a memoryview: no list of nnz ints is built.
+    lev_l = [0] * n
+    rows_mv = memoryview(indices)
+    lo_l, hi_l = off_lo.tolist(), off_hi.tolist()
+    for j in (range(n) if kind == "lower" else range(n - 1, -1, -1)):
+        lo, hi = lo_l[j], hi_l[j]
+        if lo < hi:
+            nxt = lev_l[j] + 1
+            for i in rows_mv[lo:hi]:
+                if lev_l[i] < nxt:
+                    lev_l[i] = nxt
+    lev = np.array(lev_l, dtype=np.int64)
 
     order = np.argsort(lev, kind="stable")
     n_levels = int(lev.max()) + 1 if n else 0
@@ -300,32 +333,34 @@ def compile_triangular_schedule(M: CSC, kind: str) -> TriangularSchedule:
     ptr = np.concatenate(([0], np.cumsum(sizes)))
     levels: List[_TriLevel] = []
     empty = np.empty(0, dtype=np.int64)
+    diag_l = diag_idx.tolist()
+    gathers: List[np.ndarray] = []
+    g_end = 0
     for s in range(n_levels):
         cols = order[ptr[s] : ptr[s + 1]]
         if cols.size <= _SCALAR_LEVEL_WIDTH:
-            scalars = [
-                (int(j), int(diag_idx[j]), int(off_lo[j]), int(off_hi[j]),
-                 indices[off_lo[j] : off_hi[j]])
-                for j in cols
-            ]
+            scalars = [(j, diag_l[j], lo_l[j], hi_l[j], indices[lo_l[j] : hi_l[j]])
+                       for j in cols.tolist()]
             levels.append(_TriLevel(
-                cols=cols, diag_idx=empty, counts=empty, ent_val_idx=empty,
-                ent_order=empty, seg_starts=empty, seg_tgt=empty,
-                scalar_cols=scalars,
+                cols=cols, diag=slice(0, 0), ents=slice(0, 0), ent_col=empty,
+                seg_starts=empty, seg_tgt=empty, scalar_cols=scalars,
             ))
             continue
         counts = off_hi[cols] - off_lo[cols]
         ent_val_idx = _concat_ranges(off_lo[cols], counts)
         ent_order, seg_starts, seg_tgt = _segment(indices[ent_val_idx])
+        gathers += [diag_idx[cols], ent_val_idx[ent_order]]
+        d_end = g_end + cols.size
+        e_end = d_end + ent_val_idx.size
         levels.append(_TriLevel(
             cols=cols,
-            diag_idx=diag_idx[cols],
-            counts=counts,
-            ent_val_idx=ent_val_idx,
-            ent_order=ent_order,
+            diag=slice(g_end, d_end),
+            ents=slice(d_end, e_end),
+            ent_col=np.repeat(cols, counts)[ent_order],
             seg_starts=seg_starts,
             seg_tgt=seg_tgt,
         ))
+        g_end = e_end
     return TriangularSchedule(
         kind=kind,
         n=n,
@@ -333,6 +368,7 @@ def compile_triangular_schedule(M: CSC, kind: str) -> TriangularSchedule:
         diag_idx=diag_idx,
         col_empty=np.diff(indptr) == 0,
         levels=levels,
+        val_gather=np.concatenate(gathers) if gathers else empty,
     )
 
 
@@ -371,14 +407,12 @@ def triangular_schedule(M: CSC, kind: str) -> TriangularSchedule:
 @dataclass
 class _RefactorStage:
     cols: np.ndarray        # columns finalized at this stage
-    piv_wpos: np.ndarray    # workspace position of each column's pivot
-    l_counts: np.ndarray    # below-diagonal entries per column
     l_dst: np.ndarray       # indices into Lx for the below-diagonal values
     l_src: np.ndarray       # workspace positions of those values
-    op_src_wpos: np.ndarray  # per update op: workspace position of x_k[j]
-    op_len: np.ndarray      # per update op: |L(:, j)| - 1
-    ent_lval_idx: np.ndarray  # indices into Lx, grouped per op
-    ent_order: np.ndarray
+    l_piv: np.ndarray       # workspace position of each value's pivot
+    # Per update entry ``x_k[i] -= L[i, j] * x_k[j]``, in segment order:
+    ent_lval: np.ndarray    # index into Lx of L[i, j]
+    ent_src: np.ndarray     # workspace position of x_k[j]
     seg_starts: np.ndarray
     seg_tgt: np.ndarray     # workspace positions receiving the sums
 
@@ -421,6 +455,8 @@ class RefactorSchedule:
     a_scatter: np.ndarray   # A data index -> workspace position
     ux_src: np.ndarray      # workspace position of every U value
     l_diag_dst: np.ndarray  # Lx indices of the unit diagonal
+    # Workspace position of every column's pivot, in stage order.
+    piv_wpos: np.ndarray
     # Costs fixed by the patterns at compile time, one ledger per column
     # group; a replay books them unchanged.
     ledgers: List[CostLedger]
@@ -460,42 +496,42 @@ class RefactorSchedule:
         nothing): the counts of the reference column loop
         (:func:`~repro.solvers.gp.gp_refactor_reference`) and of a fresh
         factorization with these pivots, whatever the values.
-        Raises :class:`~repro.errors.SingularMatrixError` when a reused
-        pivot is 0.0; with several zero pivots the reported
-        column is the first one *in schedule order*, which may differ
-        from the reference loop's (always the smallest failing column).
+
+        Pivots are checked once, after the sweep: the sweep runs past a
+        zero pivot (its infinities and NaNs unreported), then every
+        pivot in :attr:`piv_wpos` is read.  No stage writes a pivot
+        slot after that pivot's own stage, so each pivot is read with
+        the value its stage divided by.  Raises
+        :class:`~repro.errors.SingularMatrixError` when a reused pivot
+        is 0.0; with several zero pivots the reported column is the
+        first one *in schedule order*, which may differ from the
+        reference loop's (always the smallest failing column).
         """
         xwork = np.zeros(self.wtotal, dtype=np.float64)
         xwork[self.a_scatter] = a_data
         plan = _fault_plan()
         if plan is not None:  # fault-injection harness only; free when idle
-            pivots = (
-                np.concatenate([st.piv_wpos for st in self.stages])
-                if self.stages else np.empty(0, dtype=np.int64)
-            )
-            plan.apply_workspace("schedule.replay.workspace", xwork, pivots)
+            plan.apply_workspace("schedule.replay.workspace", xwork, self.piv_wpos)
         Lx = np.empty(self.l_indices.size, dtype=np.float64)
         Ux = np.empty(self.u_indices.size, dtype=np.float64)
         Lx[self.l_diag_dst] = 1.0
-        for stage in self.stages:
-            piv = xwork[stage.piv_wpos]
-            bad = piv == 0.0
-            if bad.any():
-                k = int(stage.cols[np.flatnonzero(bad).min()])
-                raise SingularMatrixError(
-                    f"refactor: reused pivot at column {k} is unusable "
-                    f"({piv[np.flatnonzero(bad).min()]!r}); refactor with fresh pivoting",
-                    column=k,
-                )
-            if stage.l_dst.size:
-                Lx[stage.l_dst] = xwork[stage.l_src] / np.repeat(piv, stage.l_counts)
-            if stage.op_src_wpos.size:
-                sv = np.repeat(xwork[stage.op_src_wpos], stage.op_len)
-                prods = Lx[stage.ent_lval_idx] * sv
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for stage in self.stages:
+                if stage.l_dst.size:
+                    Lx[stage.l_dst] = xwork[stage.l_src] / xwork[stage.l_piv]
                 if stage.seg_starts.size:
-                    xwork[stage.seg_tgt] -= np.add.reduceat(
-                        prods[stage.ent_order], stage.seg_starts
-                    )
+                    prods = Lx[stage.ent_lval] * xwork[stage.ent_src]
+                    xwork[stage.seg_tgt] -= np.add.reduceat(prods, stage.seg_starts)
+        piv = xwork[self.piv_wpos]
+        bad = np.flatnonzero(piv == 0.0)
+        if bad.size:
+            i = bad[0]
+            k = int(np.concatenate([st.cols for st in self.stages])[i])
+            raise SingularMatrixError(
+                f"refactor: reused pivot at column {k} is unusable "
+                f"({piv[i]!r}); refactor with fresh pivoting",
+                column=k,
+            )
         Ux[:] = xwork[self.ux_src]
         if ledger is not None:
             for led in self.ledgers:
@@ -620,6 +656,7 @@ def compile_refactor_schedule(
     )
     op_ptr = np.concatenate(([0], np.cumsum(op_sizes)))
 
+    piv_wpos = wptr[col_order] + ucnt[col_order] - 1
     stages: List[_RefactorStage] = []
     for s in range(n_stages):
         cols = col_order[col_ptr[s] : col_ptr[s + 1]]
@@ -645,14 +682,11 @@ def compile_refactor_schedule(
         ent_order, seg_starts, seg_tgt = _segment(ent_pos)
         stages.append(_RefactorStage(
             cols=cols,
-            piv_wpos=wptr[cols] + ucnt[cols] - 1,
-            l_counts=l_counts,
             l_dst=l_dst,
             l_src=l_src,
-            op_src_wpos=op_wpos[ops],
-            op_len=op_len,
-            ent_lval_idx=ent_lval_idx,
-            ent_order=ent_order,
+            l_piv=np.repeat(piv_wpos[col_ptr[s] : col_ptr[s + 1]], l_counts),
+            ent_lval=ent_lval_idx[ent_order],
+            ent_src=np.repeat(op_wpos[ops], op_len)[ent_order],
             seg_starts=seg_starts,
             seg_tgt=seg_tgt,
         ))
@@ -681,6 +715,7 @@ def compile_refactor_schedule(
         a_scatter=a_scatter,
         ux_src=ux_src,
         l_diag_dst=Lp[:-1].copy(),
+        piv_wpos=piv_wpos,
         ledgers=ledgers,
         stages=stages,
     )
@@ -1134,7 +1169,9 @@ class RefactorPlan:
       ``M.data`` (``blocks``);
     * the :class:`BlockedRefactorSchedule` that replays all blocks at
       once, compiled on the first :meth:`replay` and revalidated against
-      the factor patterns, by object identity first.
+      the factor patterns, by object identity first;
+    * every block's identity pivot order (``identity``): ``M`` already
+      holds the pivoting, so each replayed block keeps its rows in place.
 
     Lookups count as ``<prefix>.refactor.gather.{hit,miss,invalidate}``
     (:func:`refactor_plan`) and ``<prefix>.refactor.schedule.*``
@@ -1152,6 +1189,7 @@ class RefactorPlan:
             A, row_perm, col_perm
         )
         self.blocks = diagonal_block_gathers(self.m_indptr, self.m_indices, splits)
+        self.identity = [np.arange(size, dtype=np.int64) for size in np.diff(splits).tolist()]
         self.schedule: Optional[BlockedRefactorSchedule] = None
         self.refs: list = []   # the factor pattern arrays ``schedule`` was compiled for
 
@@ -1204,10 +1242,8 @@ class RefactorPlan:
                 out.append(None)
                 continue
             L0, U0 = f
-            n = L0.n_cols
-            L = CSC(n, n, L0.indptr, L0.indices, Lx[l_ptr[k]:l_ptr[k + 1]])
-            U = CSC(n, n, U0.indptr, U0.indices, Ux[u_ptr[k]:u_ptr[k + 1]])
-            out.append((L, U, ledgers[k].copy()))
+            out.append((L0.with_data(Lx[l_ptr[k]:l_ptr[k + 1]]),
+                        U0.with_data(Ux[u_ptr[k]:u_ptr[k + 1]]), ledgers[k].copy()))
         return out
 
 

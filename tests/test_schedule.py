@@ -7,6 +7,8 @@ These properties are what let the fast path replace the loops in the
 solvers without perturbing any cost-model experiment.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +17,10 @@ from repro.bench.wallclock import _klu_refactor_reference, check_regression
 from repro.core import Basker
 from repro.errors import SingularMatrixError
 from repro.interface import DirectSolver
+from repro.matrices import get_matrix
 from repro.obs import Tracer, tracing
 from repro.parallel.ledger import CostLedger
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.solvers import KLU, SupernodalLU
 from repro.solvers.gp import (
     GPResult,
@@ -165,6 +169,96 @@ def test_gp_refactor_singular_pivot_raises_like_reference():
         gp_refactor(B, prior)
 
 
+def _chains(lengths):
+    """Independent lower bidiagonal chains (diagonal 4, subdiagonal 1),
+    one after the other: chain column ``k`` sits in replay stage ``k``
+    and each pivot is its diagonal entry, untouched by updates."""
+    dense = np.zeros((sum(lengths), sum(lengths)))
+    start = 0
+    for m in lengths:
+        for k in range(start, start + m):
+            dense[k, k] = 4.0
+            if k + 1 < start + m:
+                dense[k + 1, k] = 1.0
+        start += m
+    return CSC.from_dense(dense)
+
+
+def _singular_message(column):
+    return (f"refactor: reused pivot at column {column} is unusable "
+            f"({np.float64(0.0)!r}); refactor with fresh pivoting")
+
+
+def _with_zeros(A, entries):
+    B = CSC(A.n_rows, A.n_cols, A.indptr, A.indices, A.data.copy())
+    for i, j in entries:
+        lo, hi = B.indptr[j], B.indptr[j + 1]
+        B.data[lo + int(np.flatnonzero(B.indices[lo:hi] == i)[0])] = 0.0
+    return B
+
+
+@pytest.mark.parametrize("zeros, column", [
+    # Stages 1 and 3 of one chain: the earlier stage's column.
+    ([(1, 1), (3, 3)], 1),
+    # Stage 3 of the long chain (column 3) and stage 1 of the short one
+    # (column 6): schedule order, not column order, decides.
+    ([(3, 3), (6, 6)], 6),
+    # Two zeros in one stage: the first column of that stage.
+    ([(7, 7), (2, 2)], 2),
+])
+def test_first_zero_pivot_in_schedule_order_is_reported(zeros, column):
+    """Pivots are checked once, after the sweep; with zero pivots in
+    several stages the error names the first in schedule order, with
+    the message of a check made stage by stage."""
+    A = _chains([5, 3])
+    prior = gp_factor(A)
+    assert np.array_equal(prior.row_perm, np.arange(A.n_rows))
+    with pytest.raises(SingularMatrixError) as exc:
+        gp_refactor(_with_zeros(A, zeros), prior)
+    assert exc.value.column == column
+    assert str(exc.value) == _singular_message(column)
+
+
+def test_failing_replay_raises_no_floating_point_warning():
+    """The sweep runs past a zero pivot: dividing by it (``1/0``, ``0/0``)
+    and multiplying its infinite multipliers (``inf * 0``) warn nothing,
+    even with warnings raised as errors; the error is the singular
+    pivot's."""
+    n = 6
+    dense = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    A = CSC.from_dense(dense)
+    prior = gp_factor(A)
+    assert np.array_equal(prior.row_perm, np.arange(n))
+    # Column 2's pivot falls to 0, L[3, 2] = 1/0 and U[2, 3] = 0, so the
+    # update of column 3 computes inf * 0.
+    B = _with_zeros(A, [(1, 2), (2, 2), (2, 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError) as exc:
+            gp_refactor(B, prior)
+    assert exc.value.column == 2
+    assert str(exc.value) == _singular_message(2)
+
+
+@pytest.mark.parametrize("frac, slot, column", [(0.3, 8969, 800), (0.7, 9143, 861)])
+def test_pivot_zero_fault_zeroes_the_same_workspace_slot(frac, slot, column):
+    """The workspace hook runs before the sweep and is handed every
+    pivot slot in stage order, so a seeded ``pivot_zero`` fault zeroes
+    the same slot, and the replay names the same column, as with one
+    pivot check per stage (the pinned values)."""
+    A = get_matrix("circuit_4")
+    klu = KLU()
+    num = klu.refactor_fast(A, klu.factor(A))
+    plan = num.refactor_plan
+    plan_faults = FaultPlan([FaultSpec("schedule.replay.workspace", "pivot_zero",
+                                       frac=frac)])
+    with pytest.raises(SingularMatrixError) as exc:
+        with plan_faults:
+            plan.replay(plan.permute(A.data).data, [(lu.L, lu.U) for lu in num.block_lu])
+    assert [e.index for e in plan_faults.events] == [slot]
+    assert exc.value.column == column
+
+
 # ----------------------------------------------------------------------
 # Triangular solves vs reference loops
 # ----------------------------------------------------------------------
@@ -184,6 +278,16 @@ def test_triangular_solves_match_reference(n, density, seed):
         fast = lower_solve(M, b, **kwargs) if ref is lower_solve_reference else upper_solve(M, b)
         want = ref(M, b, **kwargs)
         assert np.allclose(fast, want, rtol=0, atol=1e-12)
+
+
+def test_unit_lower_solve_of_an_empty_pattern():
+    """A pattern with no entries has one wide level and no values to
+    gather: with a unit diagonal the solve returns the right-hand side."""
+    E = CSC.empty(6, 6)
+    b = np.arange(6.0)
+    assert np.array_equal(lower_solve(E, b, unit_diag=True), b)
+    assert np.array_equal(lower_solve(E, np.outer(b, [1.0, 2.0]), unit_diag=True),
+                          np.outer(b, [1.0, 2.0]))
 
 
 def test_triangular_schedule_cached_on_matrix():

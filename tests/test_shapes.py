@@ -409,6 +409,17 @@ class TestPlanAudits:
         fs = audit_schedule_buffers(plan)
         assert "S2" in codes(fs)
 
+    def test_update_of_an_earlier_pivot_detected(self):
+        """The replay checks every pivot once, after the sweep, so no
+        stage may update a pivot its own or an earlier stage divided by."""
+        plan = self._refactor_plan()
+        s, stage = next((s, st) for s, st in enumerate(plan.stages)
+                        if s and st.seg_tgt.size)
+        stage.seg_tgt[0] = plan.piv_wpos[0]  # a stage-0 pivot
+        fs = audit_schedule_buffers(plan)
+        assert [f.code for f in fs] == ["E4"]
+        assert "stage %d updates the pivot slot" % s in fs[0].message
+
     def test_out_of_bounds_gather_detected(self):
         plan = self._refactor_plan()
         plan.a_scatter = plan.a_scatter.copy()
@@ -421,10 +432,10 @@ class TestPlanAudits:
         res = gp_factor(A)
         plan = copy.deepcopy(compile_triangular_schedule(res.L, "lower"))
         lv = next(l for l in plan.levels
-                  if l.scalar_cols is None and l.ent_order.size >= 2)
-        lv.ent_order[0] = lv.ent_order[1]  # no longer a permutation
+                  if l.scalar_cols is None and l.ent_col.size >= 2)
+        lv.ent_col[0] = plan.n  # a source row past the end of x
         fs = audit_schedule_buffers(plan)
-        assert fs != []
+        assert "S1" in codes(fs)
 
     def test_rejects_unknown_plan(self):
         with pytest.raises(TypeError):
