@@ -2023,7 +2023,51 @@ def _audit_triangular(sched, label: str) -> List[ShapeFinding]:
                  "level %d scatters into row %d of level %d — an update "
                  "targets a row finalized no later than its producer"
                  % (s, row, int(level_of[row])))
+    if sched.block_plan is not None:
+        _audit_block_plan(findings, label, sched.block_plan, n, nnz)
     return findings
+
+
+def _audit_block_plan(findings: List[ShapeFinding], label: str, plan,
+                      n: int, nnz: int) -> None:
+    """A triangular schedule's block replay layout, once built: level
+    rows contiguous and in order, every group reading its own level's
+    rows and scattering to distinct rows of later levels."""
+    _chk_perm(findings, label, "block order", plan.order, n)
+    if plan.pos.shape != (n,) or plan.order.shape != (n,) or (
+            n and np.any(plan.pos[plan.order % n] != np.arange(n))):
+        _aud(findings, label, "S2", "block pos is not the inverse of block order")
+    _chk_index(findings, label, "block diag_gather", plan.diag_gather, nnz, lo=-1)
+    _chk_index(findings, label, "block ent_gather", plan.ent_gather, nnz)
+    n_vals = plan.ent_gather.size
+    end = 0
+    for s, (lo, hi, groups) in enumerate(plan.levels):
+        where = "block level %d" % s
+        if lo != end or hi < lo:
+            _aud(findings, label, "S2", "%s: rows [%d, %d) do not start at row %d"
+                 % (where, lo, hi, end))
+        end = hi
+        for v0, v1, src, seg, tgt in groups:
+            if not (0 <= v0 <= v1 <= n_vals):
+                _aud(findings, label, "S1", "%s: values [%d, %d) outside ent_gather [0, %d]"
+                     % (where, v0, v1, n_vals))
+            _chk_size(findings, label, src.size, v1 - v0,
+                      where + ": %d sources for %d values")
+            _chk_index(findings, label, where + " src", src, hi, lo=lo)
+            if seg is None:
+                _chk_size(findings, label, tgt.size, v1 - v0,
+                          where + ": %d targets for %d values")
+                _chk_distinct(findings, label, tgt,
+                              "%s: duplicate scatter targets within one group" % where)
+                _chk_index(findings, label, where + " tgt", tgt, n)
+            else:
+                _chk_segments(findings, label, where, seg, tgt, v1 - v0, n)
+            if tgt.size and int(tgt.min()) < hi:
+                _aud(findings, label, "E4",
+                     "%s scatters into row %d — an update targets a row "
+                     "finalized no later than its producer" % (where, int(tgt.min())))
+    if end != n:
+        _aud(findings, label, "S2", "block levels cover %d of %d rows" % (end, n))
 
 
 def _audit_refactor(sched, label: str) -> List[ShapeFinding]:
@@ -2115,7 +2159,8 @@ def audit_schedule_buffers(plan, label: Optional[str] = None
       its own or an earlier stage (the precondition for checking every
       pivot once, after the sweep);
     * S1 — indices in bounds, the folded gathers included (a solve's
-      ``val_gather``, value slices and ``ent_col``; a replay's
+      ``val_gather``, value slices and ``ent_col``, and the block
+      replay's level-ordered layout once a block solve built it; a replay's
       ``l_piv``, ``ent_lval``, ``ent_src`` and ``piv_wpos``), and
       ``row_perm``/``t_order`` valid permutations;
     * S2 — ``seg_starts`` strictly increasing from 0, nonnegative

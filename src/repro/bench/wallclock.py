@@ -243,16 +243,17 @@ def _klu_refactor_reference(klu: KLU, A: CSC, numeric):
         total.add(led)
     Mfinal = A.permute(row_perm, symbolic.col_perm)
     from ..solvers.klu import KLUNumeric
+    from ..sparse.schedule import FactorStore
 
     return KLUNumeric(
         symbolic=symbolic,
-        block_lu=block_lu,
+        store=FactorStore.of_blocks([(lu.L, lu.U) for lu in block_lu], block_ledgers),
         row_perm=row_perm,
         col_perm=symbolic.col_perm,
         M=Mfinal,
         ledger=total,
-        block_ledgers=block_ledgers,
         block_working_sets=block_ws,
+        _block_lu=block_lu,
     )
 
 

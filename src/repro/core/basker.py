@@ -36,10 +36,11 @@ from ..resilience.faults import fault_values as _fault_values
 from ..parallel.machine import MachineModel, SANDY_BRIDGE
 from ..parallel.sim import Schedule, SimTask, simulate
 from ..solvers.gp import GP_DEFAULT_PIVOT_TOL, GPResult, gp_factor
-from ..solvers.triangular import btf_factors, btf_solve, drop_solve_plan
+from ..solvers.triangular import btf_solve, drop_solve_plan
 from ..sparse.csc import CSC
 from ..sparse.schedule import (
     BTFSolveSchedule,
+    FactorStore,
     RefactorPlan,
     ScheduleCompileError,
     refactor_plan,
@@ -51,19 +52,29 @@ from .symbolic import DEFAULT_ND_THRESHOLD, analyze as symbolic_analyze
 __all__ = ["Basker", "BaskerNumeric"]
 
 
+def _block_store(n_blocks: int, fine_lu: Dict[int, GPResult],
+                 nd_numeric: Dict[int, NDNumericBlock]) -> FactorStore:
+    """The factor store of freshly factored fine-BTF and fine-ND blocks."""
+    factors = [fine_lu.get(k) or nd_numeric.get(k) for k in range(n_blocks)]
+    return FactorStore.of_blocks([None if f is None else (f.L, f.U) for f in factors],
+                                 [None if f is None else f.ledger for f in factors])
+
+
 @dataclass
 class BaskerNumeric:
     """Factors + task DAG for one matrix."""
 
     symbolic: BaskerSymbolic
-    fine_lu: Dict[int, GPResult]            # coarse block id -> GP factors
-    nd_numeric: Dict[int, NDNumericBlock]   # coarse block id -> ND factors
+    store: FactorStore                      # every coarse block's L and U values
     row_perm: np.ndarray                    # final rows incl. all pivoting
     col_perm: np.ndarray
     M: CSC                                  # A[row_perm][:, col_perm]
     tasks: List[SimTask]
     task_labels: Dict[int, str]
     ledger: CostLedger
+    # The fresh factorization's ND blocks, by coarse block id: their
+    # plans, pivots and off-diagonal blocks stay with every replay.
+    nd_src: Dict[int, NDNumericBlock]
     # Work in ``ledger`` not attributed to any task (input block scatter
     # + factor assembly); repro.analysis.conservation balances
     # sum(task ledgers) + overhead_ledger == ledger.
@@ -74,29 +85,53 @@ class BaskerNumeric:
     # Compiled whole-BTF solve (None until the first solve); carried
     # across refactor_fast like refactor_plan.
     solve_plan: Optional[BTFSolveSchedule] = None
+    # The fine-BTF and fine-ND factors: a fresh factorization's own,
+    # otherwise built from the store on first access.
+    _fine_lu: Optional[Dict[int, GPResult]] = field(default=None, repr=False)
+    _nd_numeric: Optional[Dict[int, NDNumericBlock]] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     @property
+    def fine_lu(self) -> Dict[int, GPResult]:
+        """Coarse block id -> GP factors of every fine-BTF block."""
+        if self._fine_lu is None:
+            self._views()
+        return self._fine_lu
+
+    @property
+    def nd_numeric(self) -> Dict[int, NDNumericBlock]:
+        """Coarse block id -> factors of every fine-ND block."""
+        if self._nd_numeric is None:
+            self._views()
+        return self._nd_numeric
+
+    def _views(self) -> None:
+        """The per-block factors of a values-only refactorization, as
+        views of the store: identity pivot orders, each block's share
+        of the replay's ledger, and no task overhead."""
+        store = self.store
+        self._fine_lu, self._nd_numeric = {}, {}
+        for k, (blk, led) in enumerate(zip(store.blocks(), store.ledgers)):
+            if blk is None:
+                continue
+            L, U = blk
+            if k in self.nd_src:
+                self._nd_numeric[k] = dataclasses.replace(
+                    self.nd_src[k], L=L, U=U, ledger=led.copy(), overhead=CostLedger())
+            else:
+                self._fine_lu[k] = GPResult(L, U, np.arange(L.n_cols, dtype=np.int64),
+                                            led.copy())
+
+    @property
     def factor_nnz(self) -> int:
         """|L + U| over all factored diagonal blocks (Table I metric)."""
-        total = 0
-        for lu in self.fine_lu.values():
-            total += lu.L.nnz + lu.U.nnz - lu.L.n_cols
-        for nd in self.nd_numeric.values():
-            total += nd.factor_nnz
-        return total
+        return self.store.factor_nnz
 
     @property
     def factor_bytes(self) -> int:
         """Approximate bytes held by the factors and the solve-phase
         permuted matrix (16 B per stored entry + column pointers)."""
-        total = 0
-        for lu in self.fine_lu.values():
-            total += 16 * (lu.L.nnz + lu.U.nnz) + 16 * (lu.L.n_cols + 1)
-        for nd in self.nd_numeric.values():
-            total += 16 * (nd.L.nnz + nd.U.nnz) + 16 * (nd.L.n_cols + 1)
-        total += 16 * self.M.nnz + 8 * (self.M.n_cols + 1)
-        return total
+        return self.store.factor_bytes + 16 * self.M.nnz + 8 * (self.M.n_cols + 1)
 
     def schedule(
         self,
@@ -128,12 +163,8 @@ class BaskerNumeric:
         return self.schedule(machine, n_threads, sync_mode).makespan
 
     def block_factors(self, b: int) -> Tuple[CSC, CSC]:
-        """(L, U) of coarse block ``b``."""
-        if b in self.fine_lu:
-            lu = self.fine_lu[b]
-            return lu.L, lu.U
-        nd = self.nd_numeric[b]
-        return nd.L, nd.U
+        """(L, U) of coarse block ``b``, views of the store."""
+        return self.store.block(b)
 
     def invalidate_caches(self) -> int:
         """Eviction hook: drop the refactor plan and the compiled BTF
@@ -260,15 +291,17 @@ class Basker:
             sp.attach(total)
         return BaskerNumeric(
             symbolic=symbolic,
-            fine_lu=fine_lu,
-            nd_numeric=nd_numeric,
+            store=_block_store(symbolic.n_blocks, fine_lu, nd_numeric),
             row_perm=row_perm,
             col_perm=symbolic.col_perm,
             M=M,
             tasks=builder.tasks,
             task_labels=builder.labels(),
             ledger=total,
+            nd_src=nd_numeric,
             overhead_ledger=overhead,
+            _fine_lu=fine_lu,
+            _nd_numeric=nd_numeric,
         )
 
     # ------------------------------------------------------------------
@@ -312,28 +345,14 @@ class Basker:
                                  sym.col_perm, sym.block_splits)
             numeric.refactor_plan = plan
             M = plan.permute(_fault_values("basker.refactor.values", A.data))
+            store, factor_ledger = plan.replay(M.data, numeric.store.pattern)
             total = CostLedger()
             total.mem_words += A.nnz
-
-            fine_lu: Dict[int, GPResult] = {}
-            nd_numeric: Dict[int, NDNumericBlock] = {}
-            for k, out in enumerate(plan.replay(M.data, btf_factors(numeric)[1])):
-                if out is None:
-                    continue
-                L, U, led = out
-                total.add(led)
-                if k in numeric.fine_lu:
-                    # row_perm already folds in all pivoting: identity order.
-                    fine_lu[k] = GPResult(L, U, plan.identity[k], led)
-                else:
-                    nd_numeric[k] = dataclasses.replace(
-                        numeric.nd_numeric[k], L=L, U=U, ledger=led, overhead=CostLedger()
-                    )
+            total.add(factor_ledger)
             sp.attach(total)
         return BaskerNumeric(
             symbolic=sym,
-            fine_lu=fine_lu,
-            nd_numeric=nd_numeric,
+            store=store,
             # Shared, not copied (immutable by convention): the plans
             # then revalidate by identity along the sequence.
             row_perm=numeric.row_perm,
@@ -342,6 +361,7 @@ class Basker:
             tasks=[],
             task_labels={},
             ledger=total,
+            nd_src=numeric.nd_src,
             overhead_ledger=total.copy(),
             refactor_plan=plan,
             solve_plan=numeric.solve_plan,

@@ -29,8 +29,9 @@ site                                  hook type  kinds
 
 * ``perturb`` — multiply one entry by ``magnitude`` (default ``1e8``).
 * ``nan`` — poison one entry with NaN.
-* ``pivot_zero`` — zero one *pivot* workspace slot (provokes
-  :class:`~repro.errors.SingularMatrixError` in the replay).
+* ``pivot_zero`` — zero one *pivot* workspace slot, chosen right after
+  the input scatter and zero again when the replay checks its pivots
+  (provokes :class:`~repro.errors.SingularMatrixError` in the replay).
 * ``drop_update`` — zero one non-pivot workspace slot right after the
   input scatter, simulating a lost update/store.
 * ``pattern_drift`` — insert a structurally new entry into a matrix
@@ -269,14 +270,19 @@ class FaultPlan:
 
     def apply_workspace(
         self, site: str, xwork: np.ndarray, pivot_positions: np.ndarray
-    ) -> None:
+    ) -> List[int]:
         """Corrupt the (private, freshly scattered) replay workspace in
         place.  ``pivot_positions`` are the workspace slots holding the
         pivots, so ``pivot_zero`` can target a real pivot and
-        ``drop_update`` a real update slot."""
+        ``drop_update`` a real update slot.
+
+        Returns the pivot slots ``pivot_zero`` zeroed.  The stage
+        updates of the sweep may write into them again, so the replay
+        zeroes them once more where it checks its pivots."""
         due = self._due(site)
+        zeroed: List[int] = []
         if not due or xwork.size == 0:
-            return
+            return zeroed
         for spec in due:
             if spec.kind == "pivot_zero":
                 if pivot_positions.size == 0:
@@ -287,6 +293,7 @@ class FaultPlan:
                 pool = live if live.size else pivot_positions
                 pos = int(pool[int(spec.frac * pool.size)])
                 xwork[pos] = 0.0
+                zeroed.append(pos)
                 self._record(spec, pos, "zeroed a pivot workspace slot")
                 continue
             # The workspace spans the union factor pattern; fill-in
@@ -315,6 +322,7 @@ class FaultPlan:
             elif spec.kind == "nan":
                 xwork[idx] = np.nan
                 self._record(spec, idx, "poisoned workspace slot with NaN")
+        return zeroed
 
     def apply_matrix(self, site: str, A: CSC) -> CSC:
         due = self._due(site)

@@ -34,6 +34,7 @@ from ..sparse.blocking import DensePlan
 from ..sparse.csc import CSC
 from ..sparse.schedule import (
     BTFSolveSchedule,
+    FactorStore,
     RefactorPlan,
     ScheduleCompileError,
     refactor_plan,
@@ -132,12 +133,11 @@ class KLUNumeric:
     """Factors of one matrix: per-block LU plus the permuted matrix."""
 
     symbolic: KLUSymbolic
-    block_lu: List[GPResult]
+    store: FactorStore         # every block's L and U values
     row_perm: np.ndarray       # final rows, including per-block pivoting
     col_perm: np.ndarray
     M: CSC                     # A[row_perm][:, col_perm], block upper triangular
     ledger: CostLedger
-    block_ledgers: List[CostLedger]
     block_working_sets: List[float]
     # Value gathers and blocked replay reused by refactor_fast across a
     # fixed-pattern sequence (None until the first refactor_fast).
@@ -145,25 +145,38 @@ class KLUNumeric:
     # Compiled whole-BTF solve (None until the first solve); carried
     # across refactor_fast like refactor_plan.
     solve_plan: Optional[BTFSolveSchedule] = None
+    # Per-block GP results: a fresh factorization's own, otherwise built
+    # from the store on first access (see :attr:`block_lu`).
+    _block_lu: Optional[List[GPResult]] = field(default=None, repr=False)
+
+    @property
+    def block_lu(self) -> List[GPResult]:
+        """Per block, its ``GPResult``; the factors are views of the
+        store.  After a values-only refactorization every block keeps
+        its rows in place (identity pivot order) and carries its share of
+        the replay's ledger."""
+        if self._block_lu is None:
+            store = self.store
+            self._block_lu = [
+                GPResult(L, U, np.arange(L.n_cols, dtype=np.int64), led.copy())
+                for (L, U), led in zip(store.blocks(), store.ledgers)]
+        return self._block_lu
+
+    @property
+    def block_ledgers(self) -> List[CostLedger]:
+        return [lu.ledger for lu in self.block_lu]
 
     @property
     def factor_nnz(self) -> int:
         """|L + U| counting each block's factors (diagonal stored once)."""
-        total = 0
-        for lu in self.block_lu:
-            total += lu.L.nnz + lu.U.nnz - lu.L.n_cols  # unit diagonal of L not counted twice
-        return total
+        return self.store.factor_nnz
 
     @property
     def factor_bytes(self) -> int:
         """Approximate bytes held by the factors (CSC: 8B value + 8B
         index per entry, 8B per column pointer) plus the retained
         permuted matrix used by the solve phase."""
-        total = 0
-        for lu in self.block_lu:
-            total += 16 * (lu.L.nnz + lu.U.nnz) + 16 * (lu.L.n_cols + 1)
-        total += 16 * self.M.nnz + 8 * (self.M.n_cols + 1)
-        return total
+        return self.store.factor_bytes + 16 * self.M.nnz + 8 * (self.M.n_cols + 1)
 
     def factor_seconds(self, machine: MachineModel) -> float:
         """Serial numeric-factorization time on the given machine."""
@@ -272,13 +285,13 @@ class KLU:
             sp.attach(total)
         return KLUNumeric(
             symbolic=symbolic,
-            block_lu=block_lu,
+            store=FactorStore.of_blocks([(lu.L, lu.U) for lu in block_lu], block_ledgers),
             row_perm=row_perm,
             col_perm=symbolic.col_perm,
             M=M,
             ledger=total,
-            block_ledgers=block_ledgers,
             block_working_sets=block_ws,
+            _block_lu=block_lu,
         )
 
     # ------------------------------------------------------------------
@@ -327,28 +340,21 @@ class KLU:
                                  symbolic.col_perm, symbolic.block_splits)
             numeric.refactor_plan = plan
             M = plan.permute(_fault_values("klu.refactor.values", A.data))
-            replayed = plan.replay(M.data, [(lu.L, lu.U) for lu in numeric.block_lu])
+            store, factor_ledger = plan.replay(M.data, numeric.store.pattern)
             # Costs are attached only once the replay succeeded: a failed
             # replay's span then carries none, the fallback's spans all.
             total = CostLedger()
             total.mem_words += A.nnz  # permutation / scatter traffic
             sp.attach_overhead(total)  # copied now: the overhead alone
-            block_lu: List[GPResult] = []
-            block_ledgers: List[CostLedger] = []
-            for (L, U, led), perm in zip(replayed, plan.identity):
-                # Identity pivot order within the pre-pivoted block.
-                block_lu.append(GPResult(L, U, perm, led))
-                block_ledgers.append(led)
-                total.add(led)
+            total.add(factor_ledger)
             sp.attach(total)
         return KLUNumeric(
             symbolic=symbolic,
-            block_lu=block_lu,
+            store=store,
             row_perm=numeric.row_perm,
             col_perm=symbolic.col_perm,
             M=M,
             ledger=total,
-            block_ledgers=block_ledgers,
             # Fixed by the patterns, which a replay keeps.
             block_working_sets=numeric.block_working_sets,
             refactor_plan=plan,

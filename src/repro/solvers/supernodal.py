@@ -45,6 +45,7 @@ from ..parallel.sim import Schedule, SimTask, simulate
 from ..sparse.csc import CSC
 from ..sparse.schedule import (
     BTFSolveSchedule,
+    FactorStore,
     RefactorPlan,
     ScheduleCompileError,
     refactor_plan,
@@ -93,8 +94,9 @@ class SupernodalSymbolic:
 @dataclass
 class SupernodalNumeric:
     symbolic: SupernodalSymbolic
-    L: CSC
+    L: CSC                     # views of ``store``, its one block
     U: CSC
+    store: FactorStore
     row_perm: np.ndarray
     col_perm: np.ndarray
     tasks: List[SimTask]
@@ -108,14 +110,19 @@ class SupernodalNumeric:
     solve_plan: Optional[BTFSolveSchedule] = None
 
     @property
+    def M(self) -> None:
+        """No coupling: the factors are one block of the whole matrix."""
+        return None
+
+    @property
     def factor_nnz(self) -> int:
-        return self.L.nnz + self.U.nnz - self.L.n_cols
+        return self.store.factor_nnz
 
     @property
     def factor_bytes(self) -> int:
         """Approximate bytes held by the factors (supernodal storage is
         denser per entry in the real code; CSC-equivalent used here)."""
-        return 16 * (self.L.nnz + self.U.nnz) + 16 * (self.L.n_cols + 1)
+        return self.store.factor_bytes
 
     def schedule(self, machine: MachineModel, n_threads: int, sync_mode: str = "p2p") -> Schedule:
         return simulate(self.tasks, machine, n_threads, sync_mode=sync_mode)
@@ -515,6 +522,7 @@ class SupernodalLU:
             symbolic=sym,
             L=L,
             U=U,
+            store=FactorStore.of_blocks([(L, U)], [total]),
             row_perm=sym.row_pre,
             col_perm=sym.col_perm,
             tasks=tasks,
@@ -552,18 +560,19 @@ class SupernodalLU:
                              numeric.col_perm, np.array([0, n], dtype=np.int64))
         numeric.refactor_plan = plan
         try:
-            ((L, U, factor_led),) = plan.replay(A.data[plan.m_gather],
-                                                [(numeric.L, numeric.U)])
+            store, factor_led = plan.replay(A.data[plan.m_gather], numeric.store.pattern)
         except (SingularMatrixError, ScheduleCompileError):
             get_tracer().metrics.incr("supernodal.refactor.fallback")
             return self.refactor(A, numeric)
         led = CostLedger()
         led.mem_words += A.nnz  # permutation / scatter traffic
         led.add(factor_led)
+        L, U = store.block(0)
         return SupernodalNumeric(
             symbolic=numeric.symbolic,
             L=L,
             U=U,
+            store=store,
             row_perm=numeric.row_perm,
             col_perm=numeric.col_perm,
             tasks=[],

@@ -9,8 +9,10 @@ Every solve takes one right-hand side ``(n,)`` or a block ``(n, k)``.
 KLU, Basker and the supernodal solver share :func:`btf_solve`, forward
 and transposed: the whole block back-substitution replays one compiled
 :class:`~repro.sparse.schedule.BTFSolveSchedule`, cached on the numeric
-object next to its refactorization caches.  The supernodal factors are
-one block with no coupling.
+object next to its refactorization caches, which reads every block's
+factor values from the numeric's
+:class:`~repro.sparse.schedule.FactorStore`.  The supernodal factors
+are one block with no coupling.
 """
 
 from __future__ import annotations
@@ -61,50 +63,39 @@ BlockFactors = List[Optional[Tuple[CSC, CSC]]]
 def btf_factors(numeric) -> Tuple[np.ndarray, BlockFactors, Optional[CSC]]:
     """``(splits, blocks, M)`` of a KLU, Basker or supernodal numeric.
 
-    ``blocks[k]`` is block ``k``'s ``(L, U)``, None when the block is
-    empty; ``M = A[row_perm][:, col_perm]`` holds the coupling above the
+    ``blocks[k]`` is block ``k``'s ``(L, U)``, views of the numeric's
+    :class:`~repro.sparse.schedule.FactorStore` (None when the block is
+    empty); ``M = A[row_perm][:, col_perm]`` holds the coupling above the
     diagonal blocks, None for the supernodal solver's single block.
     """
-    if hasattr(numeric, "block_lu"):  # KLUNumeric
-        blocks = [(lu.L, lu.U) for lu in numeric.block_lu]
-        return numeric.symbolic.block_splits, blocks, numeric.M
-    if hasattr(numeric, "block_factors"):  # BaskerNumeric
-        splits = numeric.symbolic.block_splits
-        blocks = [numeric.block_factors(k) if splits[k + 1] > splits[k] else None
-                  for k in range(splits.size - 1)]
-        return splits, blocks, numeric.M
-    # SupernodalNumeric: one block covering the whole matrix.
-    return np.array([0, numeric.L.n_cols], dtype=np.int64), [(numeric.L, numeric.U)], None
+    store = numeric.store
+    return store.pattern.splits, store.blocks(), numeric.M
 
 
-def btf_solve_plan(numeric, splits: np.ndarray, blocks: BlockFactors,
-                   M: Optional[CSC]) -> BTFSolveSchedule:
+def btf_solve_plan(numeric) -> BTFSolveSchedule:
     """The compiled BTF solve of ``numeric``, compiled on first use.
 
-    The plan is keyed on the factor patterns, ``M``'s pattern and both
-    permutations.  It is carried across values-only refactorizations and
-    revalidated by array identity; a pivot fallback changes those arrays
+    The plan is keyed on the factor store's pattern object, ``M``'s
+    pattern and both permutations.  It is carried across values-only
+    refactorizations, which pass all of them on unchanged, and
+    revalidated by object identity first; a pivot fallback changes them
     and so recompiles it.  Lookups count as ``schedule.tri.hit`` /
     ``.miss`` / ``.invalidate``.
     """
-    pats = [None if blk is None else
-            (blk[0].indptr, blk[0].indices, blk[1].indptr, blk[1].indices)
-            for blk in blocks]
-    m_indptr, m_indices = (None, None) if M is None else (M.indptr, M.indices)
-    refs = BTFSolveSchedule.pattern_refs(splits, pats, m_indptr, m_indices,
-                                         numeric.row_perm, numeric.col_perm)
+    M = numeric.M
+    key = (numeric.store.pattern, None if M is None else M.indptr,
+           None if M is None else M.indices, numeric.row_perm, numeric.col_perm)
     metrics = get_tracer().metrics
     plan = numeric.solve_plan
     if plan is None:
         metrics.incr("schedule.tri.miss")
-    elif not plan.matches(refs):
+    elif not plan.matches(key):
         metrics.incr("schedule.tri.invalidate")
         plan = None
     else:
         metrics.incr("schedule.tri.hit")
     if plan is None:
-        plan = BTFSolveSchedule(splits, pats, m_indptr, m_indices,
-                                numeric.row_perm, numeric.col_perm)
+        plan = BTFSolveSchedule(*key)
         numeric.solve_plan = plan
     return plan
 
@@ -129,18 +120,17 @@ def btf_solve(numeric, b: np.ndarray, transpose: bool = False) -> np.ndarray:
     back-substitution over the BTF.
 
     ``numeric`` is a KLU, Basker or supernodal numeric object (its
-    :func:`btf_factors`, ``row_perm``, ``col_perm`` and ``solve_plan``).
+    ``store``, ``M``, ``row_perm``, ``col_perm`` and ``solve_plan``).
     ``b`` is ``(n,)`` or ``(n, k)``.
     """
     b = np.asarray(b, dtype=np.float64)
-    splits, blocks, M = btf_factors(numeric)
-    n = int(splits[-1])
+    n = numeric.store.pattern.n
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise StructureError(
             f"right-hand side has shape {b.shape}, expected ({n},) or ({n}, k)"
         )
     with get_tracer().span("solve.tri"):
-        plan = btf_solve_plan(numeric, splits, blocks, M)
-        parts = [a for blk in blocks if blk is not None for a in (blk[0].data, blk[1].data)]
-        t_data = plan.values(parts, None if M is None else M.data)
+        plan = btf_solve_plan(numeric)
+        M = numeric.M
+        t_data = plan.values(numeric.store, None if M is None else M.data)
         return plan.solve(t_data, b, transpose)

@@ -67,17 +67,6 @@ class CSC:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
 
-    def with_data(self, data: np.ndarray) -> "CSC":
-        """This pattern with the values ``data``: a float64 array aligned
-        with ``indices``, taken as is (no conversion, no copy).  A
-        values-only refactorization builds one per factor and block on
-        every step, where the conversions would cost more than the
-        arithmetic."""
-        out = CSC.__new__(CSC)
-        out.n_rows, out.n_cols = self.n_rows, self.n_cols
-        out.indptr, out.indices, out.data = self.indptr, self.indices, data
-        return out
-
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------

@@ -40,7 +40,9 @@ direction, in one replay.
 :class:`RefactorPlan` builds on the second: the value gathers plus one
 :class:`BlockedRefactorSchedule` over every diagonal block, the single
 values-only refactorization step behind ``refactor_fast`` of KLU, Basker
-and the supernodal solver.
+and the supernodal solver.  Its replay writes a :class:`FactorStore`,
+every block's factor values in two flat arrays, which the BTF solve
+reads; so neither step does per-block Python work.
 
 Every :class:`~repro.parallel.ledger.CostLedger` count follows from the
 patterns alone: an update costs ``|L(:, j)| - 1`` multiply-adds whatever
@@ -60,13 +62,15 @@ not arithmetic.  Every permutation the pattern fixes is therefore folded
 into the compiled arrays: a refactor stage reads its pivots, multipliers
 and sources in segment order directly (``l_piv``, ``ent_lval``,
 ``ent_src``), and a triangular schedule gathers every value its vector
-levels read in one ``data[val_gather]`` per solve.  The refactor replay
-checks its pivots once, after the sweep (see :meth:`RefactorSchedule.run`).
+levels read in one ``data[val_gather]`` per solve.  A block right-hand
+side replays the levels on level-ordered rows, where a level's
+divisions are one slice and each of its scatters writes whole rows
+(:class:`_BlockPlan`).  The refactor replay checks its pivots once,
+after the sweep (see :meth:`RefactorSchedule.run`).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -86,6 +90,8 @@ __all__ = [
     "triangular_schedule",
     "RefactorSchedule",
     "compile_refactor_schedule",
+    "FactorPattern",
+    "FactorStore",
     "BTFSolveSchedule",
     "permutation_gather",
     "diagonal_block_gathers",
@@ -124,12 +130,13 @@ def _segment(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
 # ======================================================================
 
 
-# Levels at most this wide run as a per-column scalar loop instead of
-# the whole-level vector path: deep factors produce long runs of 1-2
-# column levels where the fixed cost of the vector calls dominates.  The
-# two paths round differently (the scalar one subtracts a level's
-# updates to a row one column at a time, the vector one sums them
-# first), so moving the bound changes solutions in the last bits.
+# One-column solves run levels at most this wide as a per-column scalar
+# loop instead of the whole-level vector path: deep factors produce long
+# runs of 1-2 column levels where the fixed cost of the vector calls
+# dominates.  The two paths round differently (the scalar one subtracts
+# a level's updates to a row one column at a time, the vector one sums
+# them first), so moving the bound changes solutions in the last bits.
+# Block solves keep both roundings (see :class:`_BlockPlan`).
 _SCALAR_LEVEL_WIDTH = 4
 
 
@@ -150,6 +157,32 @@ class _TriLevel:
 
 
 @dataclass
+class _BlockPlan:
+    """The levels of a :class:`TriangularSchedule` for block right-hand
+    sides, on the rows of ``x`` renumbered in level order.
+
+    Packed row ``p`` holds unknown ``order[p]`` (``pos`` is the
+    inverse), so every level's unknowns are one slice and its divisions
+    one call.  ``levels[s]`` is ``(lo, hi, groups)``: packed rows
+    ``lo:hi`` and the level's update groups ``(v0, v1, src, seg, tgt)``,
+    each one scatter with distinct packed targets ``tgt``: values
+    ``v0:v1`` of the ``ent_gather`` order times the rows ``src``,
+    summed over the segments starting at ``seg`` first (None when every
+    target takes one update).  A vector level is one group.  A narrow
+    level, which the scalar path updates one column at a time, is one
+    group per round: round ``r`` applies the ``r``-th update of every
+    target row, which keeps the scalar path's order of subtractions.
+    ``diag_gather`` indexes the diagonals in packed order.
+    """
+
+    order: np.ndarray
+    pos: np.ndarray
+    diag_gather: np.ndarray
+    ent_gather: np.ndarray
+    levels: list
+
+
+@dataclass
 class TriangularSchedule:
     """Level schedule of a triangular CSC pattern for dense-RHS solves."""
 
@@ -163,6 +196,8 @@ class TriangularSchedule:
     # (see ``_TriLevel.diag``/``ents``; -1 for a missing diagonal): a
     # replay gathers them all at once.
     val_gather: np.ndarray
+    # The block replay's layout, built by the first block solve.
+    block_plan: Optional[_BlockPlan] = field(default=None, repr=False, compare=False)
 
     @property
     def n_levels(self) -> int:
@@ -245,38 +280,34 @@ class TriangularSchedule:
 
     @shapes(b="f8[n,k]", returns="f8[n,k]")
     def _replay_block(self, data: np.ndarray, b: np.ndarray, unit_diag: bool) -> np.ndarray:
-        n = self.n
-        x = np.array(b, dtype=np.float64, order="C")
-        if x.shape[0] != n:
+        if b.shape[0] != self.n:
             raise StructureError("dimension mismatch")
         use_diag = not unit_diag
         if use_diag:
             self._check_diagonal(data)
-        vals = self._values(data)
-        # Rows are read with ``take`` (faster than fancy indexing) and
-        # written back whole: the targets of one column or one level are
-        # distinct, so ``x[t] = x.take(t) - p`` is ``x[t] -= p``.
-        for lv in self.levels:
-            scalars = lv.scalar_cols
-            if scalars is not None:
-                for j, dj, lo, hi, rows in scalars:
-                    xj = x[j]  # row view: updated in place
-                    if use_diag:
-                        xj /= data[dj]
-                    if lo != hi:
-                        x[rows] = x.take(rows, axis=0) - np.multiply.outer(data[lo:hi], xj)
-                continue
-            if use_diag:
-                x[lv.cols] /= vals[lv.diag][:, None]
-            if lv.seg_starts.size:
-                prods = vals[lv.ents][:, None] * x.take(lv.ent_col, axis=0)
-                if lv.seg_starts.size < prods.shape[0]:
-                    # Some rows take several updates; row-wise reduceat
-                    # is slow, so levels with one update per row skip it.
-                    prods = np.add.reduceat(prods, lv.seg_starts, axis=0)
-                tgt = lv.seg_tgt
-                x[tgt] = x.take(tgt, axis=0) - prods
-        return x
+        plan = self.block_plan
+        if plan is None:
+            plan = self.block_plan = _compile_block_plan(self)
+        x = b.take(plan.order, axis=0)  # a C-ordered copy in level order
+        if x.shape[1]:
+            # Every row of x as one item: a scatter of whole rows is a
+            # 1-D fancy assignment, several times cheaper than a 2-D one.
+            rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1])))
+            diag = data[plan.diag_gather][:, None] if use_diag else None
+            vals = data[plan.ent_gather][:, None]
+            take, divide, reduceat = x.take, np.divide, np.add.reduceat
+            for lo, hi, groups in plan.levels:
+                if use_diag:
+                    xs = x[lo:hi]
+                    divide(xs, diag[lo:hi], out=xs)
+                # The targets of a group are distinct, so the assignment
+                # is ``x[tgt] -= prods``.
+                for v0, v1, src, seg, tgt in groups:
+                    prods = vals[v0:v1] * take(src, axis=0)
+                    if seg is not None:
+                        prods = reduceat(prods, seg, axis=0)
+                    rows[tgt] = (take(tgt, axis=0) - prods).view(rows.dtype)
+        return x.take(plan.pos, axis=0)
 
 
 @shapes(M="csc[n,n]")
@@ -372,6 +403,58 @@ def compile_triangular_schedule(M: CSC, kind: str) -> TriangularSchedule:
     )
 
 
+def _compile_block_plan(sched: TriangularSchedule) -> _BlockPlan:
+    """Lay ``sched``'s levels out on level-ordered rows (see
+    :class:`_BlockPlan`).  Each update keeps its operands and its place
+    in the order of a row's subtractions, so block replays round exactly
+    as the levels do."""
+    n = sched.n
+    order = (np.concatenate([lv.cols for lv in sched.levels]) if sched.levels
+             else np.empty(0, dtype=np.int64))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n, dtype=np.int64)
+    gathers: List[np.ndarray] = []
+    levels = []
+    lo = v = 0
+    for lv in sched.levels:
+        hi = lo + lv.cols.size
+        groups = []
+        if lv.scalar_cols is None:
+            if lv.seg_starts.size:
+                m = lv.ent_col.size
+                gathers.append(sched.val_gather[lv.ents])
+                seg = lv.seg_starts if lv.seg_starts.size < m else None
+                groups.append((v, v + m, pos[lv.ent_col], seg, pos[lv.seg_tgt]))
+                v += m
+        else:
+            cols = lv.scalar_cols
+            cnt = np.array([c[3] - c[2] for c in cols], dtype=np.int64)
+            src = np.repeat(np.array([c[0] for c in cols], dtype=np.int64), cnt)
+            val = _concat_ranges(np.array([c[2] for c in cols], dtype=np.int64), cnt)
+            tgt = np.concatenate([c[4] for c in cols])
+            # Rank of each update among the updates of its row, in the
+            # scalar path's order (columns in turn, rows ascending).
+            by_tgt = np.argsort(tgt, kind="stable")
+            srt = tgt[by_tgt]
+            first = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
+            rank = np.empty(tgt.size, dtype=np.int64)
+            rank[by_tgt] = np.arange(tgt.size) - np.repeat(first, np.diff(np.append(first, tgt.size)))
+            for r in range(int(rank.max()) + 1 if rank.size else 0):
+                sel = np.flatnonzero(rank == r)
+                gathers.append(val[sel])
+                groups.append((v, v + sel.size, pos[src[sel]], None, pos[tgt[sel]]))
+                v += sel.size
+        levels.append((lo, hi, groups))
+        lo = hi
+    return _BlockPlan(
+        order=order,
+        pos=pos,
+        diag_gather=sched.diag_idx[order],
+        ent_gather=np.concatenate(gathers) if gathers else np.empty(0, dtype=np.int64),
+        levels=levels,
+    )
+
+
 @shapes(M="csc[n,n]")
 def triangular_schedule(M: CSC, kind: str) -> TriangularSchedule:
     """Compiled schedule for ``M``, cached on the matrix object.
@@ -417,21 +500,13 @@ class _RefactorStage:
     seg_tgt: np.ndarray     # workspace positions receiving the sums
 
 
-def _same_pattern(a: np.ndarray, b: np.ndarray) -> bool:
-    """Array equality with an identity fast path.
+def _same_pattern(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
+    """Array equality with an identity fast path (None equals only None).
 
     Patterns are immutable by convention and shared across the objects
     of a fixed-pattern sequence, so ``a is b`` almost always decides.
     """
-    return a is b or np.array_equal(a, b)
-
-
-def _same_refs(held: list, refs: list) -> bool:
-    """:func:`_same_pattern` over two flat lists of pattern arrays (None
-    marks an empty block); all-shared lists decide on identity alone."""
-    return len(refs) == len(held) and (
-        all(map(operator.is_, refs, held)) or all(map(_same_pattern, refs, held))
-    )
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
 @dataclass
@@ -510,8 +585,9 @@ class RefactorSchedule:
         xwork = np.zeros(self.wtotal, dtype=np.float64)
         xwork[self.a_scatter] = a_data
         plan = _fault_plan()
+        zeroed = None
         if plan is not None:  # fault-injection harness only; free when idle
-            plan.apply_workspace("schedule.replay.workspace", xwork, self.piv_wpos)
+            zeroed = plan.apply_workspace("schedule.replay.workspace", xwork, self.piv_wpos)
         Lx = np.empty(self.l_indices.size, dtype=np.float64)
         Ux = np.empty(self.u_indices.size, dtype=np.float64)
         Lx[self.l_diag_dst] = 1.0
@@ -522,6 +598,10 @@ class RefactorSchedule:
                 if stage.seg_starts.size:
                     prods = Lx[stage.ent_lval] * xwork[stage.ent_src]
                     xwork[stage.seg_tgt] -= np.add.reduceat(prods, stage.seg_starts)
+        if zeroed:
+            # The stage updates may have refilled a zeroed pivot slot:
+            # the fault lands where the check below reads it.
+            xwork[zeroed] = 0.0
         piv = xwork[self.piv_wpos]
         bad = np.flatnonzero(piv == 0.0)
         if bad.size:
@@ -631,15 +711,23 @@ def compile_refactor_schedule(
             "input entries fall outside the factor pattern (pattern changed?)"
         )
 
-    # Levels on the union graph of L-below and U-above edges.
-    lev = np.zeros(n, dtype=np.int64)
+    # Levels on the union graph of L-below and U-above edges: longest
+    # path on Python lists, as in compile_triangular_schedule, with the
+    # rows read through memoryviews.
+    lev_l = [0] * n
+    ui_mv, li_mv = memoryview(np.ascontiguousarray(Ui)), memoryview(np.ascontiguousarray(Li))
+    up_l, lp_l = Up.tolist(), Lp.tolist()
     for k in range(n):
-        ua = Ui[Up[k] : Up[k + 1] - 1]
-        if ua.size:
-            lev[k] = max(int(lev[k]), int(lev[ua].max()) + 1)
-        lb = Li[Lp[k] + 1 : Lp[k + 1]]
-        if lb.size:
-            lev[lb] = np.maximum(lev[lb], lev[k] + 1)
+        lk = lev_l[k]
+        for j in ui_mv[up_l[k] : up_l[k + 1] - 1]:
+            if lev_l[j] >= lk:
+                lk = lev_l[j] + 1
+        lev_l[k] = lk
+        lk += 1
+        for i in li_mv[lp_l[k] + 1 : lp_l[k + 1]]:
+            if lev_l[i] < lk:
+                lev_l[i] = lk
+    lev = np.array(lev_l, dtype=np.int64)
     n_stages = int(lev.max()) + 1 if n else 0
     col_order = np.argsort(lev, kind="stable")
     stage_sizes = np.bincount(lev, minlength=n_stages) if n else np.empty(0, dtype=np.int64)
@@ -808,61 +896,152 @@ class BlockedRefactorSchedule:
 
 
 # ======================================================================
+# Factor stores
+# ======================================================================
+
+
+class FactorPattern:
+    """The per-block ``L``/``U`` patterns a :class:`FactorStore` is laid
+    out by.
+
+    A fresh factorization builds one; every values-only refactorization
+    of it passes the object on unchanged, so a whole sequence shares it
+    and the compiled plans keyed on it revalidate by identity.
+
+    ``blocks[k]`` is block ``k``'s ``(Lp, Li, Up, Ui)``, None for an
+    empty block.  ``splits`` are the block boundaries, and block ``k``'s
+    values sit at ``l_ptr[k]:l_ptr[k+1]`` of the store's ``Lx`` and
+    ``u_ptr[k]:u_ptr[k+1]`` of its ``Ux``, the layout
+    :meth:`BlockedRefactorSchedule.run` writes.
+    """
+
+    __slots__ = ("blocks", "splits", "l_ptr", "u_ptr")
+
+    def __init__(self, blocks: List[Optional[Tuple[CSC, CSC]]]) -> None:
+        self.blocks = [None if b is None else (b[0].indptr, b[0].indices, b[1].indptr,
+                                               b[1].indices) for b in blocks]
+        counts = [(0, 0, 0) if p is None else (p[0].size - 1, p[1].size, p[3].size)
+                  for p in self.blocks]
+        ptrs = np.zeros((3, len(blocks) + 1), dtype=np.int64)
+        np.cumsum(np.array(counts, dtype=np.int64).reshape(-1, 3).T, axis=1, out=ptrs[:, 1:])
+        self.splits, self.l_ptr, self.u_ptr = ptrs
+
+    @property
+    def n(self) -> int:
+        return int(self.splits[-1])
+
+    def same(self, other: "FactorPattern") -> bool:
+        """True when ``other`` is this object or holds equal patterns."""
+        return other is self or (
+            len(other.blocks) == len(self.blocks)
+            and all(a is b or (a is not None and b is not None
+                               and all(map(_same_pattern, a, b)))
+                    for a, b in zip(self.blocks, other.blocks)))
+
+
+class FactorStore:
+    """Every diagonal block's factor values in two flat arrays.
+
+    ``Lx`` and ``Ux`` are laid out by :attr:`pattern` (see
+    :class:`FactorPattern`); ``ledgers[k]`` is the cost of block ``k``'s
+    values.  :meth:`RefactorPlan.replay` returns a new store, a fresh
+    factorization builds one with :meth:`of_blocks`, and the BTF solve
+    reads its values from the two arrays.  :meth:`block` views one
+    block as CSC factors sharing the store's memory, so a write through
+    a view is a write to the store.
+    """
+
+    __slots__ = ("Lx", "Ux", "pattern", "ledgers")
+
+    def __init__(self, Lx: np.ndarray, Ux: np.ndarray, pattern: FactorPattern,
+                 ledgers: List[Optional[CostLedger]]) -> None:
+        self.Lx, self.Ux, self.pattern, self.ledgers = Lx, Ux, pattern, ledgers
+
+    @classmethod
+    def of_blocks(cls, blocks: List[Optional[Tuple[CSC, CSC]]],
+                  ledgers: List[Optional[CostLedger]]) -> "FactorStore":
+        """The store of freshly factored ``blocks`` (per block ``(L, U)``,
+        None when empty) costing ``ledgers``.  Every block's ``data``
+        arrays are rebound to views of the store."""
+        pattern = FactorPattern(blocks)
+        full = [b for b in blocks if b is not None]
+        Lx = np.concatenate([np.empty(0)] + [b[0].data for b in full])
+        Ux = np.concatenate([np.empty(0)] + [b[1].data for b in full])
+        lp, up = pattern.l_ptr.tolist(), pattern.u_ptr.tolist()
+        for k, b in enumerate(blocks):
+            if b is not None:
+                b[0].data = Lx[lp[k] : lp[k + 1]]
+                b[1].data = Ux[up[k] : up[k + 1]]
+        return cls(Lx, Ux, pattern, ledgers)
+
+    def block(self, k: int) -> Optional[Tuple[CSC, CSC]]:
+        """Block ``k``'s ``(L, U)`` as views of the store, None when empty."""
+        pat = self.pattern.blocks[k]
+        if pat is None:
+            return None
+        Lp, Li, Up, Ui = pat
+        n = Lp.size - 1
+        lp, up = self.pattern.l_ptr, self.pattern.u_ptr
+        return (CSC(n, n, Lp, Li, self.Lx[lp[k] : lp[k + 1]]),
+                CSC(n, n, Up, Ui, self.Ux[up[k] : up[k + 1]]))
+
+    def blocks(self) -> List[Optional[Tuple[CSC, CSC]]]:
+        return [self.block(k) for k in range(len(self.pattern.blocks))]
+
+    @property
+    def factor_nnz(self) -> int:
+        """|L + U| over every block, each unit diagonal of L counted once."""
+        return self.Lx.size + self.Ux.size - self.pattern.n
+
+    @property
+    def factor_bytes(self) -> int:
+        """CSC bytes of every block's factors: 16 B per stored entry
+        (value and index), 16 B per column pointer of L and U."""
+        full = sum(b is not None for b in self.pattern.blocks)
+        return 16 * (self.Lx.size + self.Ux.size) + 16 * (self.pattern.n + full)
+
+
+# ======================================================================
 # Whole-BTF solve schedules
 # ======================================================================
 
 
-def _btf_system(splits, block_patterns, m_indptr, m_indices):
+def _btf_system(pattern: FactorPattern, m_indptr, m_indices):
     """Pattern of the ``2n`` system ``T`` of a BTF back-substitution.
 
     Returns ``(T, gather, ypos, zpos, src_size)``: ``T`` with zero
     values, ``gather`` mapping its data array into the value source
-    ``[L_0, U_0, L_1, U_1, ..., M, 1, -1]`` of length ``src_size``, and
-    the positions of every ``y`` and ``z`` unknown (see
-    :class:`BTFSolveSchedule`).  ``m_indices`` None means no coupling.
+    ``[Lx, Ux, M.data, 1, -1]`` of length ``src_size`` (``Lx``/``Ux`` of
+    a :class:`FactorStore` laid out by ``pattern``), and the positions
+    of every ``y`` and ``z`` unknown (see :class:`BTFSolveSchedule`).
+    ``m_indices`` None means no coupling.
     """
-    nb = splits.size - 1
-    n = int(splits[-1])
+    splits = pattern.splits
+    n = pattern.n
     if m_indices is None:
         m_indptr, m_indices = np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    sizes = np.diff(splits)
-    blk = np.repeat(np.arange(nb), sizes)
+    blk = np.repeat(np.arange(splits.size - 1), np.diff(splits))
     lo, hi = splits[:-1][blk], splits[1:][blk]
     loc = np.arange(n, dtype=np.int64) - lo
     ypos = 2 * (n - hi) + loc           # position of y for index g
     zpos = 2 * (n - lo) - 1 - loc       # position of z for index g
 
-    # Factor entries in global coordinates, with their data indices
-    # in the value source [L_0, U_0, L_1, U_1, ..., M, 1, -1].
+    # Factor entries in global coordinates; entry e of the concatenated
+    # L (U) patterns is Lx[e] (Ux[e]) of the store.
     lcnt, lrow, ucnt, urow = [], [], [], []
-    l_start, l_len, u_start, u_len = [], [], [], []
-    off = 0
-    for k in range(nb):
-        pat = block_patterns[k]
-        if pat is None:
-            if sizes[k]:
-                raise ScheduleCompileError(f"block {k} is nonempty but has no factors")
-            continue
-        Lp, Li, Up, Ui = pat
-        base = int(splits[k])
-        lcnt.append(np.diff(Lp))
-        lrow.append(Li + base)
-        ucnt.append(np.diff(Up))
-        urow.append(Ui + base)
-        l_start.append(off)
-        l_len.append(Li.size)
-        u_start.append(off + Li.size)
-        u_len.append(Ui.size)
-        off += Li.size + Ui.size
-    m_off = off
+    for base, pat in zip(splits.tolist(), pattern.blocks):
+        if pat is not None:
+            Lp, Li, Up, Ui = pat
+            lcnt.append(np.diff(Lp))
+            lrow.append(Li + base)
+            ucnt.append(np.diff(Up))
+            urow.append(Ui + base)
+    u_off = int(pattern.l_ptr[-1])
+    m_off = u_off + int(pattern.u_ptr[-1])
     one, neg_one = m_off + m_indices.size, m_off + m_indices.size + 1
 
     def _cat(parts):
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-    def _ranges(starts, lens):
-        return _concat_ranges(np.asarray(starts, dtype=np.int64),
-                              np.asarray(lens, dtype=np.int64))
 
     lcol = np.repeat(np.arange(n), _cat(lcnt))
     lrow_g = _cat(lrow)
@@ -896,7 +1075,7 @@ def _btf_system(splits, block_patterns, m_indptr, m_indices):
     cols = lcol[below]
     dst = tptr[ypos[cols]] + 1 + _rank(cols, n_lb)
     t_rows[dst] = ypos[lrow_g[below]]
-    gather[dst] = _ranges(l_start, l_len)[below]
+    gather[dst] = below
     dst = head + 1 + n_lb
     t_rows[dst] = zpos
     gather[dst] = neg_one
@@ -906,7 +1085,7 @@ def _btf_system(splits, block_patterns, m_indptr, m_indices):
     cols = ucol[upper]
     dst = tptr[zpos[cols]] + n_ua[cols] - 1 - _rank(cols, n_ua)
     t_rows[dst] = zpos[urow_g[upper]]
-    gather[dst] = _ranges(u_start, u_len)[upper]
+    gather[dst] = u_off + upper
     cols = mcol[coupling]
     rows = m_indices[coupling]
     if coupling.size:
@@ -962,20 +1141,18 @@ class BTFSolveSchedule:
     The transpose ``A.T x = b`` is the transposed system ``T.T w = d``,
     upper triangular: ``b`` enters at the z positions and the answer
     leaves from the y positions.  ``T.T`` is levelled on the first
-    transpose solve, from the pattern arrays in :attr:`refs`, and
-    replays ``T``'s values in row-major order (``t_order``).
+    transpose solve, from the patterns in :attr:`key`, and replays
+    ``T``'s values in row-major order (``t_order``).
 
     A single factor pair with no coupling (the supernodal solver) is a
     one-block BTF with ``m_indices`` None.
 
     Parameters
     ----------
-    splits
-        Block boundaries (``nblocks + 1`` entries, as in BTF).
-    block_patterns
-        Per block, ``(Lp, Li, Up, Ui)`` of its factors, or None for an
-        empty block.  Columns must be sorted (every factorization here
-        stores them so).
+    pattern
+        The :class:`FactorPattern` of the factors' :class:`FactorStore`
+        (block boundaries and per-block patterns).  Columns must be
+        sorted (every factorization here stores them so).
     m_indptr, m_indices
         Pattern of ``M = A[row_perm][:, col_perm]``, or None for no
         coupling.
@@ -983,55 +1160,45 @@ class BTFSolveSchedule:
         The factorization's final permutations.
     """
 
-    def __init__(self, splits, block_patterns, m_indptr, m_indices,
+    def __init__(self, pattern: FactorPattern, m_indptr, m_indices,
                  row_perm, col_perm) -> None:
-        splits = np.asarray(splits, dtype=np.int64)
         T, self.gather, self.y_pos, zpos, self.src_size = _btf_system(
-            splits, block_patterns, m_indptr, m_indices)
+            pattern, m_indptr, m_indices)
         self.schedule = compile_triangular_schedule(T, "lower")
-        self.n = n = int(splits[-1])
+        self.n = n = pattern.n
         self.row_perm = row_perm
         self.x_src = np.empty(n, dtype=np.int64)
         self.x_src[np.asarray(col_perm, dtype=np.int64)] = zpos
         # ``T.T``'s schedule and value order, set by the first transpose.
         self.t_schedule: Optional[TriangularSchedule] = None
         self.t_order: Optional[np.ndarray] = None
-        # The pattern arrays this plan was compiled for, revalidated by
-        # object identity (see :meth:`matches`).
-        self.refs = self.pattern_refs(splits, block_patterns, m_indptr, m_indices,
-                                      row_perm, col_perm)
+        # What this plan was compiled for, revalidated by object
+        # identity first (see :meth:`matches`).
+        self.key = (pattern, m_indptr, m_indices, row_perm, col_perm)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def pattern_refs(splits, block_patterns, m_indptr, m_indices,
-                     row_perm, col_perm) -> list:
-        """The arrays a plan is keyed on, flattened into one list (None
-        marks an empty block)."""
-        refs = [splits, m_indptr, m_indices, row_perm, col_perm]
-        for pat in block_patterns:
-            refs.extend(pat or (None,))
-        return refs
+    def matches(self, key: tuple) -> bool:
+        """True when compiled for ``key``: ``(pattern, m_indptr,
+        m_indices, row_perm, col_perm)`` as passed to the constructor.
 
-    def matches(self, refs: list) -> bool:
-        """True when compiled for exactly these pattern arrays
-        (:meth:`pattern_refs`).
-
-        Object identity decides along a refactorization sequence.  Equal
-        but distinct arrays (a values-only refactorization that rebuilt
-        them) are adopted, so the next check is by identity again.
+        Object identity decides along a refactorization sequence, which
+        passes the pattern and permutations on unchanged.  Equal but
+        distinct ones (a fresh factorization with the same pivots) are
+        adopted, so the next check is by identity again.
         """
-        if not _same_refs(self.refs, refs):
+        held = self.key
+        if not (held[0].same(key[0]) and all(map(_same_pattern, key[1:], held[1:]))):
             return False
-        self.refs = refs
+        self.key = key
         return True
 
-    def values(self, block_values: list, m_data: Optional[np.ndarray]) -> np.ndarray:
-        """``T``'s data array: ``block_values`` lists ``L_k.data,
-        U_k.data`` for every nonempty block in order; ``m_data`` is
-        ``M.data``, None without coupling."""
-        coupling = [] if m_data is None else [m_data]
-        src = np.concatenate(block_values + coupling + [np.array((1.0, -1.0))])
-        return src[self.gather]
+    def values(self, store: FactorStore, m_data: Optional[np.ndarray]) -> np.ndarray:
+        """``T``'s data array from the factor values of ``store`` and
+        ``m_data`` (``M.data``, None without coupling)."""
+        consts = (1.0, -1.0)  # L's unit diagonal and the -1 linking y to z
+        src = (store.Lx, store.Ux, consts) if m_data is None else (
+            store.Lx, store.Ux, m_data, consts)
+        return np.concatenate(src)[self.gather]
 
     def solve(self, t_data: np.ndarray, b: np.ndarray,
               transpose: bool = False) -> np.ndarray:
@@ -1062,14 +1229,8 @@ class BTFSolveSchedule:
                                  column=col) from exc
 
     def _compile_transpose(self) -> None:
-        """Level ``T.T`` from the pattern arrays in :attr:`refs`."""
-        splits, m_indptr, m_indices = self.refs[:3]
-        # Blocks are None or four arrays; the comprehension pulls the
-        # other three from the same iterator.
-        rest = iter(self.refs[5:])
-        pats = [None if a is None else (a, next(rest), next(rest), next(rest))
-                for a in rest]
-        T = _btf_system(splits, pats, m_indptr, m_indices)[0]
+        """Level ``T.T`` from the patterns in :attr:`key`."""
+        T = _btf_system(*self.key[:3])[0]
         # Numbered in T's CSC order, the entries of T.T carry the
         # numbers to their row-major places.
         Tt = CSC(T.n_rows, T.n_cols, T.indptr, T.indices,
@@ -1168,10 +1329,12 @@ class RefactorPlan:
     * every diagonal block's :func:`diagonal_block_gathers` map into
       ``M.data`` (``blocks``);
     * the :class:`BlockedRefactorSchedule` that replays all blocks at
-      once, compiled on the first :meth:`replay` and revalidated against
-      the factor patterns, by object identity first;
-    * every block's identity pivot order (``identity``): ``M`` already
-      holds the pivoting, so each replayed block keeps its rows in place.
+      once, compiled on the first :meth:`replay` for the factors'
+      :class:`FactorPattern` and revalidated against it, by object
+      identity first, and the sum of its per-block ledgers (``ledger``).
+
+    ``M`` already holds the pivoting, so each replayed block keeps its
+    rows in place (identity pivot order).
 
     Lookups count as ``<prefix>.refactor.gather.{hit,miss,invalidate}``
     (:func:`refactor_plan`) and ``<prefix>.refactor.schedule.*``
@@ -1189,9 +1352,11 @@ class RefactorPlan:
             A, row_perm, col_perm
         )
         self.blocks = diagonal_block_gathers(self.m_indptr, self.m_indices, splits)
-        self.identity = [np.arange(size, dtype=np.int64) for size in np.diff(splits).tolist()]
+        # Set when ``schedule`` compiles: the pattern it was compiled for
+        # and the sum of its per-block ledgers.
         self.schedule: Optional[BlockedRefactorSchedule] = None
-        self.refs: list = []   # the factor pattern arrays ``schedule`` was compiled for
+        self.pattern: Optional[FactorPattern] = None
+        self.ledger: Optional[CostLedger] = None
 
     def matches(self, A: CSC, row_perm: np.ndarray) -> bool:
         """True when built for ``A``'s pattern and this row permutation."""
@@ -1204,47 +1369,38 @@ class RefactorPlan:
         n = self.m_indptr.size - 1
         return CSC(n, n, self.m_indptr, self.m_indices, a_data[self.m_gather])
 
-    def replay(self, m_data: np.ndarray, factors: list) -> list:
-        """Refactor every diagonal block of ``M`` (data ``m_data``) on
-        the patterns and pivot orders of the prior ``factors``.
+    def replay(self, m_data: np.ndarray,
+               pattern: FactorPattern) -> Tuple[FactorStore, CostLedger]:
+        """Refactor every diagonal block of ``M`` (data ``m_data``) on the
+        prior factors' ``pattern`` and identity pivot orders.
 
-        ``factors[k]`` is block ``k``'s prior ``(L, U)``, None for an
-        empty block.  Returns, per block, the new ``(L, U, ledger)`` (None
-        for an empty block); values and ledgers are identical to running
+        Returns the new :class:`FactorStore`, laid out by ``pattern``
+        itself, and the sum of its per-block ledgers, fixed when the
+        schedule was compiled (shared: add it, do not change it).
+        Values and ledgers are identical to running
         :func:`~repro.solvers.gp.gp_refactor` block by block.  Raises
         :class:`ScheduleCompileError` when the patterns cannot be
         scheduled and :class:`~repro.errors.SingularMatrixError` when a
         reused pivot is unusable.
         """
-        pats = [None if f is None else
-                (f[0].indptr, f[0].indices, f[1].indptr, f[1].indices)
-                for f in factors]
-        refs = [a for pat in pats for a in (pat or (None,))]
         family = self.prefix + ".refactor.schedule"
-        if self.schedule is not None and _same_refs(self.refs, refs):
+        if self.schedule is not None and self.pattern.same(pattern):
             get_tracer().metrics.incr(family + ".hit")
         else:
             get_tracer().metrics.incr(
                 family + (".miss" if self.schedule is None else ".invalidate"))
             self.schedule = None  # a failed compile leaves no stale schedule
             empty = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)) * 2
-            self.schedule = BlockedRefactorSchedule(
-                self.splits, [pat or empty for pat in pats], self.blocks)
-        self.refs = refs
-
+            blocked = BlockedRefactorSchedule(
+                self.splits, [pat or empty for pat in pattern.blocks], self.blocks)
+            self.ledger = CostLedger()
+            for led in blocked.schedule.ledgers:
+                self.ledger.add(led)
+            self.schedule = blocked
+        self.pattern = pattern
         blocked = self.schedule
         Lx, Ux = blocked.run(m_data)
-        ledgers = blocked.schedule.ledgers
-        l_ptr, u_ptr = blocked.l_ptr, blocked.u_ptr
-        out: list = []
-        for k, f in enumerate(factors):
-            if f is None:
-                out.append(None)
-                continue
-            L0, U0 = f
-            out.append((L0.with_data(Lx[l_ptr[k]:l_ptr[k + 1]]),
-                        U0.with_data(Ux[u_ptr[k]:u_ptr[k + 1]]), ledgers[k].copy()))
-        return out
+        return FactorStore(Lx, Ux, pattern, blocked.schedule.ledgers), self.ledger
 
 
 def refactor_plan(prior: Optional[RefactorPlan], prefix: str, A: CSC,

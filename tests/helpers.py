@@ -267,7 +267,7 @@ def basker_refactor_reference(A: CSC, numeric):
     """
     import dataclasses
 
-    from repro.core.basker import BaskerNumeric
+    from repro.core.basker import BaskerNumeric, _block_store
     from repro.parallel.ledger import CostLedger
     from repro.solvers.gp import GPResult, gp_refactor
 
@@ -293,9 +293,10 @@ def basker_refactor_reference(A: CSC, numeric):
                 numeric.nd_numeric[k], L=lu.L, U=lu.U, ledger=led, overhead=CostLedger()
             )
     return BaskerNumeric(
-        symbolic=sym, fine_lu=fine_lu, nd_numeric=nd_numeric,
-        row_perm=numeric.row_perm, col_perm=sym.col_perm, M=M,
-        tasks=[], task_labels={}, ledger=total, overhead_ledger=total.copy(),
+        symbolic=sym, store=_block_store(sym.n_blocks, fine_lu, nd_numeric),
+        row_perm=numeric.row_perm, col_perm=sym.col_perm,
+        M=M, tasks=[], task_labels={}, ledger=total, nd_src=numeric.nd_src,
+        overhead_ledger=total.copy(), _fine_lu=fine_lu, _nd_numeric=nd_numeric,
     )
 
 

@@ -7,12 +7,14 @@ hold the plan to the loops it replaced: Basker's per-block
 supernodal solver's direct whole-matrix schedule, bit for bit.
 """
 
+import collections
 import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
+from repro import DirectSolver
 from repro.core import Basker
 from repro.matrices import get_matrix
 from repro.obs.tracer import Tracer, tracing
@@ -24,6 +26,7 @@ from repro.solvers.triangular import btf_factors
 from repro.sparse import CSC
 from repro.sparse.schedule import (
     BlockedRefactorSchedule,
+    FactorPattern,
     compile_refactor_schedule,
     permutation_gather,
     refactor_plan,
@@ -71,19 +74,26 @@ def _ledger(led) -> dict:
     return dataclasses.asdict(led)
 
 
+def _assert_same_factors(got, want, k):
+    """Equal values and patterns of two ``L`` (or ``U``) factors."""
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), (k, attr)
+
+
 def _assert_same_basker(fast, ref):
     assert sorted(fast.fine_lu) == sorted(ref.fine_lu)
     assert sorted(fast.nd_numeric) == sorted(ref.nd_numeric)
     for k, lu in ref.fine_lu.items():
         got = fast.fine_lu[k]
-        assert np.array_equal(got.L.data, lu.L.data), k
-        assert np.array_equal(got.U.data, lu.U.data), k
+        _assert_same_factors(got.L, lu.L, k)
+        _assert_same_factors(got.U, lu.U, k)
         assert np.array_equal(got.row_perm, lu.row_perm), k
         assert _ledger(got.ledger) == _ledger(lu.ledger), k
     for k, nd in ref.nd_numeric.items():
         got = fast.nd_numeric[k]
-        assert np.array_equal(got.L.data, nd.L.data), k
-        assert np.array_equal(got.U.data, nd.U.data), k
+        _assert_same_factors(got.L, nd.L, k)
+        _assert_same_factors(got.U, nd.U, k)
+        assert np.array_equal(got.piv, nd.piv), k
         assert _ledger(got.ledger) == _ledger(nd.ledger), k
         assert _ledger(got.overhead) == _ledger(nd.overhead), k
     assert _ledger(fast.ledger) == _ledger(ref.ledger)
@@ -150,9 +160,11 @@ def test_replay_counts_a_cancelled_source_like_a_fresh_factor():
         assert refactor(A, prior).ledger.sparse_flops == want
     ident = np.arange(3, dtype=np.int64)
     plan = refactor_plan(None, "test", A, ident, ident, np.array([0, 3]))
-    ((L, U, led),) = plan.replay(plan.permute(A.data).data, [(fresh.L, fresh.U)])
-    assert np.array_equal(U.data, fresh.U.data)
+    store, led = plan.replay(plan.permute(A.data).data,
+                             FactorPattern([(fresh.L, fresh.U)]))
+    assert np.array_equal(store.Ux, fresh.U.data)
     assert led.sparse_flops == want
+    assert [lg.sparse_flops for lg in store.ledgers] == [want]
 
 
 def _block_ledgers(num) -> list:
@@ -279,6 +291,132 @@ def test_invalidate_caches_drops_refactor_plan(solver, prefix):
         again = s.refactor_fast(A2, num)
     assert tr.metrics.counter(f"{prefix}.refactor.gather.miss") == 1
     assert again.refactor_plan is not None
+
+
+# ----------------------------------------------------------------------
+# One factor store: the replay writes it, the solve reads it, and the
+# per-block factors are views of it.
+# ----------------------------------------------------------------------
+
+
+def _klu_refactor_reference(A: CSC, numeric) -> list:
+    """Per-block ``gp_refactor`` of ``A`` on the blocks of a KLU numeric
+    with identity pivot orders: the GP results a replay's views equal."""
+    splits = numeric.symbolic.block_splits
+    M = A.permute(numeric.row_perm, numeric.col_perm)
+    out = []
+    for k, lu in enumerate(numeric.block_lu):
+        lo, hi = int(splits[k]), int(splits[k + 1])
+        fixed = GPResult(lu.L, lu.U, np.arange(hi - lo, dtype=np.int64), CostLedger())
+        out.append(gp_refactor(M.submatrix(lo, hi, lo, hi), fixed, ledger=CostLedger()))
+    return out
+
+
+def _block_views(num) -> list:
+    """Every block's ``(L, U)`` as the numeric's named views give them."""
+    if isinstance(num, KLUNumeric):
+        return [(lu.L, lu.U) for lu in num.block_lu]
+    views = [(f.L, f.U) for f in (*num.fine_lu.values(), *num.nd_numeric.values())]
+    return views + [num.block_factors(k) for k in (*num.fine_lu, *num.nd_numeric)]
+
+
+@pytest.mark.parametrize("solver", ["klu", "basker"])
+def test_store_views_share_its_memory_and_equal_the_per_block_factors(solver):
+    """Fresh and replayed numerics: every block's factors are views of
+    the store, a write through one changes the next solve, and the views
+    a replay builds on first access equal the per-block refactorization
+    in values, patterns, identity pivot orders and ledgers."""
+    seq = matrix_sequence(xyce1_analog(), 2)
+    s = KLU() if solver == "klu" else Basker(n_threads=4)
+    fresh = s.factor(seq[0])
+    replayed = s.refactor_fast(seq[1], fresh)
+    b = np.random.default_rng(0).standard_normal(seq[0].n_rows)
+    splits = fresh.symbolic.block_splits
+    k = int(np.argmax(np.diff(splits)))
+    for num in (fresh, replayed):
+        views = _block_views(num)
+        assert len(views) >= splits.size - 1
+        for L, U in views:
+            assert np.shares_memory(L.data, num.store.Lx)
+            assert np.shares_memory(U.data, num.store.Ux)
+        U = num.block_lu[k].U if solver == "klu" else num.block_factors(k)[1]
+        x0 = s.solve(num, b)
+        old = U.data[-1]  # the block's last U diagonal
+        U.data[-1] = 2.0 * old
+        assert not np.array_equal(s.solve(num, b), x0)
+        U.data[-1] = old
+        assert np.array_equal(s.solve(num, b), x0)
+    if solver == "basker":
+        assert replayed.fine_lu and replayed.nd_numeric
+        _assert_same_basker(replayed, basker_refactor_reference(seq[1], fresh))
+        return
+    ref = _klu_refactor_reference(seq[1], fresh)
+    assert len(replayed.block_lu) == len(ref) == splits.size - 1
+    for j, (got, want) in enumerate(zip(replayed.block_lu, ref)):
+        _assert_same_factors(got.L, want.L, j)
+        _assert_same_factors(got.U, want.U, j)
+        assert np.array_equal(got.row_perm, np.arange(got.L.n_cols)), j
+        assert _ledger(got.ledger) == _ledger(want.ledger), j
+    assert [_ledger(led) for led in replayed.block_ledgers] == [_ledger(lu.ledger) for lu in ref]
+
+
+@pytest.mark.parametrize("solver", ["klu", "basker"])
+def test_warm_op_python_work_does_not_grow_with_the_block_count(solver, monkeypatch):
+    """A warm op (values-only refactorization plus a solve) builds no
+    per-block objects: on xyce1_analog's 125 blocks it constructs
+    exactly as many ``CSC``, ``GPResult`` and ``CostLedger`` objects as
+    on a 2-block matrix, a small constant."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(CSC, "__init__", counting("CSC", CSC.__init__))
+    monkeypatch.setattr(GPResult, "__init__", counting("GPResult", GPResult.__init__))
+    monkeypatch.setattr(CostLedger, "__init__", counting("CostLedger", CostLedger.__init__))
+    two_blocks = _two_blocks_with_a_dying_pivot()[0]
+    per_op = []
+    for seq, n_blocks in ((matrix_sequence(xyce1_analog(), 3), 125),
+                          (_rescaled(two_blocks, 2, 8), 2)):
+        ds = DirectSolver(solver, n_threads=4) if solver == "basker" else DirectSolver(solver)
+        b = np.ones(seq[0].n_rows)
+        ds.numeric_factorization(seq[0])
+        assert ds._numeric.symbolic.n_blocks == n_blocks
+        ds.numeric_factorization(seq[1])  # the first replay and solve compile
+        ds.solve(b)
+        counts.clear()
+        with tracing(Tracer()) as tr:
+            ds.numeric_factorization(seq[2])
+            ds.solve(b)
+        assert tr.metrics.counter(f"{solver}.refactor.schedule.hit") == 1
+        assert tr.metrics.counter("schedule.tri.hit") == 1
+        per_op.append(dict(counts))
+    assert per_op[0] == per_op[1]
+    assert sum(per_op[0].values()) <= 4
+
+
+def test_replay_matches_its_pattern_by_identity_then_by_value():
+    """A replay passes the prior pattern object on unchanged; an equal
+    but distinct pattern object still hits the compiled schedule and is
+    adopted, and the replay lays its store out by it."""
+    A0, A1 = _rescaled(get_matrix("circuit_4"), 1, 9)
+    klu = KLU()
+    num = klu.factor(A0)
+    fast = klu.refactor_fast(A1, num)
+    assert fast.store.pattern is num.store.pattern
+    plan = fast.refactor_plan
+    twin = FactorPattern(num.store.blocks())
+    assert twin is not num.store.pattern and twin.same(num.store.pattern)
+    with tracing(Tracer()) as tr:
+        store, led = plan.replay(fast.M.data, twin)
+    assert tr.metrics.counter("klu.refactor.schedule.hit") == 1
+    assert plan.pattern is twin and store.pattern is twin
+    assert np.array_equal(store.Lx, fast.store.Lx)
+    assert np.array_equal(store.Ux, fast.store.Ux)
+    assert _ledger(led) == _ledger(plan.ledger)
 
 
 def test_plan_audits_cover_the_replayed_refactor_plan():

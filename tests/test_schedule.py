@@ -254,7 +254,7 @@ def test_pivot_zero_fault_zeroes_the_same_workspace_slot(frac, slot, column):
                                        frac=frac)])
     with pytest.raises(SingularMatrixError) as exc:
         with plan_faults:
-            plan.replay(plan.permute(A.data).data, [(lu.L, lu.U) for lu in num.block_lu])
+            plan.replay(plan.permute(A.data).data, num.store.pattern)
     assert [e.index for e in plan_faults.events] == [slot]
     assert exc.value.column == column
 
