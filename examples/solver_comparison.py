@@ -63,7 +63,7 @@ print(f"MWCM + ILU(0) + GMRES: {res.iterations} iterations, "
 print("\n--- level-scheduled parallel solve (ref. [18]) ---")
 klu = DirectSolver("klu").numeric_factorization(A)
 L = max(klu._numeric.block_lu, key=lambda lu: lu.L.n_rows).L
-widths = [lv.cols.size for lv in triangular_schedule(L, "lower").levels]
+widths = [hi - lo for lo, hi, _ in triangular_schedule(L, "lower").levels]
 print(f"largest block L: n={L.n_rows}, nnz={L.nnz}")
 print(f"levels: {len(widths)}, average parallelism {L.n_rows / len(widths):.1f}, "
       f"max {max(widths):.0f}")

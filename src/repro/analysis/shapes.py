@@ -1963,86 +1963,30 @@ def _chk_segments(findings: List[ShapeFinding], label: str, where: str,
 
 
 def _audit_triangular(sched, label: str) -> List[ShapeFinding]:
+    """A triangular schedule on level-ordered rows: every column at one
+    packed row, level rows contiguous and in order, every group reading
+    its own level's rows and scattering to distinct rows of later
+    levels."""
     findings: List[ShapeFinding] = []
     n, nnz = int(sched.n), int(sched.nnz)
-    if sched.diag_idx.shape != (n,):
-        _aud(findings, label, "S3",
-             "diag_idx has shape %r, expected (%d,)"
-             % (sched.diag_idx.shape, n))
-    _chk_index(findings, label, "diag_idx", sched.diag_idx, nnz, lo=-1)
-    _chk_index(findings, label, "val_gather", sched.val_gather, nnz, lo=-1)
-    n_vals = sched.val_gather.size
-    counts = np.zeros(n, dtype=np.int64)
-    level_of = np.full(n, -1, dtype=np.int64)
-    for s, lv in enumerate(sched.levels):
-        where = "level %d" % s
-        _chk_index(findings, label, where + " cols", lv.cols, n)
-        cols = lv.cols[(lv.cols >= 0) & (lv.cols < n)]
-        counts += np.bincount(cols, minlength=n)
-        level_of[cols] = s
-        if lv.scalar_cols is not None:
-            for j, dj, lo, hi, rows in lv.scalar_cols:
-                if not (0 <= j < n):
-                    _aud(findings, label, "S1",
-                         "%s: scalar column %d outside [0, %d)"
-                         % (where, j, n))
-                if dj < -1 or dj >= nnz:
-                    _aud(findings, label, "S1",
-                         "%s: scalar diag index %d outside [-1, %d)"
-                         % (where, dj, nnz))
-                if not (0 <= lo <= hi <= nnz):
-                    _aud(findings, label, "S1",
-                         "%s: scalar data slice [%d, %d) outside [0, %d]"
-                         % (where, lo, hi, nnz))
-                _chk_index(findings, label, where + " scalar rows",
-                           np.asarray(rows), n)
-            continue
-        n_ent = lv.ent_col.size
-        for name, part, want in (("diag", lv.diag, lv.cols.size),
-                                 ("ents", lv.ents, n_ent)):
-            if not (0 <= part.start <= part.stop <= n_vals):
-                _aud(findings, label, "S1",
-                     "%s: %s values [%d, %d) outside val_gather [0, %d]"
-                     % (where, name, part.start, part.stop, n_vals))
-            _chk_size(findings, label, part.stop - part.start, want,
-                      where + ": %d " + name + " values for %d reads")
-        _chk_index(findings, label, where + " ent_col", lv.ent_col, n)
-        _chk_segments(findings, label, where, lv.seg_starts, lv.seg_tgt,
-                      n_ent, n)
+    order = sched.order
+    _chk_index(findings, label, "order", order, n)
+    counts = np.bincount(order[(order >= 0) & (order < n)], minlength=n)
     _chk_finalized(findings, label, counts, "level")
-    # Level order: every update lands in a row finalized strictly later.
-    for s, lv in enumerate(sched.levels):
-        tgt = lv.seg_tgt if lv.scalar_cols is None else np.concatenate(
-            [np.asarray(rows, dtype=np.int64) for *_, rows in lv.scalar_cols]
-            or [np.zeros(0, dtype=np.int64)])
-        tgt = tgt[(tgt >= 0) & (tgt < n)]
-        early = tgt[level_of[tgt] <= s]
-        if early.size:
-            row = int(early[0])
-            _aud(findings, label, "E4",
-                 "level %d scatters into row %d of level %d — an update "
-                 "targets a row finalized no later than its producer"
-                 % (s, row, int(level_of[row])))
-    if sched.block_plan is not None:
-        _audit_block_plan(findings, label, sched.block_plan, n, nnz)
-    return findings
-
-
-def _audit_block_plan(findings: List[ShapeFinding], label: str, plan,
-                      n: int, nnz: int) -> None:
-    """A triangular schedule's block replay layout, once built: level
-    rows contiguous and in order, every group reading its own level's
-    rows and scattering to distinct rows of later levels."""
-    _chk_perm(findings, label, "block order", plan.order, n)
-    if plan.pos.shape != (n,) or plan.order.shape != (n,) or (
-            n and np.any(plan.pos[plan.order % n] != np.arange(n))):
-        _aud(findings, label, "S2", "block pos is not the inverse of block order")
-    _chk_index(findings, label, "block diag_gather", plan.diag_gather, nnz, lo=-1)
-    _chk_index(findings, label, "block ent_gather", plan.ent_gather, nnz)
-    n_vals = plan.ent_gather.size
+    # pos is checked against a valid order only: a broken order is
+    # reported above, once.
+    if order.shape == (n,) and np.all(counts == 1) and (
+            sched.pos.shape != (n,) or np.any(sched.pos[order] != np.arange(n))):
+        _aud(findings, label, "S2", "pos is not the inverse of order")
+    if sched.diag_gather.shape != (n,):
+        _aud(findings, label, "S3", "diag_gather has shape %r, expected (%d,)"
+             % (sched.diag_gather.shape, n))
+    _chk_index(findings, label, "diag_gather", sched.diag_gather, nnz, lo=-1)
+    _chk_index(findings, label, "ent_gather", sched.ent_gather, nnz)
+    n_vals = sched.ent_gather.size
     end = 0
-    for s, (lo, hi, groups) in enumerate(plan.levels):
-        where = "block level %d" % s
+    for s, (lo, hi, groups) in enumerate(sched.levels):
+        where = "level %d" % s
         if lo != end or hi < lo:
             _aud(findings, label, "S2", "%s: rows [%d, %d) do not start at row %d"
                  % (where, lo, hi, end))
@@ -2067,7 +2011,8 @@ def _audit_block_plan(findings: List[ShapeFinding], label: str, plan,
                      "%s scatters into row %d — an update targets a row "
                      "finalized no later than its producer" % (where, int(tgt.min())))
     if end != n:
-        _aud(findings, label, "S2", "block levels cover %d of %d rows" % (end, n))
+        _aud(findings, label, "S2", "levels cover %d of %d rows" % (end, n))
+    return findings
 
 
 def _audit_refactor(sched, label: str) -> List[ShapeFinding]:
@@ -2152,17 +2097,16 @@ def audit_schedule_buffers(plan, label: Optional[str] = None
     of the plan, one finding code per property:
 
     * E4 — write disjointness and level order: scatter targets and L
-      destinations distinct within each level/stage, every column
+      destinations distinct within each update group/stage, every column
       finalized exactly once, every triangular update landing in a
       level strictly after its producer's (the precondition for running
       a level in parallel), and no refactor stage updating a pivot of
       its own or an earlier stage (the precondition for checking every
       pivot once, after the sweep);
     * S1 — indices in bounds, the folded gathers included (a solve's
-      ``val_gather``, value slices and ``ent_col``, and the block
-      replay's level-ordered layout once a block solve built it; a replay's
-      ``l_piv``, ``ent_lval``, ``ent_src`` and ``piv_wpos``), and
-      ``row_perm``/``t_order`` valid permutations;
+      ``order``, ``diag_gather``, ``ent_gather``, value ranges and group
+      rows; a replay's ``l_piv``, ``ent_lval``, ``ent_src`` and
+      ``piv_wpos``), and ``row_perm``/``t_order`` valid permutations;
     * S2 — ``seg_starts`` strictly increasing from 0, nonnegative
       counts, position maps and block boundaries well formed;
     * S3 — counts and sizes consistent with the staged entry totals.

@@ -149,15 +149,13 @@ def _solver_plans(A: CSC):
     """``(solver, solve plan, refactor plan)`` for KLU and Basker on
     ``A``: the compiled BTF solve, with its transposed system, and the
     blocked refactor schedule that ``refactor_fast`` replays, compiled by
-    one factor, a one- and a two-column solve (the second lays out the
-    block replay), one transpose solve and one values-only
+    one factor, one solve, one transpose solve and one values-only
     refactorization each."""
     from .solvers.extras import solve_transpose
 
     for label, solver in (("klu", KLU()), ("basker", Basker(n_threads=4))):
         num = solver.factor(A)
         solver.solve(num, np.zeros(A.n_rows))
-        solver.solve(num, np.zeros((A.n_rows, 2)))
         solve_transpose(num, np.zeros(A.n_rows))
         solver.refactor_fast(A, num)
         yield label, num.solve_plan, num.refactor_plan.schedule

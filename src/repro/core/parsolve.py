@@ -40,9 +40,10 @@ def _chunk_tasks(T: CSC, sched: TriangularSchedule, n_threads: int) -> List[SimT
     keys: List[Tuple[int, int]] = []  # task id -> (level, chunk)
     chunks: List[np.ndarray] = []
     task_of = np.empty(n, dtype=np.int64)  # row -> producing task id
-    for lv, level in enumerate(sched.levels):
-        # Static chunking of the level across threads.
-        for ci, chunk in enumerate(np.array_split(level.cols, min(n_threads, level.cols.size))):
+    for lv, (lo, hi, _) in enumerate(sched.levels):
+        # Static chunking of the level's columns across threads.
+        cols = sched.order[lo:hi]
+        for ci, chunk in enumerate(np.array_split(cols, min(n_threads, cols.size))):
             task_of[chunk] = len(keys)
             keys.append((lv, ci))
             chunks.append(chunk)

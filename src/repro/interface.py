@@ -20,24 +20,33 @@ from .parallel.machine import MachineModel, SANDY_BRIDGE
 from .solvers import KLU, SupernodalLU, slu_mt
 from .solvers.extras import refine_solve, solve_transpose
 from .sparse.csc import CSC
+from .sparse.schedule import _same_pattern
 from .sparse.verify import validate_rhs
 
 __all__ = ["DirectSolver", "available_solvers"]
 
+# Every option a registry solver reads, with its default.  A solver
+# ignores the ones it has no use for, so one set of options can drive
+# any of them.
+_OPTIONS = {
+    "n_threads": 8,
+    "pivot_tol": 0.001,
+    "supernodal_separators": False,
+    "nd_leaves": None,
+    "static_perturb": 0.0,
+}
+
 _REGISTRY = {
-    "basker": lambda opts: Basker(
-        n_threads=opts.get("n_threads", 8),
-        pivot_tol=opts.get("pivot_tol", 0.001),
-        supernodal_separators=opts.get("supernodal_separators", False),
-        nd_leaves=opts.get("nd_leaves"),
-        static_perturb=opts.get("static_perturb", 0.0),
+    "basker": lambda o: Basker(
+        n_threads=o["n_threads"],
+        pivot_tol=o["pivot_tol"],
+        supernodal_separators=o["supernodal_separators"],
+        nd_leaves=o["nd_leaves"],
+        static_perturb=o["static_perturb"],
     ),
-    "klu": lambda opts: KLU(
-        pivot_tol=opts.get("pivot_tol", 0.001),
-        static_perturb=opts.get("static_perturb", 0.0),
-    ),
-    "pardiso": lambda opts: SupernodalLU(),
-    "superlu_mt": lambda opts: slu_mt(),
+    "klu": lambda o: KLU(pivot_tol=o["pivot_tol"], static_perturb=o["static_perturb"]),
+    "pardiso": lambda o: SupernodalLU(),
+    "superlu_mt": lambda o: slu_mt(),
 }
 
 
@@ -67,47 +76,54 @@ class DirectSolver:
         key = name.lower()
         if key not in _REGISTRY:
             raise ValueError(f"unknown solver {name!r}; available: {available_solvers()}")
+        unknown = sorted(set(options) - set(_OPTIONS))
+        if unknown:
+            raise ValueError(f"unknown option(s) {unknown} for solver {name!r}; "
+                             f"accepted: {sorted(_OPTIONS)}")
         self.name = key
         self.options = options
-        self._impl = _REGISTRY[key](options)
+        self._impl = _REGISTRY[key]({**_OPTIONS, **options})
         self._symbolic = None
         self._numeric = None
         self._n = None
-        self._pattern = None  # (indptr, indices) of the factored matrix
+        self._pattern = None  # (indptr, indices) of the analyzed matrix
 
     # ------------------------------------------------------------------
     def symbolic_factorization(self, A: CSC) -> "DirectSolver":
         self._symbolic = self._impl.analyze(A)
         self._n = A.n_rows
         self._numeric = None
-        self._pattern = None
+        self._pattern = (A.indptr, A.indices)
         return self
 
-    def numeric_factorization(self, A: CSC) -> "DirectSolver":
-        """Factor (or refactor when the pattern was already analyzed).
-
-        When a prior numeric factorization exists and ``A`` has exactly
-        the same pattern, the solver's values-only ``refactor_fast``
-        path is taken (fixed pivot order, compiled elimination
-        schedule).  Every solver's ``refactor_fast`` falls back to a
-        full numeric factorization with fresh pivoting when a reused
-        pivot degenerates — the standard klu_refactor/klu_factor usage
-        pattern — so a :class:`~repro.errors.SingularMatrixError` raised
-        here comes from that fresh factorization: ``A`` is singular.
-        """
-        if self._symbolic is None:
+    def _analyze_if_changed(self, A: CSC) -> None:
+        """Analyze ``A`` unless it has the analyzed pattern, so every
+        numeric factorization holds ``A``'s pattern."""
+        p = self._pattern
+        if p is None or not (_same_pattern(A.indptr, p[0])
+                             and _same_pattern(A.indices, p[1])):
             self.symbolic_factorization(A)
+
+    def numeric_factorization(self, A: CSC) -> "DirectSolver":
+        """Factor (or refactor when the pattern was already factored).
+
+        ``A`` is analyzed first when its pattern differs from the one
+        :meth:`symbolic_factorization` analyzed.  When a prior numeric
+        factorization of that pattern exists, the solver's values-only
+        ``refactor_fast`` path is taken (fixed pivot order, compiled
+        elimination schedule).  Every solver's ``refactor_fast`` falls
+        back to a full numeric factorization with fresh pivoting when a
+        reused pivot degenerates — the standard klu_refactor/klu_factor
+        usage pattern — so a :class:`~repro.errors.SingularMatrixError`
+        raised here comes from that fresh factorization: ``A`` is
+        singular.
+        """
+        self._analyze_if_changed(A)
         prior = self._numeric
-        if (
-            prior is not None
-            and self._pattern is not None
-            and np.array_equal(A.indptr, self._pattern[0])
-            and np.array_equal(A.indices, self._pattern[1])
-        ):
+        if prior is not None:
             self._numeric = self._impl.refactor_fast(A, prior)
-            return self
-        self._numeric = self._impl.factor(A, symbolic=self._symbolic)
-        self._pattern = (A.indptr, A.indices)
+        else:
+            self._numeric = self._impl.factor(A, symbolic=self._symbolic)
         return self
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -149,7 +165,8 @@ class DirectSolver:
         :func:`repro.resilience.recovery.run_ladder`).
 
         Starts from the cheap values-only replay when a prior numeric
-        factorization with the same pattern exists, escalating to full
+        factorization with the same pattern exists (``A`` is analyzed
+        anew when its pattern changed), escalating to full
         refactorization, strict re-pivoting, static perturbation +
         refinement, and finally a dense LU — each candidate verified by
         its componentwise backward error before acceptance.  Returns
@@ -161,25 +178,17 @@ class DirectSolver:
         """
         from .resilience.recovery import run_ladder
 
-        if self._symbolic is None:
-            self.symbolic_factorization(A)
-        prior = self._numeric
-        if prior is not None and not (
-            self._pattern is not None
-            and np.array_equal(A.indptr, self._pattern[0])
-            and np.array_equal(A.indices, self._pattern[1])
-        ):
-            prior = None  # pattern changed: the replay rung cannot apply
+        self._analyze_if_changed(A)
 
         def make_variant(**overrides):
-            return _REGISTRY[self.name]({**self.options, **overrides})
+            return _REGISTRY[self.name]({**_OPTIONS, **self.options, **overrides})
 
         x, numeric, report = run_ladder(
             self._impl,
             A,
             b,
             symbolic=self._symbolic,
-            prior=prior,
+            prior=self._numeric,
             make_variant=make_variant,
             tol=tol,
             refine_steps=refine_steps,
@@ -188,7 +197,6 @@ class DirectSolver:
         )
         if numeric is not None:
             self._numeric = numeric
-            self._pattern = (A.indptr, A.indices)
         return x, report
 
     def health_report(

@@ -199,13 +199,6 @@ def run_profile(
                 if plan is not None and k == 1 and not armed:
                     plan.__enter__()
                     armed = True
-                if k > 0 and not (
-                    np.array_equal(A.indptr, matrices[k - 1].indptr)
-                    and np.array_equal(A.indices, matrices[k - 1].indices)
-                ):
-                    # Pattern changed (mixed-suite input): re-analyze so
-                    # the refactor rung never runs on a stale symbolic.
-                    ds.symbolic_factorization(A)
                 with tracer.span("profile.step", step=k) as step_span:
                     _x, report = ds.solve_resilient(
                         A, rhs[k], tol=tol, label=f"step{k}")

@@ -36,7 +36,6 @@ from ..errors import SingularMatrixError, StructureError
 from ..graph.etree import etree, postorder, symbolic_cholesky_counts, symmetric_pattern
 from ..graph.matching import mwcm_row_permutation
 from ..obs.tracer import get_tracer
-from ..ordering.amd import amd_order
 from ..ordering.nd import nd_order
 from ..ordering.perm import compose, invert
 from ..parallel.ledger import CostLedger
@@ -138,14 +137,17 @@ class SupernodalNumeric:
         return drop_solve_plan(self)
 
 
+# Widest supernode the amalgamation builds.
+_MAX_SUPERNODE = 96
+
+
 class SupernodalLU:
-    """Supernodal LU with static pivoting (PMKL stand-in)."""
+    """Supernodal LU with static pivoting (PMKL stand-in), on a nested
+    dissection fill ordering."""
 
     def __init__(
         self,
-        ordering: str = "nd",
         relax: int = 2,
-        max_supernode: int = 96,
         perturb_scale: float = 1e-10,
         dense_cost_factor: float = 1.0,
         pivot_overhead: float = 0.0,
@@ -156,11 +158,7 @@ class SupernodalLU:
         """``relax``: amalgamation slack (extra rows tolerated when
         merging a column into the running supernode).  ``fill_cap``:
         fail if the symbolic |L+U| exceeds ``fill_cap * |A|``."""
-        if ordering not in ("nd", "amd", "natural"):
-            raise StructureError("ordering must be 'nd', 'amd' or 'natural'")
-        self.ordering = ordering
         self.relax = int(relax)
-        self.max_supernode = int(max_supernode)
         self.perturb_scale = float(perturb_scale)
         self.dense_cost_factor = float(dense_cost_factor)
         self.pivot_overhead = float(pivot_overhead)
@@ -186,12 +184,7 @@ class SupernodalLU:
             pm = np.arange(n, dtype=np.int64)
             A1 = A
 
-        if self.ordering == "nd":
-            pf = nd_order(A1)
-        elif self.ordering == "amd":
-            pf = amd_order(A1)
-        else:
-            pf = np.arange(n, dtype=np.int64)
+        pf = nd_order(A1)
         led.dfs_steps += 4 * A.nnz
 
         B = symmetric_pattern(A1.permute(pf, pf))
@@ -213,7 +206,7 @@ class SupernodalLU:
             mergeable = (
                 parent[prev] == j
                 and counts[prev] <= counts[j] + 1 + self.relax
-                and width < self.max_supernode
+                and width < _MAX_SUPERNODE
             )
             if not mergeable:
                 sn_starts.append(j)
@@ -591,7 +584,6 @@ def slu_mt(fill_cap: Optional[float] = 60.0) -> SupernodalLU:
     """SuperLU-MT cost variant: 1-D layout, partial pivoting overhead,
     weaker BLAS utilization, fails past a fill cap (Fig. 5 behaviour)."""
     return SupernodalLU(
-        ordering="nd",
         relax=1,
         dense_cost_factor=1.8,
         pivot_overhead=0.6,

@@ -61,12 +61,12 @@ replay costs about one fixed numpy call overhead per call per level,
 not arithmetic.  Every permutation the pattern fixes is therefore folded
 into the compiled arrays: a refactor stage reads its pivots, multipliers
 and sources in segment order directly (``l_piv``, ``ent_lval``,
-``ent_src``), and a triangular schedule gathers every value its vector
-levels read in one ``data[val_gather]`` per solve.  A block right-hand
-side replays the levels on level-ordered rows, where a level's
-divisions are one slice and each of its scatters writes whole rows
-(:class:`_BlockPlan`).  The refactor replay checks its pivots once,
-after the sweep (see :meth:`RefactorSchedule.run`).
+``ent_src``), and a triangular schedule works on the unknowns renumbered
+in level order, where a level's divisions are one slice and each of its
+update groups one scatter, for one right-hand side or a block alike; it
+gathers its diagonals and update values once per solve.  The refactor
+replay checks its pivots once, after the sweep (see
+:meth:`RefactorSchedule.run`).
 """
 
 from __future__ import annotations
@@ -130,78 +130,42 @@ def _segment(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
 # ======================================================================
 
 
-# One-column solves run levels at most this wide as a per-column scalar
-# loop instead of the whole-level vector path: deep factors produce long
-# runs of 1-2 column levels where the fixed cost of the vector calls
-# dominates.  The two paths round differently (the scalar one subtracts
-# a level's updates to a row one column at a time, the vector one sums
-# them first), so moving the bound changes solutions in the last bits.
-# Block solves keep both roundings (see :class:`_BlockPlan`).
+# A level of at most this many columns applies each row's updates one
+# at a time, in column order (one update group per round); a wider level
+# sums a row's updates first (one segmented group).  The two rules round
+# differently, so moving the bound changes solutions in the last bits.
 _SCALAR_LEVEL_WIDTH = 4
 
 
 @dataclass
-class _TriLevel:
-    cols: np.ndarray        # columns finalized at this level
-    # The level's slices of the schedule's ``val_gather``: its
-    # diagonals, then its update entries in segment order.
-    diag: slice
-    ents: slice
-    ent_col: np.ndarray     # per update entry in segment order: its source column
-    seg_starts: np.ndarray
-    seg_tgt: np.ndarray     # target rows of x
-    # Narrow levels only: per column ``(j, diag, lo, hi, rows)`` with
-    # ``lo:hi`` the data slice of the update entries and ``rows`` their
-    # target rows; the vector fields above are left empty then.
-    scalar_cols: Optional[list] = None
-
-
-@dataclass
-class _BlockPlan:
-    """The levels of a :class:`TriangularSchedule` for block right-hand
-    sides, on the rows of ``x`` renumbered in level order.
+class TriangularSchedule:
+    """Level schedule of a triangular CSC pattern for dense-RHS solves,
+    on the unknowns renumbered in level order.
 
     Packed row ``p`` holds unknown ``order[p]`` (``pos`` is the
     inverse), so every level's unknowns are one slice and its divisions
     one call.  ``levels[s]`` is ``(lo, hi, groups)``: packed rows
     ``lo:hi`` and the level's update groups ``(v0, v1, src, seg, tgt)``,
     each one scatter with distinct packed targets ``tgt``: values
-    ``v0:v1`` of the ``ent_gather`` order times the rows ``src``,
-    summed over the segments starting at ``seg`` first (None when every
-    target takes one update).  A vector level is one group.  A narrow
-    level, which the scalar path updates one column at a time, is one
-    group per round: round ``r`` applies the ``r``-th update of every
-    target row, which keeps the scalar path's order of subtractions.
-    ``diag_gather`` indexes the diagonals in packed order.
+    ``v0:v1`` of the ``ent_gather`` order times the rows ``src``, summed
+    over the segments starting at ``seg`` first (None when every target
+    takes one update).  A level wider than ``_SCALAR_LEVEL_WIDTH``
+    columns is one group; a narrower one is one group per round, round
+    ``r`` applying the ``r``-th update of every target row.
     """
-
-    order: np.ndarray
-    pos: np.ndarray
-    diag_gather: np.ndarray
-    ent_gather: np.ndarray
-    levels: list
-
-
-@dataclass
-class TriangularSchedule:
-    """Level schedule of a triangular CSC pattern for dense-RHS solves."""
 
     kind: str               # "lower" or "upper"
     n: int
     nnz: int
-    diag_idx: np.ndarray    # per column, -1 when no stored diagonal
+    order: np.ndarray
+    pos: np.ndarray
+    # Per packed row, the data index of its diagonal (-1 when the column
+    # stores none); ``all_diagonals`` is False when any is missing.
+    diag_gather: np.ndarray
+    all_diagonals: bool
+    ent_gather: np.ndarray  # data index of every update value, group by group
+    levels: list
     col_empty: np.ndarray   # per column, True when the column stores nothing
-    levels: List[_TriLevel]
-    # Data index of every value the vector levels read, level by level
-    # (see ``_TriLevel.diag``/``ents``; -1 for a missing diagonal): a
-    # replay gathers them all at once.
-    val_gather: np.ndarray
-    # The block replay's layout, built by the first block solve.
-    block_plan: Optional[_BlockPlan] = field(default=None, repr=False, compare=False)
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
 
     def matches(self, M: CSC) -> bool:
         """Cheap pattern identity check (patterns are immutable by
@@ -223,91 +187,58 @@ class TriangularSchedule:
         """:meth:`solve` on the compiled pattern with values ``data``
         (indexed like the pattern's CSC data array)."""
         b = np.asarray(b, dtype=np.float64)
-        if b.ndim == 1:
-            return self._replay_vec(data, b, unit_diag)
-        if b.ndim == 2:
-            return self._replay_block(data, b, unit_diag)
-        raise StructureError(
-            f"right-hand side must be (n,) or (n, k), got shape {b.shape}"
-        )
-
-    def _check_diagonal(self, data: np.ndarray) -> None:
-        """Validate every diagonal up front, reporting the column the
-        reference sweep would have hit first."""
-        missing = self.diag_idx < 0
-        dvals = np.zeros(self.n, dtype=np.float64)
-        dvals[~missing] = data[self.diag_idx[~missing]]
-        bad = missing | (dvals == 0.0)
-        if np.any(bad):
-            which = np.flatnonzero(bad)
-            j = int(which.max() if self.kind == "upper" else which.min())
-            if self.kind == "lower" and self.col_empty[j]:
-                raise ZeroPivotError(f"empty column {j} in lower solve", column=j)
-            raise ZeroPivotError(f"zero diagonal at column {j}", column=j)
-
-    @shapes(b="f8[n]", returns="f8[n]")
-    def _replay_vec(self, data: np.ndarray, b: np.ndarray, unit_diag: bool) -> np.ndarray:
-        n = self.n
-        x = np.array(b, dtype=np.float64, copy=True)
-        if x.shape != (n,):
-            raise StructureError("dimension mismatch")
-        use_diag = not unit_diag
-        if use_diag:
-            self._check_diagonal(data)
-        vals = self._values(data)
-        for lv in self.levels:
-            scalars = lv.scalar_cols
-            if scalars is not None:
-                for j, dj, lo, hi, rows in scalars:
-                    xj = x[j]
-                    if use_diag:
-                        xj = x[j] = xj / data[dj]
-                    if xj != 0.0 and lo != hi:
-                        x[rows] -= data[lo:hi] * xj
-                continue
-            if use_diag:
-                x[lv.cols] /= vals[lv.diag]
-            if lv.seg_starts.size:
-                prods = vals[lv.ents] * x[lv.ent_col]
-                x[lv.seg_tgt] -= np.add.reduceat(prods, lv.seg_starts)
-        return x
-
-    def _values(self, data: np.ndarray) -> np.ndarray:
-        """Every value the vector levels read, in one gather.  A pattern
-        with no entries has none to read: its diagonals are all missing,
-        so only a unit-diagonal replay gets here."""
-        return data[self.val_gather] if data.size else data
-
-    @shapes(b="f8[n,k]", returns="f8[n,k]")
-    def _replay_block(self, data: np.ndarray, b: np.ndarray, unit_diag: bool) -> np.ndarray:
+        if b.ndim not in (1, 2):
+            raise StructureError(
+                f"right-hand side must be (n,) or (n, k), got shape {b.shape}"
+            )
         if b.shape[0] != self.n:
             raise StructureError("dimension mismatch")
-        use_diag = not unit_diag
-        if use_diag:
-            self._check_diagonal(data)
-        plan = self.block_plan
-        if plan is None:
-            plan = self.block_plan = _compile_block_plan(self)
-        x = b.take(plan.order, axis=0)  # a C-ordered copy in level order
-        if x.shape[1]:
+        diag = None if unit_diag else self._diagonals(data)
+        x = b.take(self.order, axis=0)  # a C-ordered copy in level order
+        vals = data[self.ent_gather]
+        rows = None
+        if x.ndim == 2:
+            if not x.shape[1]:
+                return x
             # Every row of x as one item: a scatter of whole rows is a
             # 1-D fancy assignment, several times cheaper than a 2-D one.
             rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1])))
-            diag = data[plan.diag_gather][:, None] if use_diag else None
-            vals = data[plan.ent_gather][:, None]
-            take, divide, reduceat = x.take, np.divide, np.add.reduceat
-            for lo, hi, groups in plan.levels:
-                if use_diag:
-                    xs = x[lo:hi]
-                    divide(xs, diag[lo:hi], out=xs)
-                # The targets of a group are distinct, so the assignment
-                # is ``x[tgt] -= prods``.
-                for v0, v1, src, seg, tgt in groups:
-                    prods = vals[v0:v1] * take(src, axis=0)
-                    if seg is not None:
-                        prods = reduceat(prods, seg, axis=0)
-                    rows[tgt] = (take(tgt, axis=0) - prods).view(rows.dtype)
-        return x.take(plan.pos, axis=0)
+            vals = vals[:, None]
+            if diag is not None:
+                diag = diag[:, None]
+        take, divide, reduceat = x.take, np.divide, np.add.reduceat
+        for lo, hi, groups in self.levels:
+            if diag is not None:
+                xs = x[lo:hi]
+                divide(xs, diag[lo:hi], out=xs)
+            # A group's targets are distinct, so its row assignment is
+            # ``x[tgt] -= prods`` too.
+            for v0, v1, src, seg, tgt in groups:
+                prods = vals[v0:v1] * take(src, 0)
+                if seg is not None:
+                    prods = reduceat(prods, seg, 0)
+                if rows is None:
+                    x[tgt] -= prods
+                else:
+                    rows[tgt] = (take(tgt, 0) - prods).view(rows.dtype)
+        return x.take(self.pos, axis=0)
+
+    def _diagonals(self, data: np.ndarray) -> np.ndarray:
+        """The diagonals in packed order.  Raises
+        :class:`~repro.errors.ZeroPivotError` when one is zero or not
+        stored, at the column the reference sweep would hit first."""
+        if self.all_diagonals:
+            diag = data[self.diag_gather]
+            if diag.all():
+                return diag
+        stored = self.diag_gather >= 0
+        bad = np.ones(self.n, dtype=bool)
+        bad[self.order[stored]] = data[self.diag_gather[stored]] == 0.0
+        which = np.flatnonzero(bad)
+        j = int(which.max() if self.kind == "upper" else which.min())
+        if self.kind == "lower" and self.col_empty[j]:
+            raise ZeroPivotError(f"empty column {j} in lower solve", column=j)
+        raise ZeroPivotError(f"zero diagonal at column {j}", column=j)
 
 
 @shapes(M="csc[n,n]")
@@ -329,14 +260,14 @@ def compile_triangular_schedule(M: CSC, kind: str) -> TriangularSchedule:
     # sorted, so it follows the entries above the diagonal), whether it
     # is the diagonal, and the data range of the propagating entries.
     col_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    pos = indptr[:-1] + np.bincount(col_of[indices < col_of], minlength=n)
-    has_diag = pos < indptr[1:]
-    has_diag[has_diag] = indices[pos[has_diag]] == np.flatnonzero(has_diag)
-    diag_idx = np.where(has_diag, pos, -1)
+    first = indptr[:-1] + np.bincount(col_of[indices < col_of], minlength=n)
+    del col_of  # the update arrays below set the compile's peak memory
+    has_diag = first < indptr[1:]
+    has_diag[has_diag] = indices[first[has_diag]] == np.flatnonzero(has_diag)
     if kind == "lower":
-        off_lo, off_hi = pos + has_diag, indptr[1:]
+        off_lo, off_hi = first + has_diag, indptr[1:]
     else:
-        off_lo, off_hi = indptr[:-1], pos
+        off_lo, off_hi = indptr[:-1], first
 
     # Longest path, one column at a time in sweep order, on Python lists
     # (numpy scalar access would cost more than the work).  The rows are
@@ -361,97 +292,71 @@ def compile_triangular_schedule(M: CSC, kind: str) -> TriangularSchedule:
         metrics.set_gauge(f"schedule.tri.{kind}.n_levels", n_levels)
         for width in sizes:
             metrics.observe("schedule.tri.level_width", int(width))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n, dtype=np.int64)
     ptr = np.concatenate(([0], np.cumsum(sizes)))
-    levels: List[_TriLevel] = []
-    empty = np.empty(0, dtype=np.int64)
-    diag_l = diag_idx.tolist()
-    gathers: List[np.ndarray] = []
-    g_end = 0
-    for s in range(n_levels):
-        cols = order[ptr[s] : ptr[s + 1]]
-        if cols.size <= _SCALAR_LEVEL_WIDTH:
-            scalars = [(j, diag_l[j], lo_l[j], hi_l[j], indices[lo_l[j] : hi_l[j]])
-                       for j in cols.tolist()]
-            levels.append(_TriLevel(
-                cols=cols, diag=slice(0, 0), ents=slice(0, 0), ent_col=empty,
-                seg_starts=empty, seg_tgt=empty, scalar_cols=scalars,
-            ))
-            continue
-        counts = off_hi[cols] - off_lo[cols]
-        ent_val_idx = _concat_ranges(off_lo[cols], counts)
-        ent_order, seg_starts, seg_tgt = _segment(indices[ent_val_idx])
-        gathers += [diag_idx[cols], ent_val_idx[ent_order]]
-        d_end = g_end + cols.size
-        e_end = d_end + ent_val_idx.size
-        levels.append(_TriLevel(
-            cols=cols,
-            diag=slice(g_end, d_end),
-            ents=slice(d_end, e_end),
-            ent_col=np.repeat(cols, counts)[ent_order],
-            seg_starts=seg_starts,
-            seg_tgt=seg_tgt,
-        ))
-        g_end = e_end
+
+    # Every update, column by column in packed order, sorted stably by
+    # level and target row: a row's updates from one level keep their
+    # column order, and a run of equal keys is one segment.  Each
+    # temporary is released once used: these arrays are nnz-sized.
+    cnt = (off_hi - off_lo)[order]
+    ent = _concat_ranges(off_lo[order], cnt)
+    m = ent.size
+    key = np.repeat(lev[order] * n, cnt)
+    key += indices[ent]
+    by = np.argsort(key, kind="stable")
+    key = key[by]
+    new_seg = np.ones(m, dtype=bool)
+    new_seg[1:] = key[1:] != key[:-1]
+    del key
+    ent = ent[by]
+    src = np.repeat(np.arange(n, dtype=np.int64), cnt)[by]
+    del by
+    e_ptr = np.concatenate(([0], np.cumsum(cnt)))[ptr]  # each level's first entry
+    e_cnt = np.diff(e_ptr)
+    new_grp = np.zeros(m, dtype=bool)
+    new_grp[e_ptr[:-1][e_cnt > 0]] = True
+    # A narrow level where a row takes several updates runs in rounds:
+    # round r, one group, applies the r-th update of every target row.
+    dup = np.zeros(n_levels, dtype=bool)
+    dup[np.searchsorted(e_ptr, np.flatnonzero(~new_seg), side="right") - 1] = True
+    rounds = np.flatnonzero(dup & (sizes <= _SCALAR_LEVEL_WIDTH))
+    if rounds.size:
+        sub = _concat_ranges(e_ptr[rounds], e_cnt[rounds])
+        k = np.arange(sub.size, dtype=np.int64)
+        rank = k - np.maximum.accumulate(np.where(new_seg[sub], k, 0))
+        by = np.argsort(np.repeat(rounds, e_cnt[rounds]) * (int(rank.max()) + 1) + rank,
+                        kind="stable")
+        ent[sub], src[sub] = ent[sub[by]], src[sub[by]]
+        rank = rank[by]
+        new_grp[sub[1:][rank[1:] != rank[:-1]]] = True
+        new_seg[sub] = True
+    g_start = np.flatnonzero(new_grp)
+    g_end = np.append(g_start[1:], m)
+    s_start = np.flatnonzero(new_seg)
+    s_lo = np.searchsorted(s_start, g_start)
+    s_hi = np.append(s_lo[1:], s_start.size)
+    seg_tgt = pos[indices[ent[s_start]]]
+    groups = [(v0, v1, src[v0:v1],
+               np.flatnonzero(new_seg[v0:v1]) if b - a < v1 - v0 else None, seg_tgt[a:b])
+              for v0, v1, a, b in zip(g_start.tolist(), g_end.tolist(),
+                                      s_lo.tolist(), s_hi.tolist())]
+    g_ptr = np.searchsorted(g_start, e_ptr).tolist()
+    ptr = ptr.tolist()
+    diag_gather = np.where(has_diag, first, -1)[order]
     return TriangularSchedule(
         kind=kind,
         n=n,
         nnz=M.nnz,
-        diag_idx=diag_idx,
-        col_empty=np.diff(indptr) == 0,
-        levels=levels,
-        val_gather=np.concatenate(gathers) if gathers else empty,
-    )
-
-
-def _compile_block_plan(sched: TriangularSchedule) -> _BlockPlan:
-    """Lay ``sched``'s levels out on level-ordered rows (see
-    :class:`_BlockPlan`).  Each update keeps its operands and its place
-    in the order of a row's subtractions, so block replays round exactly
-    as the levels do."""
-    n = sched.n
-    order = (np.concatenate([lv.cols for lv in sched.levels]) if sched.levels
-             else np.empty(0, dtype=np.int64))
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n, dtype=np.int64)
-    gathers: List[np.ndarray] = []
-    levels = []
-    lo = v = 0
-    for lv in sched.levels:
-        hi = lo + lv.cols.size
-        groups = []
-        if lv.scalar_cols is None:
-            if lv.seg_starts.size:
-                m = lv.ent_col.size
-                gathers.append(sched.val_gather[lv.ents])
-                seg = lv.seg_starts if lv.seg_starts.size < m else None
-                groups.append((v, v + m, pos[lv.ent_col], seg, pos[lv.seg_tgt]))
-                v += m
-        else:
-            cols = lv.scalar_cols
-            cnt = np.array([c[3] - c[2] for c in cols], dtype=np.int64)
-            src = np.repeat(np.array([c[0] for c in cols], dtype=np.int64), cnt)
-            val = _concat_ranges(np.array([c[2] for c in cols], dtype=np.int64), cnt)
-            tgt = np.concatenate([c[4] for c in cols])
-            # Rank of each update among the updates of its row, in the
-            # scalar path's order (columns in turn, rows ascending).
-            by_tgt = np.argsort(tgt, kind="stable")
-            srt = tgt[by_tgt]
-            first = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
-            rank = np.empty(tgt.size, dtype=np.int64)
-            rank[by_tgt] = np.arange(tgt.size) - np.repeat(first, np.diff(np.append(first, tgt.size)))
-            for r in range(int(rank.max()) + 1 if rank.size else 0):
-                sel = np.flatnonzero(rank == r)
-                gathers.append(val[sel])
-                groups.append((v, v + sel.size, pos[src[sel]], None, pos[tgt[sel]]))
-                v += sel.size
-        levels.append((lo, hi, groups))
-        lo = hi
-    return _BlockPlan(
         order=order,
         pos=pos,
-        diag_gather=sched.diag_idx[order],
-        ent_gather=np.concatenate(gathers) if gathers else np.empty(0, dtype=np.int64),
-        levels=levels,
+        diag_gather=diag_gather,
+        all_diagonals=bool(has_diag.all()),
+        ent_gather=ent,
+        levels=[(ptr[s], ptr[s + 1], groups[g_ptr[s] : g_ptr[s + 1]])
+                for s in range(n_levels)],
+        col_empty=np.diff(indptr) == 0,
     )
 
 

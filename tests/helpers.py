@@ -256,6 +256,62 @@ def parallel_solve_reference(T: CSC, b: np.ndarray, lower: bool, unit_diag: bool
     return x, simulate(tasks, machine, n_threads)
 
 
+def level_replay(M: CSC, kind: str, b: np.ndarray, unit_diag: bool = False,
+                 width: int = 4) -> np.ndarray:
+    """Level-by-level oracle for ``TriangularSchedule.replay``.
+
+    Levels ``M``'s columns by a Python loop over the pattern, then sweeps
+    the levels: a level of at most ``width`` columns divides and then
+    subtracts its updates one at a time, in column order; a wider level
+    sums each row's updates, in column order, before it subtracts them.
+    The sum is ``np.add.reduceat``'s, which adds the first term to the
+    sum of the rest (``np.add.reduce`` rounds differently).  A block
+    ``b`` of shape ``(n, k)`` is solved column by column.
+    """
+    n = M.n_cols
+    lower = kind == "lower"
+    col = np.repeat(np.arange(n), np.diff(M.indptr))
+    rows, vals = M.indices, M.data
+    prop = rows > col if lower else rows < col
+    diag = np.full(n, -1)
+    diag[col[rows == col]] = np.flatnonzero(rows == col)
+    level = [0] * n
+    for j in (range(n) if lower else range(n - 1, -1, -1)):
+        for p in range(M.indptr[j], M.indptr[j + 1]):
+            if prop[p]:
+                level[rows[p]] = max(level[rows[p]], level[j] + 1)
+    level = np.array(level, dtype=np.int64)
+    # Per level: its columns, then its updates one at a time (row, entry,
+    # source) or, for a wide level, each row's updates (row, entries).
+    steps = []
+    for s in range(int(level.max()) + 1 if n else 0):
+        cols = np.flatnonzero(level == s)
+        ents = np.flatnonzero(prop & (level[col] == s))  # column order
+        if cols.size <= width:
+            steps.append((cols, [(int(rows[p]), int(p), int(col[p])) for p in ents], None))
+            continue
+        ents = ents[np.argsort(rows[ents], kind="stable")]
+        runs = np.split(ents, np.flatnonzero(np.diff(rows[ents])) + 1)
+        steps.append((cols, None, [(int(rows[r[0]]), r) for r in runs if r.size]))
+
+    def sweep(x):
+        for cols, one_by_one, summed in steps:
+            if not unit_diag:
+                x[cols] /= vals[diag[cols]]
+            if summed is None:
+                for i, p, j in one_by_one:
+                    x[i] -= vals[p] * x[j]
+            else:
+                for i, r in summed:
+                    x[i] -= np.add.reduceat(vals[r] * x[col[r]], [0])[0]
+        return x
+
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim == 1:
+        return sweep(b.copy())
+    return np.column_stack([sweep(b[:, j].copy()) for j in range(b.shape[1])])
+
+
 def basker_refactor_reference(A: CSC, numeric):
     """Per-block oracle for ``Basker.refactor_fast``.
 

@@ -398,14 +398,9 @@ class TestPlanAudits:
     def test_corrupted_triangular_schedule_is_flagged(self, factored):
         A, res = factored
         sched = copy.deepcopy(compile_triangular_schedule(res.L, "lower"))
-        corrupted = False
-        for lv in sched.levels:
-            if lv.seg_tgt is not None and len(lv.seg_tgt) >= 2:
-                lv.seg_tgt[1] = lv.seg_tgt[0]
-                corrupted = True
-                break
-        if not corrupted:
-            pytest.skip("no vectorized level wide enough to corrupt")
+        tgt = next(grp[4] for _, _, groups in sched.levels for grp in groups
+                   if grp[4].size >= 2)
+        tgt[1] = tgt[0]  # one group, one target twice
         finds = audit_schedule_buffers(sched, label="corrupt")
         assert finds and all(f.code == "E4" for f in finds)
 
@@ -413,7 +408,7 @@ class TestPlanAudits:
         A, res = factored
         sched = copy.deepcopy(compile_triangular_schedule(res.L, "lower"))
         # level 1 re-finalizes a level-0 column and drops one of its own
-        sched.levels[1].cols[0] = sched.levels[0].cols[0]
+        sched.order[sched.levels[1][0]] = sched.order[0]
         finds = audit_schedule_buffers(sched, label="corrupt")
         assert finds and all(f.code == "E4" for f in finds)
         messages = " ".join(f.message for f in finds)
@@ -422,9 +417,8 @@ class TestPlanAudits:
     def test_update_into_an_earlier_level_is_flagged(self, factored):
         A, res = factored
         sched = copy.deepcopy(compile_triangular_schedule(res.L, "lower"))
-        lv = next(lv for lv in sched.levels[1:]
-                  if lv.scalar_cols is None and lv.seg_tgt.size)
-        lv.seg_tgt[0] = sched.levels[0].cols[0]  # scatter back into level 0
+        tgt = next(grp[4] for _, _, groups in sched.levels[1:] for grp in groups)
+        tgt[0] = 0  # scatter back into level 0
         finds = audit_schedule_buffers(sched, label="corrupt")
         assert [f.code for f in finds] == ["E4"]
         assert "no later than its producer" in finds[0].message

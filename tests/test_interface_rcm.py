@@ -105,6 +105,34 @@ class TestDirectSolver:
         with pytest.raises(ValueError):
             DirectSolver("umfpack")
 
+    def test_unknown_option_is_rejected(self):
+        with pytest.raises(ValueError, match="accepted: .*pivot_tol"):
+            DirectSolver("klu", scale="max", pivot_tolerance=1.0)
+        # Every solver takes an option that another registry entry reads.
+        for name in available_solvers():
+            DirectSolver(name, n_threads=4, pivot_tol=0.1)
+
+    @pytest.mark.parametrize("name", ["basker", "klu", "pardiso", "superlu_mt"])
+    def test_changed_pattern_is_analyzed_anew(self, name):
+        """A matrix whose pattern differs from the analyzed one is
+        analyzed again, by the factor and the resilient solve alike."""
+        rng = np.random.default_rng(0)
+        d = np.triu(rng.standard_normal((6, 6))) + 5 * np.eye(6)
+        A = CSC.from_dense(d)
+        d[5, 0] = 1.0
+        A2 = CSC.from_dense(d)
+        b = rng.standard_normal(6)
+        s = DirectSolver(name, n_threads=2)
+        s.symbolic_factorization(A)
+        s.numeric_factorization(A)
+        s.numeric_factorization(A2)
+        assert solve_residual(A2, s.solve(b), b) < 1e-12
+        s = DirectSolver(name, n_threads=2)
+        s.numeric_factorization(A)
+        x, report = s.solve_resilient(A2, b)
+        assert solve_residual(A2, x, b) < 1e-12
+        assert len(report.attempts) == 1  # the first rung held
+
     def test_solve_before_factor_raises(self):
         s = DirectSolver("klu")
         with pytest.raises(RuntimeError):

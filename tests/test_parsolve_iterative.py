@@ -26,7 +26,8 @@ def _factors(n, seed, density=0.1):
 
 def _levels(T, kind):
     """Rows of each level of the compiled solve schedule, in order."""
-    return [lv.cols for lv in triangular_schedule(T, kind).levels]
+    sched = triangular_schedule(T, kind)
+    return [sched.order[lo:hi] for lo, hi, _ in sched.levels]
 
 
 class TestLevelSchedule:

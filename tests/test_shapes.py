@@ -431,9 +431,9 @@ class TestPlanAudits:
         A = get_matrix("circuit_4")
         res = gp_factor(A)
         plan = copy.deepcopy(compile_triangular_schedule(res.L, "lower"))
-        lv = next(l for l in plan.levels
-                  if l.scalar_cols is None and l.ent_col.size >= 2)
-        lv.ent_col[0] = plan.n  # a source row past the end of x
+        src = next(grp[2] for _, _, groups in plan.levels for grp in groups
+                   if grp[2].size >= 2)
+        src[0] = plan.n  # a source row past the end of x
         fs = audit_schedule_buffers(plan)
         assert "S1" in codes(fs)
 

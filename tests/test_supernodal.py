@@ -40,7 +40,7 @@ class TestSupernodalCorrectness:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             A = random_spd_like(60, 0.08, rng)
-            sn = SupernodalLU(ordering="amd")
+            sn = SupernodalLU()
             num = sn.factor(A)
             b = rng.standard_normal(60)
             assert solve_residual(A, num and sn.solve(num, b), b) < 1e-10
@@ -61,7 +61,7 @@ class TestSupernodalCorrectness:
         d[3, 3] = 0.0
         # Keep the MWCM from repairing it: make row/col 3 otherwise tiny.
         A = CSC.from_dense(d)
-        sn = SupernodalLU(ordering="natural")
+        sn = SupernodalLU()
         num = sn.factor(A)
         # Either matching fixed the diagonal or a perturbation occurred;
         # in both cases the factorization completed.
@@ -82,10 +82,6 @@ class TestSupernodalCorrectness:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             SupernodalLU().analyze(CSC.empty(3, 4))
-
-    def test_bad_ordering_name(self):
-        with pytest.raises(ValueError):
-            SupernodalLU(ordering="metis")
 
 
 class TestSupernodalStructure:

@@ -151,9 +151,9 @@ def test_plan_audits_cover_the_transposed_system():
         assert audit_schedule_buffers(plan.t_schedule) == []
         assert audit_schedule_buffers(plan) == []
         bad = copy.deepcopy(plan)
-        lv = next(lv for lv in bad.t_schedule.levels
-                  if lv.scalar_cols is None and lv.seg_tgt.size >= 2)
-        lv.seg_tgt[1] = lv.seg_tgt[0]  # two segments, one target
+        tgt = next(grp[4] for _, _, groups in bad.t_schedule.levels for grp in groups
+                   if grp[4].size >= 2)
+        tgt[1] = tgt[0]  # one group, one target twice
         finds = audit_schedule_buffers(bad.t_schedule)
         assert finds and all(f.code == "E4" for f in finds)
         bad = copy.deepcopy(plan)
